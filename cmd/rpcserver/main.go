@@ -64,7 +64,7 @@ func main() {
 	workers := flag.Int("workers", 8, "server threads kept waiting for calls")
 	debugAddr := flag.String("debug", "", "serve /debug/rpc, expvar, and pprof on this HTTP address (e.g. 127.0.0.1:6060); empty = off")
 	traceN := flag.Int("trace", 0, "stage-trace one call in N and record latency histograms; 0 = off")
-	admit := flag.String("admit", "", "admission control as policy:capacity (fifo, lifo, or deadline; e.g. deadline:256); empty = off")
+	admit := flag.String("admit", "", "admission control as policy:capacity (fifo, lifo, or deadline; e.g. deadline:256); empty = a FIFO queue of 1024 calls")
 	flag.Parse()
 
 	var admission overload.Config

@@ -10,18 +10,25 @@ import (
 	"fireflyrpc/internal/transport"
 )
 
-// nullAllocBudget is the regression ceiling for heap allocations per
-// single-packet Call over the in-process exchange, measured across the
-// whole process (caller stub, protocol, transport, server stub). The fast
-// path currently performs 1 allocation per call — the completion channel —
-// so the budget has headroom for runtime noise (GC-cycle pool clears)
-// without letting a per-call allocation regression slip through.
-const nullAllocBudget = 8
+// nullAllocBudget is the ceiling for heap allocations per single-packet
+// Call over the in-process exchange, measured across the whole process
+// (caller stub, protocol, transport, server stub). The fast path performs
+// exactly 1 allocation per call — the completion channel — and the budget
+// is pinned there: testing.AllocsPerRun truncates its average, so rare
+// runtime noise (a GC cycle clearing a pool) does not trip it, while any
+// new per-call allocation does.
+const nullAllocBudget = 1
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
 
 // TestNullAllocBudget pins the single-packet fast path's allocation count:
 // the Go analogue of the paper's §4.2 fast-path accounting, where every
 // instruction on the Null() path was audited.
 func TestNullAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on the call path")
+	}
 	ex := transport.NewExchange()
 	server := NewNode(ex.Port("server"), proto.DefaultConfig())
 	caller := NewNode(ex.Port("caller"), proto.DefaultConfig())
@@ -54,6 +61,9 @@ func TestNullAllocBudget(t *testing.T) {
 // pooled slots must not cost more objects per call than Client.Call, or
 // fan-out callers pay a hidden per-call tax the blocking path doesn't.
 func TestAsyncNullAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on the call path")
+	}
 	ex := transport.NewExchange()
 	server := NewNode(ex.Port("server"), proto.DefaultConfig())
 	caller := NewNode(ex.Port("caller"), proto.DefaultConfig())

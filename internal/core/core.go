@@ -91,7 +91,7 @@ type Node struct {
 // the retransmission policy and server worker count.
 func NewNode(tr transport.Transport, cfg proto.Config) *Node {
 	n := &Node{ifaces: make(map[uint32]*Interface)}
-	n.conn = proto.NewConnTraced(tr, cfg, n.dispatch)
+	n.conn = proto.NewConn(tr, cfg, n.dispatch)
 	return n
 }
 
@@ -116,7 +116,7 @@ func (n *Node) Export(iface *Interface) {
 // its return (generated stubs never do).
 var decPool = sync.Pool{New: func() any { return new(marshal.Dec) }}
 
-// dispatch is the proto.TraceHandler: find the interface and procedure, run
+// dispatch is the proto.Handler: find the interface and procedure, run
 // it. A traced call gets a context carrying the caller's trace identity so
 // ProcCtx implementations can re-emit it on chained calls; the untraced
 // fast path reuses the shared background context and allocates nothing.
@@ -237,7 +237,7 @@ func (c *Client) CallCtx(ctx context.Context, proc uint16, argSize int, enc func
 		enc(&c.enc)
 	}
 	seq := c.seq.Add(1)
-	res, err := c.b.node.conn.CallBufCtx(ctx, c.b.remote, c.activity, seq, c.b.iface, proc, args, c.resBuf)
+	res, err := c.b.node.conn.Call(ctx, c.b.remote, c.activity, seq, c.b.iface, proc, args, c.resBuf)
 	if err != nil {
 		return err
 	}

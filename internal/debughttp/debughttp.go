@@ -84,7 +84,7 @@ type ConnView struct {
 	Tracing     bool             `json:"tracing"`
 	Stats       proto.Stats      `json:"stats"`
 	Transport   *transport.Stats `json:"transport,omitempty"` // nil when the transport reports no counters
-	Admission   *overload.Stats  `json:"admission,omitempty"` // nil when no admission control configured
+	Admission   *overload.Stats  `json:"admission,omitempty"` // nil unless Config.Admission set a capacity
 	Peers       []proto.PeerInfo `json:"peers"`
 	PeerHists   []PeerHistView   `json:"peer_hists,omitempty"`
 	MethodHists []MethodHistView `json:"method_hists,omitempty"`

@@ -67,7 +67,7 @@ func TableOverload(o Options) Table {
 		})
 	}
 	t.Notes = append(t.Notes,
-		"baseline = as many callers as workers, no admission control",
+		"baseline = as many callers as workers; baseline and none use the default FIFO queue, which never fills here",
 		"rejected = calls failed fast by a wire-level overload rejection")
 	return t
 }

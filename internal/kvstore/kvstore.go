@@ -171,6 +171,8 @@ func (kv *KV) Cluster() *cluster.Client { return kv.c }
 
 // versionQuorum majority-reads key's version: the max version any quorum
 // member holds. Ordered-after semantics for Put derive from this read.
+// Stragglers may still decode after Fanout returns, so every read of the
+// accumulated state, this one included, holds mu.
 func (kv *KV) versionQuorum(ctx context.Context, key string) (uint64, error) {
 	var mu sync.Mutex
 	var max uint64
@@ -192,6 +194,8 @@ func (kv *KV) versionQuorum(ctx context.Context, key string) (uint64, error) {
 			}
 			return nil
 		}, 0)
+	mu.Lock()
+	defer mu.Unlock()
 	return max, err
 }
 
@@ -218,11 +222,14 @@ func (kv *KV) Put(ctx context.Context, key string, val []byte) (uint64, error) {
 }
 
 // Get majority-reads key and returns the highest-versioned value seen —
-// never older than the last majority-acked Put.
-func (kv *KV) Get(ctx context.Context, key string) (val []byte, ver uint64, err error) {
+// never older than the last majority-acked Put. As in versionQuorum, the
+// result is read under mu because stragglers may still be decoding.
+func (kv *KV) Get(ctx context.Context, key string) ([]byte, uint64, error) {
 	var mu sync.Mutex
+	var val []byte
+	var ver uint64
 	found := false
-	_, err = kv.c.Fanout(ctx, ProcGet, 4+len(key),
+	_, err := kv.c.Fanout(ctx, ProcGet, 4+len(key),
 		func(e *marshal.Enc) { e.PutString(key) },
 		func(_ string, d *marshal.Dec) error {
 			ok := d.Bool()
@@ -245,6 +252,8 @@ func (kv *KV) Get(ctx context.Context, key string) (val []byte, ver uint64, err 
 	if err != nil {
 		return nil, 0, err
 	}
+	mu.Lock()
+	defer mu.Unlock()
 	if !found {
 		return nil, 0, ErrNotFound
 	}

@@ -14,6 +14,7 @@ import (
 	"fireflyrpc/internal/core"
 	"fireflyrpc/internal/proto"
 	"fireflyrpc/internal/transport"
+	"fireflyrpc/internal/wire"
 )
 
 func TestStoreApplyIdempotent(t *testing.T) {
@@ -63,9 +64,44 @@ func (g *gate) SetReceiver(r transport.Receiver) {
 	})
 }
 
+// resultOrder makes one replica's results trail another's: each result
+// frame the follower sends waits for one from the leader. The follower's
+// reply then reaches the client right behind the reply that completes a
+// 2-of-3 quorum — a straggler that still succeeds, decoding after the
+// fan-out has returned.
+type resultOrder struct {
+	transport.Transport
+	turn   chan struct{}
+	leader bool
+}
+
+func (r *resultOrder) Send(dst transport.Addr, frame []byte) error {
+	h, _, err := wire.UnmarshalRPC(frame)
+	result := err == nil && h.Type == wire.TypeResult
+	if result && !r.leader {
+		select {
+		case <-r.turn:
+		case <-time.After(time.Second):
+		}
+	}
+	err = r.Transport.Send(dst, frame)
+	if result && r.leader {
+		select {
+		case r.turn <- struct{}{}:
+		default:
+		}
+	}
+	return err
+}
+
 // kvWorld builds a 3-replica KV service (each replica behind a gate) and
 // a client with hedged reads.
 func kvWorld(t *testing.T) (kv *KV, stores []*Store, gates []*gate) {
+	return kvWorldWrapped(t, nil)
+}
+
+// kvWorldWrapped is kvWorld with replica i's gate wrapped by wrap(i, g).
+func kvWorldWrapped(t *testing.T, wrap func(i int, g *gate) transport.Transport) (kv *KV, stores []*Store, gates []*gate) {
 	t.Helper()
 	ex := transport.NewExchange()
 	cfg := proto.Config{RetransInterval: 20 * time.Millisecond, MaxRetries: 6, Workers: 4}
@@ -73,7 +109,11 @@ func kvWorld(t *testing.T) (kv *KV, stores []*Store, gates []*gate) {
 	for i := 0; i < 3; i++ {
 		name := fmt.Sprintf("kv-%d", i)
 		g := &gate{Transport: ex.Port(name)}
-		node := core.NewNode(g, cfg)
+		var tr transport.Transport = g
+		if wrap != nil {
+			tr = wrap(i, g)
+		}
+		node := core.NewNode(tr, cfg)
 		st := NewStore()
 		node.Export(st.Export())
 		stores = append(stores, st)
@@ -221,6 +261,36 @@ func TestKVPartitionHeal(t *testing.T) {
 		put("heal-probe", 1)
 	}
 	checkGet("final")
+}
+
+// A straggler whose reply lands just after the quorum has formed still
+// decodes into the majority read's result — here with a newer version than
+// the quorum's, so it writes. Get and Put's version read must not race with
+// it (run under -race).
+func TestKVStragglerAfterQuorum(t *testing.T) {
+	turn := make(chan struct{}, 64)
+	kv, stores, _ := kvWorldWrapped(t, func(i int, g *gate) transport.Transport {
+		if i == 0 {
+			return g
+		}
+		return &resultOrder{Transport: g, turn: turn, leader: i == 1}
+	})
+	for _, st := range stores {
+		st.Apply("k", 1, []byte("v1"))
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for v := uint64(2); v < 22; v++ {
+		// Only the trailing replica holds the newest version.
+		stores[2].Apply("k", v, []byte(fmt.Sprintf("v%d", v)))
+		val, ver, err := kv.Get(ctx, "k")
+		if err != nil || ver < 1 || string(val) != fmt.Sprintf("v%d", ver) {
+			t.Fatalf("get: %q v%d %v", val, ver, err)
+		}
+		if ver, err := kv.versionQuorum(ctx, "k"); err != nil || ver < 1 {
+			t.Fatalf("version quorum: v%d %v", ver, err)
+		}
+	}
 }
 
 // TestKVGetAnySurvivesPartition: the hedged single-replica read path must

@@ -23,9 +23,11 @@
 //     remaining budget. This is the policy that keeps goodput near capacity
 //     at 2× saturation.
 //
-// The queue is deliberately not on the uncontended fast path: the protocol
-// keeps its unbounded channel dispatch when admission control is disabled,
-// so a zero-config server pays nothing for this package's existence.
+// The queue is the protocol's only dispatch path: a server without an
+// explicit admission bound still drains a FIFO queue of a fixed default
+// capacity. The uncontended cost is kept to a lock, a ring-slot store and a
+// condition signal: arrival and service clocks are read only where a
+// policy or a reported service-time estimate consumes them.
 package overload
 
 import (
@@ -69,7 +71,8 @@ func ParsePolicy(s string) (Policy, error) {
 	return FIFO, fmt.Errorf("overload: unknown policy %q (fifo, lifo, deadline)", s)
 }
 
-// Config enables admission control when Capacity is positive.
+// Config picks a queue's policy and bounds its depth; NewQueue requires a
+// positive Capacity.
 type Config struct {
 	Policy   Policy
 	Capacity int
@@ -139,13 +142,19 @@ func (e entry[T]) remaining(now int64) int64 {
 // closed. Every request leaves the queue exactly once: returned from Take,
 // or handed to the shed callback (including at Close), so callers can
 // maintain in-flight accounting on either path.
+//
+// Queued requests live in a ring, oldest first from head, that grows by
+// doubling up to Capacity: popping either end is O(1) and steady state
+// does not allocate.
 type Queue[T any] struct {
 	cfg    Config
 	onShed func(T, Reason)
 
 	mu     sync.Mutex
 	cond   *sync.Cond
-	items  []entry[T]
+	ring   []entry[T]
+	head   int // ring index of the oldest queued request
+	n      int // queued requests
 	closed bool
 
 	ewmaNs       float64
@@ -167,23 +176,62 @@ func NewQueue[T any](cfg Config, onShed func(T, Reason)) *Queue[T] {
 	return q
 }
 
+// slot is the i-th queued request, oldest first.
+func (q *Queue[T]) slot(i int) *entry[T] { return &q.ring[(q.head+i)%len(q.ring)] }
+
+// push queues e as the newest request, growing the ring when it is full.
+func (q *Queue[T]) push(e entry[T]) {
+	if q.n == len(q.ring) {
+		grown := make([]entry[T], min(max(2*len(q.ring), 16), q.cfg.Capacity))
+		for i := 0; i < q.n; i++ {
+			grown[i] = *q.slot(i)
+		}
+		q.ring, q.head = grown, 0
+	}
+	*q.slot(q.n) = e
+	q.n++
+}
+
+// remove takes out the i-th queued request, keeping the rest in order. The
+// gap closes from the shorter side, so removing either end is O(1).
+func (q *Queue[T]) remove(i int) entry[T] {
+	e := *q.slot(i)
+	if i < q.n/2 {
+		for ; i > 0; i-- {
+			*q.slot(i) = *q.slot(i - 1)
+		}
+		*q.slot(0) = entry[T]{}
+		q.head = (q.head + 1) % len(q.ring)
+	} else {
+		for ; i < q.n-1; i++ {
+			*q.slot(i) = *q.slot(i + 1)
+		}
+		*q.slot(q.n - 1) = entry[T]{}
+	}
+	q.n--
+	return e
+}
+
 // Offer submits a request with its remaining deadline budget (0 = unknown).
 // It returns false when the request itself was shed (the shed callback has
 // already run for it).
 func (q *Queue[T]) Offer(v T, budgetNs int64) bool {
-	now := nowNs()
-	e := entry[T]{v: v, arrivedNs: now, budgetNs: budgetNs}
+	e := entry[T]{v: v, budgetNs: budgetNs}
+	if q.cfg.Policy == Deadline {
+		// Only the Deadline policy ages requests.
+		e.arrivedNs = nowNs()
+	}
 	q.mu.Lock()
 	if q.closed {
 		q.mu.Unlock()
 		q.onShed(v, ReasonClosed)
 		return false
 	}
-	if len(q.items) < q.cfg.Capacity {
-		q.items = append(q.items, e)
+	if q.n < q.cfg.Capacity {
+		q.push(e)
 		q.admitted++
-		if len(q.items) > q.maxDepth {
-			q.maxDepth = len(q.items)
+		if q.n > q.maxDepth {
+			q.maxDepth = q.n
 		}
 		q.mu.Unlock()
 		q.cond.Signal()
@@ -198,9 +246,10 @@ func (q *Queue[T]) Offer(v T, budgetNs int64) bool {
 		// Shed whichever request — queued or arriving — has the least
 		// remaining budget; capacity overflow is off the fast path, so the
 		// linear scan is fine.
+		now := e.arrivedNs
 		least := e.remaining(now)
-		for i := range q.items {
-			if r := q.items[i].remaining(now); r < least {
+		for i := 0; i < q.n; i++ {
+			if r := q.slot(i).remaining(now); r < least {
 				least, victimIdx = r, i
 			}
 		}
@@ -208,9 +257,8 @@ func (q *Queue[T]) Offer(v T, budgetNs int64) bool {
 	var victim T
 	admitted := victimIdx >= 0
 	if admitted {
-		victim = q.items[victimIdx].v
-		copy(q.items[victimIdx:], q.items[victimIdx+1:])
-		q.items[len(q.items)-1] = e
+		victim = q.remove(victimIdx).v
+		q.push(e)
 		q.admitted++
 	} else {
 		victim = v
@@ -233,19 +281,19 @@ func (q *Queue[T]) Take() (v T, ok bool) {
 	for {
 		var sheds []T
 		q.mu.Lock()
-		for len(q.items) == 0 && !q.closed {
+		for q.n == 0 && !q.closed {
 			q.cond.Wait()
 		}
-		now := nowNs()
-		for len(q.items) > 0 {
+		var now int64
+		if q.cfg.Policy == Deadline {
+			now = nowNs()
+		}
+		for q.n > 0 {
 			var e entry[T]
 			if q.cfg.Policy == LIFO {
-				e = q.items[len(q.items)-1]
-				q.items = q.items[:len(q.items)-1]
+				e = q.remove(q.n - 1)
 			} else {
-				e = q.items[0]
-				copy(q.items, q.items[1:])
-				q.items = q.items[:len(q.items)-1]
+				e = q.remove(0)
 			}
 			if q.cfg.Policy == Deadline && q.ewmaNs > 0 && float64(e.remaining(now)) < q.ewmaNs {
 				q.shedDeadline++
@@ -292,12 +340,15 @@ func (q *Queue[T]) Close() {
 		return
 	}
 	q.closed = true
-	drained := q.items
-	q.items = nil
+	drained := make([]T, q.n)
+	for i := range drained {
+		drained[i] = q.slot(i).v
+	}
+	q.ring, q.head, q.n = nil, 0, 0
 	q.mu.Unlock()
 	q.cond.Broadcast()
-	for _, e := range drained {
-		q.onShed(e.v, ReasonClosed)
+	for _, v := range drained {
+		q.onShed(v, ReasonClosed)
 	}
 }
 
@@ -308,7 +359,7 @@ func (q *Queue[T]) Stats() Stats {
 	return Stats{
 		Policy:        q.cfg.Policy.String(),
 		Capacity:      q.cfg.Capacity,
-		Depth:         len(q.items),
+		Depth:         q.n,
 		MaxDepth:      q.maxDepth,
 		Admitted:      q.admitted,
 		Served:        q.served,

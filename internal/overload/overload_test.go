@@ -226,6 +226,69 @@ func TestObserveServiceEWMA(t *testing.T) {
 	}
 }
 
+// The ring keeps arrival order across wrap-around and growth, and does not
+// allocate in steady state.
+func TestRingOrderAndSteadyStateAllocs(t *testing.T) {
+	for _, p := range []Policy{FIFO, LIFO, Deadline} {
+		q := NewQueue[int](Config{Policy: p, Capacity: 40}, func(int, Reason) {})
+		take := func(want int) {
+			t.Helper()
+			if v, ok := q.Take(); !ok || v != want {
+				t.Fatalf("%v: Take = %d, %t; want %d", p, v, ok, want)
+			}
+		}
+		// Offer three, take two: the head walks round the ring while the
+		// depth climbs through each growth step.
+		for r := 0; r < 30; r++ {
+			for i := 0; i < 3; i++ {
+				q.Offer(3*r+i, 0)
+			}
+			if p == LIFO {
+				take(3*r + 2)
+				take(3*r + 1)
+			} else {
+				take(2 * r)
+				take(2*r + 1)
+			}
+		}
+		for i := 0; i < 30; i++ {
+			if p == LIFO {
+				take(3 * (29 - i))
+			} else {
+				take(60 + i)
+			}
+		}
+		if a := testing.AllocsPerRun(100, func() {
+			q.Offer(0, 0)
+			q.Take()
+		}); a != 0 {
+			t.Fatalf("%v: steady-state Offer+Take allocates %v", p, a)
+		}
+	}
+
+	// A Deadline victim in the middle of a wrapped ring leaves the others
+	// in order.
+	var l shedlog
+	q := NewQueue[int](Config{Policy: Deadline, Capacity: 4}, l.fn)
+	ms := int64(time.Millisecond)
+	for i := 0; i < 4; i++ {
+		q.Offer(i, 100*ms)
+	}
+	q.Take()
+	q.Take()
+	q.Offer(4, 5*ms) // wraps to slot 0: the poorest
+	q.Offer(5, 100*ms)
+	q.Offer(6, 100*ms) // full: displaces 4
+	if got := l.values(); len(got) != 1 || got[0] != 4 {
+		t.Fatalf("shed %v, want [4]", got)
+	}
+	for _, want := range []int{2, 3, 5, 6} {
+		if v, _ := q.Take(); v != want {
+			t.Fatalf("Take = %d, want %d", v, want)
+		}
+	}
+}
+
 // Concurrent producers and consumers: every offered request leaves the
 // queue exactly once — served or shed — under race detection.
 func TestConcurrentExactlyOnce(t *testing.T) {

@@ -32,8 +32,8 @@ func (oc *outCall) quiesceTimer() {
 	}
 }
 
-// Pending is the handle to one in-flight asynchronous call started with Go
-// or StartCall. Exactly one goroutine must eventually call Await, which
+// Pending is the handle to one in-flight asynchronous call started with
+// StartCall. Exactly one goroutine must eventually call Await, which
 // collects the result and recycles the call's pooled state; after Await
 // returns, the handle is inert (further Awaits return the cached outcome)
 // and Done's channel must not be reused for a new call.
@@ -64,8 +64,8 @@ func (p *Pending) Await(ctx context.Context) ([]byte, error) {
 	}
 	oc, k, c := p.oc, p.k, p.c
 	if cd := ctx.Done(); cd == nil {
-		// Non-cancellable context (the blocking wrappers' common case): a
-		// plain receive skips selectgo on the fast path.
+		// Non-cancellable context (blocking Call's common case): a plain
+		// receive skips selectgo on the fast path.
 		<-oc.done
 	} else {
 		select {
@@ -150,25 +150,15 @@ func (p *Pending) cancelNotify(cause error) {
 	_ = p.c.sendFrame(p.ch.peer, h, nil)
 }
 
-// Go starts an asynchronous call and returns its handle. It transmits args
-// to dst (spawning a goroutine only for multi-fragment sends), registers
-// the call with the retransmission engine, and returns immediately; the
-// result is collected with Await. seq must increase across calls of the
-// same activity, and an activity may have at most one call in flight —
-// fan-out callers use one activity per outstanding call (as core.Client's
-// slots do).
-func (c *Conn) Go(ctx context.Context, dst transport.Addr, activity uint64, seq uint32,
-	iface uint32, proc uint16, args []byte, resBuf []byte) (*Pending, error) {
-	p := new(Pending)
-	if err := c.StartCall(ctx, dst, activity, seq, iface, proc, args, resBuf, p); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-// StartCall is Go with a caller-provided Pending, so callers that pool
-// their per-call state (core.Client's slots, the blocking wrappers' stack
-// frame) start a call without allocating the handle.
+// StartCall starts an asynchronous call into the caller-provided handle p,
+// so callers that pool their per-call state (core.Client's slots, Call's
+// stack frame) start a call without allocating. It transmits args to dst
+// (spawning a goroutine only for multi-fragment sends), registers the call
+// with the retransmission engine, and returns immediately; the result is
+// collected with p.Await, and lands in resBuf[:0] when it fits. seq must
+// increase across calls of the same activity, and an activity may have at
+// most one call in flight — fan-out callers use one activity per
+// outstanding call (as core.Client's slots do).
 func (c *Conn) StartCall(ctx context.Context, dst transport.Addr, activity uint64, seq uint32,
 	iface uint32, proc uint16, args []byte, resBuf []byte, p *Pending) error {
 	if c.closed.Load() {
@@ -316,20 +306,17 @@ func (c *Conn) StartCall(ctx context.Context, dst transport.Addr, activity uint6
 		hdr.Flags |= wire.FlagTraceCtx
 	}
 
+	last := hdr
+	last.FragIndex = uint16(nfrags - 1)
+	last.Flags |= wire.FlagLastFrag
+	if rec != nil && !inlineTC {
+		// Ask the server to stamp its stages for this call too — the
+		// legacy path for peers without FeatTrace.
+		last.Flags |= wire.FlagTraced
+	}
+
 	if nfrags == 1 {
-		last := hdr
-		last.Flags |= wire.FlagLastFrag
-		var frame *buffer.Frame
-		if inlineTC {
-			frame = c.newFrameTC(last, tc, args)
-		} else {
-			if rec != nil {
-				// Ask the server to stamp its stages for this call too —
-				// the legacy path for peers without FeatTrace.
-				last.Flags |= wire.FlagTraced
-			}
-			frame = c.newFrame(last, args)
-		}
+		frame := c.newFrame(last, tc, args)
 		sent := now
 		if err := c.send(dst, frame.Bytes()); err != nil {
 			frame.Release()
@@ -349,15 +336,11 @@ func (c *Conn) StartCall(ctx context.Context, dst transport.Addr, activity uint6
 	}
 
 	// Multi-fragment calls hand the stop-and-wait send to a pump goroutine
-	// so Go still returns immediately; the args slice stays referenced
-	// until the pump exits, which Await waits for.
+	// so StartCall still returns immediately; the args slice stays
+	// referenced until the pump exits, which Await waits for.
 	pump := make(chan struct{})
 	p.pump = pump
-	var tcp *wire.TraceCtx
-	if inlineTC {
-		tcp = &tc
-	}
-	go c.pumpCall(oc, ch, k, hdr, frags, iv, deadline, pump, tcp)
+	go c.pumpCall(oc, ch, k, hdr, last, tc, frags, iv, deadline, pump)
 	return nil
 }
 
@@ -384,23 +367,17 @@ func (c *Conn) armRetrans(oc *outCall, k callKey, frame *buffer.Frame, sent time
 
 // pumpCall drives a multi-fragment call's stop-and-wait sends off the
 // caller's goroutine, then arms the retransmission engine for the final
-// fragment. It exits promptly if the call completes or is cancelled
+// fragment, last. It exits promptly if the call completes or is cancelled
 // mid-stream (sendFragWithAck watches oc.done).
-func (c *Conn) pumpCall(oc *outCall, ch *channel, k callKey, hdr wire.RPCHeader,
-	frags [][]byte, iv time.Duration, deadline time.Time, pump chan struct{}, tcp *wire.TraceCtx) {
+func (c *Conn) pumpCall(oc *outCall, ch *channel, k callKey, hdr, last wire.RPCHeader, tc wire.TraceCtx,
+	frags [][]byte, iv time.Duration, deadline time.Time, pump chan struct{}) {
 	defer close(pump)
 	nfrags := len(frags)
 	for i := 0; i < nfrags-1; i++ {
 		h := hdr
 		h.FragIndex = uint16(i)
 		h.Flags |= wire.FlagPleaseAck
-		var f *buffer.Frame
-		if i == 0 && tcp != nil {
-			// The trace-context prefix rides in fragment 0's bytes.
-			f = c.newFrameTC(h, *tcp, frags[i])
-		} else {
-			f = c.newFrame(h, frags[i])
-		}
+		f := c.newFrame(h, tc, frags[i])
 		err := c.sendFragWithAck(oc, k, f, uint16(i), deadline)
 		f.Release()
 		if err != nil {
@@ -408,16 +385,10 @@ func (c *Conn) pumpCall(oc *outCall, ch *channel, k callKey, hdr wire.RPCHeader,
 			return
 		}
 	}
-	last := hdr
-	last.FragIndex = uint16(nfrags - 1)
-	last.Flags |= wire.FlagLastFrag
 	oc.mu.Lock()
 	rec := oc.trace
 	oc.mu.Unlock()
-	if rec != nil && tcp == nil {
-		last.Flags |= wire.FlagTraced
-	}
-	frame := c.newFrame(last, frags[nfrags-1])
+	frame := c.newFrame(last, tc, frags[nfrags-1])
 	sent := time.Now()
 	if err := c.send(ch.peer, frame.Bytes()); err != nil {
 		frame.Release()
@@ -430,35 +401,16 @@ func (c *Conn) pumpCall(oc *outCall, ch *channel, k callKey, hdr wire.RPCHeader,
 	c.armRetrans(oc, k, frame, sent, iv, deadline)
 }
 
-// CallCtx performs one remote procedure call, blocking until the result
-// arrives, ctx is cancelled, or the call's deadline expires.
-func (c *Conn) CallCtx(ctx context.Context, dst transport.Addr, activity uint64, seq uint32,
-	iface uint32, proc uint16, args []byte) ([]byte, error) {
-	return c.CallBufCtx(ctx, dst, activity, seq, iface, proc, args, nil)
-}
-
-// Call is CallCtx without cancellation. seq must increase across calls of
-// the same activity.
-func (c *Conn) Call(dst transport.Addr, activity uint64, seq uint32,
-	iface uint32, proc uint16, args []byte) ([]byte, error) {
-	return c.CallBufCtx(context.Background(), dst, activity, seq, iface, proc, args, nil)
-}
-
-// CallBuf is Call with a caller-supplied result buffer: the result is
-// appended to resBuf[:0] when capacity allows, so a caller thread that
-// reuses one buffer across calls (as core.Client does) receives results
-// without a per-call allocation. The returned slice aliases resBuf when it
-// fits; callers that retain results across calls must copy them.
-func (c *Conn) CallBuf(dst transport.Addr, activity uint64, seq uint32,
-	iface uint32, proc uint16, args []byte, resBuf []byte) ([]byte, error) {
-	return c.CallBufCtx(context.Background(), dst, activity, seq, iface, proc, args, resBuf)
-}
-
-// CallBufCtx is the blocking form of the async API: StartCall with a
-// stack-allocated handle, then Await. All the blocking entry points funnel
-// here, so the call table, retransmission engine, deadlines, and
-// cancellation behave identically for sync and async callers.
-func (c *Conn) CallBufCtx(ctx context.Context, dst transport.Addr, activity uint64, seq uint32,
+// Call performs one remote procedure call, blocking until the result
+// arrives, ctx is cancelled, or the call's deadline expires: StartCall with
+// a stack-allocated handle, then Await, so the call table, retransmission
+// engine, deadlines and cancellation behave identically for blocking and
+// asynchronous callers. The result is appended to resBuf[:0] when capacity
+// allows, so a caller thread that reuses one buffer across calls (as
+// core.Client does) receives results without a per-call allocation; the
+// returned slice then aliases resBuf, and callers that retain results
+// across calls must copy them.
+func (c *Conn) Call(ctx context.Context, dst transport.Addr, activity uint64, seq uint32,
 	iface uint32, proc uint16, args []byte, resBuf []byte) ([]byte, error) {
 	var p Pending
 	if err := c.StartCall(ctx, dst, activity, seq, iface, proc, args, resBuf, &p); err != nil {

@@ -101,9 +101,9 @@ func TestLossyAsyncStressNoLeaks(t *testing.T) {
 					if (g+i+r)%11 == 0 {
 						args = big
 					}
-					p, err := caller.Go(context.Background(), sa, acts[i], uint32(r), 1, 1, args, nil)
+					p, err := caller.goCall(context.Background(), sa, acts[i], uint32(r), 1, 1, args, nil)
 					if err != nil {
-						errs <- fmt.Errorf("g%d r%d i%d: Go: %w", g, r, i, err)
+						errs <- fmt.Errorf("g%d r%d i%d: goCall: %w", g, r, i, err)
 						return
 					}
 					pending[i] = p
@@ -171,13 +171,13 @@ func TestCallTimeoutBeatsRetryBudget(t *testing.T) {
 		CallTimeout:     150 * time.Millisecond,
 	}
 	caller, server, sa := pair(t, ex, cfg,
-		func(transport.Addr, uint32, uint16, []byte) ([]byte, error) {
+		func(transport.Addr, wire.TraceCtx, uint32, uint16, []byte) ([]byte, error) {
 			<-release
 			return []byte("late"), nil
 		})
 	defer close(release)
 	start := time.Now()
-	_, err := caller.Call(sa, caller.NewActivity(), 1, 1, 1, nil)
+	_, err := caller.Call(context.Background(), sa, caller.NewActivity(), 1, 1, 1, nil, nil)
 	elapsed := time.Since(start)
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
@@ -209,7 +209,7 @@ func TestCtxDeadlineTightensCallTimeout(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 80*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := caller.CallCtx(ctx, transport.AddrOf("nobody"), caller.NewActivity(), 1, 1, 1, nil)
+	_, err := caller.Call(ctx, transport.AddrOf("nobody"), caller.NewActivity(), 1, 1, 1, nil, nil)
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("call to nobody succeeded")
@@ -226,7 +226,7 @@ func TestCancelPreSend(t *testing.T) {
 	caller, _, sa := pair(t, ex, fastCfg(), echoHandler)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := caller.CallCtx(ctx, sa, caller.NewActivity(), 1, 1, 1, nil)
+	_, err := caller.Call(ctx, sa, caller.NewActivity(), 1, 1, 1, nil, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -252,7 +252,7 @@ func TestCancelMidRetransmission(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := caller.CallCtx(ctx, transport.AddrOf("nobody"), caller.NewActivity(), 1, 1, 1, []byte("x"))
+	_, err := caller.Call(ctx, transport.AddrOf("nobody"), caller.NewActivity(), 1, 1, 1, []byte("x"), nil)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -290,7 +290,7 @@ func TestCancelMidExecution(t *testing.T) {
 	release := make(chan struct{})
 	cfg := Config{RetransInterval: 10 * time.Millisecond, MaxRetries: 100, Workers: 2}
 	caller, server, sa := pair(t, ex, cfg,
-		func(transport.Addr, uint32, uint16, []byte) ([]byte, error) {
+		func(transport.Addr, wire.TraceCtx, uint32, uint16, []byte) ([]byte, error) {
 			close(entered)
 			<-release
 			return []byte("nobody wants this"), nil
@@ -300,7 +300,7 @@ func TestCancelMidExecution(t *testing.T) {
 		<-entered
 		cancel()
 	}()
-	_, err := caller.CallCtx(ctx, sa, caller.NewActivity(), 1, 1, 1, []byte("work"))
+	_, err := caller.Call(ctx, sa, caller.NewActivity(), 1, 1, 1, []byte("work"), nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -396,7 +396,7 @@ func TestIdlePeerEviction(t *testing.T) {
 	caller, server, sa := pair(t, ex, cfg, echoHandler)
 	act := caller.NewActivity()
 	for seq := uint32(1); seq <= 3; seq++ {
-		if _, err := caller.Call(sa, act, seq, 1, 1, []byte("warm")); err != nil {
+		if _, err := caller.Call(context.Background(), sa, act, seq, 1, 1, []byte("warm"), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -417,7 +417,7 @@ func TestIdlePeerEviction(t *testing.T) {
 		t.Fatal("eviction counter did not move")
 	}
 	// The peer comes back on the next call.
-	if _, err := caller.Call(sa, act, 10, 1, 1, []byte("again")); err != nil {
+	if _, err := caller.Call(context.Background(), sa, act, 10, 1, 1, []byte("again"), nil); err != nil {
 		t.Fatalf("call after eviction: %v", err)
 	}
 }
@@ -430,7 +430,7 @@ func TestAsyncFanOutOneGoroutine(t *testing.T) {
 	release := make(chan struct{})
 	cfg := Config{RetransInterval: 50 * time.Millisecond, MaxRetries: 8, Workers: 4}
 	caller, _, sa := pair(t, ex, cfg,
-		func(_ transport.Addr, _ uint32, _ uint16, args []byte) ([]byte, error) {
+		func(_ transport.Addr, _ wire.TraceCtx, _ uint32, _ uint16, args []byte) ([]byte, error) {
 			<-release
 			return append([]byte(nil), args...), nil
 		})
@@ -438,7 +438,7 @@ func TestAsyncFanOutOneGoroutine(t *testing.T) {
 	before := runtime.NumGoroutine()
 	pendings := make([]*Pending, fanout)
 	for i := range pendings {
-		p, err := caller.Go(context.Background(), sa, caller.NewActivity(), 1, 1, 1, []byte{byte(i)}, nil)
+		p, err := caller.goCall(context.Background(), sa, caller.NewActivity(), 1, 1, 1, []byte{byte(i)}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

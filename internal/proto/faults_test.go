@@ -3,7 +3,9 @@ package proto
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -11,6 +13,7 @@ import (
 	"fireflyrpc/internal/faultnet"
 	"fireflyrpc/internal/overload"
 	"fireflyrpc/internal/transport"
+	"fireflyrpc/internal/wire"
 )
 
 // Regression test for a duplicate-delivery race: a result frame duplicated
@@ -34,7 +37,7 @@ func TestDuplicatedResultFramesCompleteOnce(t *testing.T) {
 			defer wg.Done()
 			act := caller.NewActivity()
 			for seq := uint32(1); seq <= calls/4; seq++ {
-				res, err := caller.Call(sa, act, seq, 1, 1, []byte{byte(seq)})
+				res, err := caller.Call(context.Background(), sa, act, seq, 1, 1, []byte{byte(seq)}, nil)
 				if err != nil {
 					t.Errorf("seq %d: %v", seq, err)
 					return
@@ -74,7 +77,7 @@ func TestKarnRuleAndRTOFloor(t *testing.T) {
 		ft.Impairer().SetProfile(faultnet.Profile{})
 	}()
 	act := caller.NewActivity()
-	if _, err := caller.Call(sa, act, 1, 1, 1, []byte("retried")); err != nil {
+	if _, err := caller.Call(context.Background(), sa, act, 1, 1, 1, []byte("retried"), nil); err != nil {
 		t.Fatal(err)
 	}
 	if caller.Stats().Retransmits == 0 {
@@ -86,7 +89,7 @@ func TestKarnRuleAndRTOFloor(t *testing.T) {
 
 	// Clean calls over the healed link produce an estimate...
 	for seq := uint32(2); seq <= 6; seq++ {
-		if _, err := caller.Call(sa, act, seq, 1, 1, nil); err != nil {
+		if _, err := caller.Call(context.Background(), sa, act, seq, 1, 1, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -112,7 +115,7 @@ func TestOverloadShedFailsFast(t *testing.T) {
 	cfg := Config{RetransInterval: 50 * time.Millisecond, MaxRetries: 8, Workers: 1}
 	cfg.Admission = overload.Config{Policy: overload.FIFO, Capacity: 1}
 	caller, server, sa := pair(t, ex, cfg,
-		func(transport.Addr, uint32, uint16, []byte) ([]byte, error) {
+		func(transport.Addr, wire.TraceCtx, uint32, uint16, []byte) ([]byte, error) {
 			entered <- struct{}{}
 			<-release
 			return []byte("ok"), nil
@@ -120,12 +123,12 @@ func TestOverloadShedFailsFast(t *testing.T) {
 	defer close(release)
 
 	// Call 1 occupies the single worker; call 2 fills the queue.
-	p1, err := caller.Go(context.Background(), sa, caller.NewActivity(), 1, 1, 1, nil, nil)
+	p1, err := caller.goCall(context.Background(), sa, caller.NewActivity(), 1, 1, 1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-entered
-	p2, err := caller.Go(context.Background(), sa, caller.NewActivity(), 1, 1, 1, nil, nil)
+	p2, err := caller.goCall(context.Background(), sa, caller.NewActivity(), 1, 1, 1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +142,7 @@ func TestOverloadShedFailsFast(t *testing.T) {
 	// Call 3 must be shed — and the error must arrive well before the
 	// retry budget (8 × 50ms) would have expired.
 	start := time.Now()
-	_, err = caller.Call(sa, caller.NewActivity(), 1, 1, 1, nil)
+	_, err = caller.Call(context.Background(), sa, caller.NewActivity(), 1, 1, 1, nil, nil)
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("err = %v, want ErrOverloaded", err)
 	}
@@ -169,6 +172,67 @@ func TestOverloadShedFailsFast(t *testing.T) {
 	}
 }
 
+// A flood of concurrent calls far beyond the worker pool plus the default
+// dispatch queue costs the server no goroutine per call: the queue admits
+// what it can hold and the excess fails fast with ErrOverloaded instead of
+// waiting on a goroutine of its own.
+func TestFloodBoundedGoroutines(t *testing.T) {
+	ex := transport.NewExchange()
+	release := make(chan struct{})
+	before := runtime.NumGoroutine()
+	cfg := Config{RetransInterval: 50 * time.Millisecond, MaxRetries: 8, Workers: 2}
+	caller, server, sa := pair(t, ex, cfg,
+		func(transport.Addr, wire.TraceCtx, uint32, uint16, []byte) ([]byte, error) {
+			<-release
+			return nil, nil
+		})
+	const excess = 200
+	capacity := cfg.Workers + defaultQueueCapacity
+	pendings := make([]*Pending, capacity+excess)
+	for i := range pendings {
+		p, err := caller.goCall(context.Background(), sa, caller.NewActivity(), 1, 1, 1, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pendings[i] = p
+	}
+	// With the workers blocked, only shed calls can complete.
+	waitCondition(t, 5*time.Second, func() error {
+		answered := 0
+		for _, p := range pendings {
+			select {
+			case <-p.Done():
+				answered++
+			default:
+			}
+		}
+		if answered < excess {
+			return fmt.Errorf("%d of %d excess calls answered", answered, excess)
+		}
+		return nil
+	})
+	// Two conns: each runs a retransmission engine, the server its workers.
+	if grew := runtime.NumGoroutine() - before; grew > cfg.Workers+10 {
+		t.Fatalf("goroutines grew by %d with %d calls in flight and %d workers", grew, len(pendings), cfg.Workers)
+	}
+	close(release)
+	var ok, overloaded int
+	for i, p := range pendings {
+		switch _, err := p.Await(context.Background()); {
+		case err == nil:
+			ok++
+		case errors.Is(err, ErrOverloaded):
+			overloaded++
+		default:
+			t.Fatalf("call %d: %v", i, err)
+		}
+	}
+	if shed := server.Stats().CallsShed; int64(overloaded) != shed || overloaded < excess || ok < defaultQueueCapacity {
+		t.Fatalf("%d served, %d overloaded, %d shed; want ≥%d served and ≥%d overloaded, all shed",
+			ok, overloaded, shed, defaultQueueCapacity, excess)
+	}
+}
+
 // A retransmission of a shed call is answered from the retained rejection
 // (duplicate suppression applies to rejects exactly as to results).
 func TestShedCallRetransmitAnsweredFromRetainedReject(t *testing.T) {
@@ -178,19 +242,19 @@ func TestShedCallRetransmitAnsweredFromRetainedReject(t *testing.T) {
 	cfg := Config{RetransInterval: 30 * time.Millisecond, MaxRetries: 10, Workers: 1}
 	cfg.Admission = overload.Config{Policy: overload.FIFO, Capacity: 1}
 	caller, server, sa := pair(t, ex, cfg,
-		func(transport.Addr, uint32, uint16, []byte) ([]byte, error) {
+		func(transport.Addr, wire.TraceCtx, uint32, uint16, []byte) ([]byte, error) {
 			entered <- struct{}{}
 			<-release
 			return nil, nil
 		})
 	defer close(release)
 
-	p1, err := caller.Go(context.Background(), sa, caller.NewActivity(), 1, 1, 1, nil, nil)
+	p1, err := caller.goCall(context.Background(), sa, caller.NewActivity(), 1, 1, 1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-entered
-	p2, err := caller.Go(context.Background(), sa, caller.NewActivity(), 1, 1, 1, nil, nil)
+	p2, err := caller.goCall(context.Background(), sa, caller.NewActivity(), 1, 1, 1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +269,7 @@ func TestShedCallRetransmitAnsweredFromRetainedReject(t *testing.T) {
 	// and sequence: the server must answer from the retained reject, not
 	// re-run admission (CallsShed stays 1).
 	shedAct := caller.NewActivity()
-	_, err = caller.Call(sa, shedAct, 7, 1, 1, []byte("shed me"))
+	_, err = caller.Call(context.Background(), sa, shedAct, 7, 1, 1, []byte("shed me"), nil)
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("err = %v, want ErrOverloaded", err)
 	}
@@ -214,7 +278,7 @@ func TestShedCallRetransmitAnsweredFromRetainedReject(t *testing.T) {
 	}
 	// A second identical call (same activity+seq, as a retransmission
 	// would be) is answered without a second shed.
-	_, err = caller.Call(sa, shedAct, 7, 1, 1, []byte("shed me"))
+	_, err = caller.Call(context.Background(), sa, shedAct, 7, 1, 1, []byte("shed me"), nil)
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("retransmitted shed call: err = %v, want ErrOverloaded", err)
 	}
@@ -243,7 +307,7 @@ func TestAccountingHoldsUnderLoss(t *testing.T) {
 	act := caller.NewActivity()
 	const calls = 400
 	for i := 0; i < calls; i++ {
-		if _, err := caller.Call(sa, act, uint32(i+1), 1, 1, nil); err != nil {
+		if _, err := caller.Call(context.Background(), sa, act, uint32(i+1), 1, 1, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -19,11 +19,11 @@
 // round-trip estimator, managed through a sharded peer map that evicts
 // idle peers. A single retransmission-engine goroutine drives every
 // pending call's timer from one heap, which is what makes the asynchronous
-// call API (Go/Pending) cost no goroutine per in-flight call. Calls take a
-// context.Context: deadlines bound the whole exchange (winning over the
-// retry budget) and cancellation releases the call-table entry and pooled
-// buffers immediately, notifying the server with a best-effort cancel
-// packet.
+// call API (StartCall/Pending) cost no goroutine per in-flight call. Calls
+// take a context.Context: deadlines bound the whole exchange (winning over
+// the retry budget) and cancellation releases the call-table entry and
+// pooled buffers immediately, notifying the server with a best-effort
+// cancel packet.
 //
 // The fast path is engineered the way §4.2 of the paper prescribes: packet
 // buffers come from a pool and are recycled rather than allocated (the
@@ -90,10 +90,12 @@ type Config struct {
 	// it has been quiet this long with nothing in flight. Zero disables
 	// eviction.
 	PeerIdleTimeout time.Duration
-	// Admission, when its Capacity is positive, bounds the server dispatch
-	// queue and sheds excess calls with a wire-level overload rejection
-	// (see internal/overload for the policies). Zero keeps the unbounded
-	// channel dispatch, so the fast path is untouched by default.
+	// Admission picks the server dispatch queue's shedding policy and
+	// bounds its depth; excess calls are shed with a wire-level overload
+	// rejection (see internal/overload for the policies). A zero Capacity
+	// means a FIFO queue of 1024 calls (defaultQueueCapacity), which only a
+	// flood far beyond the worker pool fills, and leaves AdmissionStats
+	// unreported.
 	Admission overload.Config
 	// DisableHello makes this endpoint behave as a pre-session binary: it
 	// never initiates hello negotiation and drops hello packets as bad
@@ -121,19 +123,19 @@ func DefaultConfig() Config {
 	}
 }
 
-// Handler executes an incoming call and returns the result payload.
-// A non-nil error turns into a reject packet. args is only valid until the
-// handler returns: the buffer behind it is recycled for the activity's next
-// call, exactly as the Firefly reused call-table packet buffers. Handlers
-// that need the arguments afterwards must copy them.
-type Handler func(src transport.Addr, iface uint32, proc uint16, args []byte) ([]byte, error)
+// defaultQueueCapacity bounds the dispatch queue of a Conn whose
+// Config.Admission leaves Capacity zero.
+const defaultQueueCapacity = 1024
 
-// TraceHandler is a Handler that also receives the call's distributed
-// trace context (zero when the caller sent none). Dispatch layers that
-// re-emit the context on chained calls — core.Node threading it into the
-// handler's context.Context — serve with NewConnTraced; everything else is
-// identical to Handler.
-type TraceHandler func(src transport.Addr, tc wire.TraceCtx, iface uint32, proc uint16, args []byte) ([]byte, error)
+// Handler executes an incoming call and returns the result payload.
+// A non-nil error turns into a reject packet. tc is the call's distributed
+// trace context (zero when the caller sent none), for a dispatch layer that
+// re-emits it on chained calls (core.Node threads it into the procedure's
+// context.Context). args is only valid until the handler returns: the
+// buffer behind it is recycled for the activity's next call, exactly as the
+// Firefly reused call-table packet buffers. Handlers that need the
+// arguments afterwards must copy them.
+type Handler func(src transport.Addr, tc wire.TraceCtx, iface uint32, proc uint16, args []byte) ([]byte, error)
 
 // Stats counts protocol events. It is the snapshot type returned by
 // Conn.Stats; the live counters are lock-free atomics.
@@ -226,10 +228,9 @@ func (s *statCounters) snapshot() Stats {
 // path holds two of these locks at once except the documented
 // retransMu → outCall.mu nesting in the retransmission engine.
 type Conn struct {
-	tr       transport.Transport
-	cfg      Config
-	handler  Handler      // immutable after NewConn
-	thandler TraceHandler // immutable; set by NewConnTraced instead of handler
+	tr      transport.Transport
+	cfg     Config
+	handler Handler // immutable after NewConn
 
 	closed atomic.Bool
 
@@ -263,14 +264,17 @@ type Conn struct {
 	retransSched uint64 // schedules since startup; lets the engine see recent traffic
 	retransKick  chan struct{}
 
-	// Server execution: a fixed pool of worker goroutines drains work, the
-	// real-stack analogue of the Firefly's pool of server threads waiting
-	// in the call table. workQuit stops them (and the retransmission
-	// engine) on Close. When cfg.Admission enables a bounded queue, admit
-	// replaces the channel and the workers drain it instead.
-	work     chan execReq
-	workQuit chan struct{}
-	admit    *overload.Queue[execReq]
+	// Server execution: a fixed pool of worker goroutines drains the
+	// bounded admission queue, the real-stack analogue of the Firefly's
+	// pool of server threads waiting in the call table. Both are built
+	// only when the Conn has a handler. admitExplicit records that
+	// Config.Admission set a capacity: only then are the queue's Stats
+	// reported and each handler timed for the service-time estimate they
+	// report and the Deadline policy sheds by. workQuit stops the
+	// retransmission engine on Close.
+	admit         *overload.Queue[execReq]
+	admitExplicit bool
+	workQuit      chan struct{}
 
 	// frames recycles outgoing packet buffers (§4.2's buffer management
 	// that avoids allocation).
@@ -321,7 +325,7 @@ type execReq struct {
 	// admission queue's Deadline policy consumes it.
 	budgetNs int64
 	// tc is the call's distributed trace context (zero when the caller
-	// sent none), handed to a TraceHandler for downstream re-emission.
+	// sent none), handed to the Handler for downstream re-emission.
 	tc wire.TraceCtx
 }
 
@@ -475,19 +479,9 @@ const (
 	phaseDone
 )
 
-// NewConn wraps a transport. handler may be nil for a pure caller.
+// NewConn wraps a transport. handler may be nil for a pure caller, which
+// rejects incoming calls and runs no workers.
 func NewConn(tr transport.Transport, cfg Config, handler Handler) *Conn {
-	return newConn(tr, cfg, handler, nil)
-}
-
-// NewConnTraced is NewConn for a trace-aware dispatch layer: the handler
-// additionally receives each call's distributed trace context so it can
-// re-emit it on chained calls (core.Node builds a context.Context from it).
-func NewConnTraced(tr transport.Transport, cfg Config, handler TraceHandler) *Conn {
-	return newConn(tr, cfg, nil, handler)
-}
-
-func newConn(tr transport.Transport, cfg Config, handler Handler, thandler TraceHandler) *Conn {
 	if cfg.RetransInterval <= 0 {
 		cfg.RetransInterval = DefaultConfig().RetransInterval
 	}
@@ -502,8 +496,6 @@ func newConn(tr transport.Transport, cfg Config, handler Handler, thandler Trace
 		cfg:         cfg,
 		pings:       make(map[uint32]chan struct{}),
 		handler:     handler,
-		thandler:    thandler,
-		work:        make(chan execReq, 8*cfg.Workers),
 		workQuit:    make(chan struct{}),
 		retransKick: make(chan struct{}, 1),
 		earliestNs:  int64(1) << 62,
@@ -519,13 +511,14 @@ func newConn(tr transport.Transport, cfg Config, handler Handler, thandler Trace
 	for i := range c.peers.shards {
 		c.peers.shards[i].peers = make(map[string]*channel)
 	}
-	if cfg.Admission.Capacity > 0 && (handler != nil || thandler != nil) {
-		c.admit = overload.NewQueue[execReq](cfg.Admission, c.shedExec)
-	}
-	for i := 0; i < cfg.Workers; i++ {
-		if c.admit != nil {
-			go c.workerAdmit()
-		} else {
+	if handler != nil {
+		admission := cfg.Admission
+		c.admitExplicit = admission.Capacity > 0
+		if !c.admitExplicit {
+			admission = overload.Config{Policy: overload.FIFO, Capacity: defaultQueueCapacity}
+		}
+		c.admit = overload.NewQueue[execReq](admission, c.shedExec)
+		for i := 0; i < cfg.Workers; i++ {
 			go c.worker()
 		}
 	}
@@ -556,55 +549,23 @@ func (c *Conn) TransportStats() (transport.Stats, bool) {
 	return transport.Stats{}, false
 }
 
-// worker is one server thread: it waits for completed calls and executes
-// them, bounding handler concurrency to cfg.Workers.
+// worker is one server thread: it drains the admission queue (which sheds
+// what cannot be served) and executes each call, bounding handler
+// concurrency to cfg.Workers. Under an explicit admission policy it feeds
+// each handler's duration back into the service-time estimate.
 func (c *Conn) worker() {
-	for {
-		select {
-		case req := <-c.work:
-			c.execute(req)
-		case <-c.workQuit:
-			return
-		}
-	}
-}
-
-// workerAdmit is one server thread under admission control: it drains the
-// bounded queue (which sheds what cannot be served in time) and feeds each
-// handler's duration back into the service-time estimate.
-func (c *Conn) workerAdmit() {
 	for {
 		req, ok := c.admit.Take()
 		if !ok {
 			return
 		}
+		if !c.admitExplicit {
+			c.execute(req)
+			continue
+		}
 		start := time.Now()
 		c.execute(req)
 		c.admit.ObserveService(time.Since(start))
-	}
-}
-
-// enqueueExec hands a completed call to the worker pool without ever
-// blocking the receive path. Under admission control the bounded queue
-// decides (and answers) what to shed. Otherwise, if the channel is full, a
-// transient goroutine waits for room (preserving the concurrency bound) —
-// allocation there is acceptable because a full queue already means the
-// server is saturated.
-func (c *Conn) enqueueExec(req execReq) {
-	if c.admit != nil {
-		c.admit.Offer(req, req.budgetNs)
-		return
-	}
-	select {
-	case c.work <- req:
-	default:
-		go func() {
-			select {
-			case c.work <- req:
-			case <-c.workQuit:
-				req.act.ch.executing.Add(-1)
-			}
-		}()
 	}
 }
 
@@ -630,7 +591,7 @@ func (c *Conn) shedExec(req execReq, _ overload.Reason) {
 		FragCount: 1, Interface: hdr.Interface, Proc: hdr.Proc,
 		Hint: wire.RejectOverload,
 	}
-	f := c.newFrame(rej, nil)
+	f := c.newFrame(rej, wire.TraceCtx{}, nil)
 	_ = c.send(act.src, f.Bytes())
 	c.retainResult(act, hdr.Seq, f)
 	if req.args != nil {
@@ -642,10 +603,10 @@ func (c *Conn) shedExec(req execReq, _ overload.Reason) {
 	}
 }
 
-// AdmissionStats reports the admission queue's counters; ok is false when
-// admission control is disabled.
+// AdmissionStats reports the admission queue's counters; ok is false for a
+// pure caller and for the default queue (Config.Admission unset).
 func (c *Conn) AdmissionStats() (s overload.Stats, ok bool) {
-	if c.admit == nil {
+	if !c.admitExplicit {
 		return s, false
 	}
 	return c.admit.Stats(), true
@@ -687,7 +648,7 @@ func (c *Conn) Close() error {
 	close(c.workQuit)
 	if c.admit != nil {
 		// Sheds everything still queued (decrementing the per-channel
-		// executing counts) and unblocks the admission workers.
+		// executing counts) and unblocks the workers.
 		c.admit.Close()
 	}
 	c.forEachChannel(func(ch *channel) {
@@ -755,33 +716,28 @@ func fragment(msg []byte, max int) [][]byte {
 	return out
 }
 
-// newFrame assembles header+payload into a pooled frame. The caller owns
-// the frame: either Release it after its last transmission or retain it
-// (call/result retransmission) and Release on recycle.
-func (c *Conn) newFrame(h wire.RPCHeader, payload []byte) *buffer.Frame {
+// newFrame assembles header+payload into a pooled frame. Fragment 0 of a
+// FlagTraceCtx message also carries tc ahead of the payload — the wire
+// layout is header, 17-byte context, payload; StartCall's fragmentation
+// budget reserves the prefix bytes, so the frame never exceeds the
+// transport's MaxFrame. The caller owns the frame: either Release it after
+// its last transmission or retain it (call/result retransmission) and
+// Release on recycle.
+func (c *Conn) newFrame(h wire.RPCHeader, tc wire.TraceCtx, payload []byte) *buffer.Frame {
+	pre := 0
+	if h.Flags&wire.FlagTraceCtx != 0 && h.FragIndex == 0 {
+		pre = wire.TraceCtxLen
+	}
 	h.Version = wire.RPCVersion
-	h.Length = uint32(len(payload))
+	h.Length = uint32(pre + len(payload))
 	f := c.frames.Get()
-	f.SetLen(wire.RPCHeaderLen + len(payload))
+	f.SetLen(wire.RPCHeaderLen + pre + len(payload))
 	b := f.Cap()
 	h.MarshalTo(b)
-	copy(b[wire.RPCHeaderLen:], payload)
-	return f
-}
-
-// newFrameTC is newFrame with a wire.TraceCtx prefix spliced ahead of the
-// payload — FlagTraceCtx's wire layout: header, 17-byte context, payload.
-// The fragmentation budget in StartCall reserves the prefix bytes, so the
-// frame never exceeds the transport's MaxFrame.
-func (c *Conn) newFrameTC(h wire.RPCHeader, tc wire.TraceCtx, payload []byte) *buffer.Frame {
-	h.Version = wire.RPCVersion
-	h.Length = uint32(wire.TraceCtxLen + len(payload))
-	f := c.frames.Get()
-	f.SetLen(wire.RPCHeaderLen + wire.TraceCtxLen + len(payload))
-	b := f.Cap()
-	h.MarshalTo(b)
-	tc.MarshalTo(b[wire.RPCHeaderLen:])
-	copy(b[wire.RPCHeaderLen+wire.TraceCtxLen:], payload)
+	if pre != 0 {
+		tc.MarshalTo(b[wire.RPCHeaderLen:])
+	}
+	copy(b[wire.RPCHeaderLen+pre:], payload)
 	return f
 }
 
@@ -789,7 +745,7 @@ func (c *Conn) newFrameTC(h wire.RPCHeader, tc wire.TraceCtx, payload []byte) *b
 // packets that are never retransmitted from this buffer (acks, probes,
 // rejects sent off the retention path).
 func (c *Conn) sendFrame(dst transport.Addr, h wire.RPCHeader, payload []byte) error {
-	f := c.newFrame(h, payload)
+	f := c.newFrame(h, wire.TraceCtx{}, payload)
 	err := c.send(dst, f.Bytes())
 	f.Release()
 	return err

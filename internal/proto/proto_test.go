@@ -2,6 +2,7 @@ package proto
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -15,7 +16,7 @@ import (
 )
 
 // echoHandler returns its arguments with a marker byte appended.
-func echoHandler(src transport.Addr, iface uint32, proc uint16, args []byte) ([]byte, error) {
+func echoHandler(src transport.Addr, _ wire.TraceCtx, iface uint32, proc uint16, args []byte) ([]byte, error) {
 	out := append([]byte(nil), args...)
 	return append(out, 0xEE), nil
 }
@@ -31,6 +32,17 @@ func pair(t *testing.T, ex *transport.Exchange, cfg Config, h Handler) (caller, 
 		server.Close()
 	})
 	return caller, server, transport.AddrOf("server")
+}
+
+// goCall starts an asynchronous call into a fresh handle, for tests that
+// hold many calls in flight.
+func (c *Conn) goCall(ctx context.Context, dst transport.Addr, activity uint64, seq uint32,
+	iface uint32, proc uint16, args []byte, resBuf []byte) (*Pending, error) {
+	p := new(Pending)
+	if err := c.StartCall(ctx, dst, activity, seq, iface, proc, args, resBuf, p); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 func fastCfg() Config {
@@ -55,7 +67,7 @@ func TestFastPathSingleRoundTrip(t *testing.T) {
 	ex := transport.NewExchange()
 	caller, server, sa := pair(t, ex, fastCfg(), echoHandler)
 	act := caller.NewActivity()
-	res, err := caller.Call(sa, act, 1, 7, 3, []byte("hello"))
+	res, err := caller.Call(context.Background(), sa, act, 1, 7, 3, []byte("hello"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,8 +89,8 @@ func TestFastPathSingleRoundTrip(t *testing.T) {
 func TestEmptyArgsAndResult(t *testing.T) {
 	ex := transport.NewExchange()
 	caller, _, sa := pair(t, ex, fastCfg(),
-		func(transport.Addr, uint32, uint16, []byte) ([]byte, error) { return nil, nil })
-	res, err := caller.Call(sa, caller.NewActivity(), 1, 1, 1, nil)
+		func(transport.Addr, wire.TraceCtx, uint32, uint16, []byte) ([]byte, error) { return nil, nil })
+	res, err := caller.Call(context.Background(), sa, caller.NewActivity(), 1, 1, 1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +106,7 @@ func TestLargeArgumentFragmentation(t *testing.T) {
 	for i := range args {
 		args[i] = byte(i * 13)
 	}
-	res, err := caller.Call(sa, caller.NewActivity(), 1, 1, 1, args)
+	res, err := caller.Call(context.Background(), sa, caller.NewActivity(), 1, 1, 1, args, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,8 +125,8 @@ func TestLargeResultFragmentation(t *testing.T) {
 		big[i] = byte(i)
 	}
 	caller, _, sa := pair(t, ex, fastCfg(),
-		func(transport.Addr, uint32, uint16, []byte) ([]byte, error) { return big, nil })
-	res, err := caller.Call(sa, caller.NewActivity(), 1, 1, 1, nil)
+		func(transport.Addr, wire.TraceCtx, uint32, uint16, []byte) ([]byte, error) { return big, nil })
+	res, err := caller.Call(context.Background(), sa, caller.NewActivity(), 1, 1, 1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,8 +141,8 @@ func TestLargeResultFragmentation(t *testing.T) {
 func TestOversizeRejected(t *testing.T) {
 	ex := transport.NewExchange()
 	caller, _, sa := pair(t, ex, fastCfg(), echoHandler)
-	_, err := caller.Call(sa, caller.NewActivity(), 1, 1, 1,
-		make([]byte, maxFragments*wire.MaxSinglePacketPayload+1))
+	_, err := caller.Call(context.Background(), sa, caller.NewActivity(), 1, 1, 1,
+		make([]byte, maxFragments*wire.MaxSinglePacketPayload+1), nil)
 	if err != ErrTooLarge {
 		t.Fatalf("err = %v, want ErrTooLarge", err)
 	}
@@ -143,7 +155,7 @@ func TestLossRecovery(t *testing.T) {
 	act := caller.NewActivity()
 	for seq := uint32(1); seq <= 20; seq++ {
 		msg := []byte(fmt.Sprintf("call-%d", seq))
-		res, err := caller.Call(sa, act, seq, 1, 1, msg)
+		res, err := caller.Call(context.Background(), sa, act, seq, 1, 1, msg, nil)
 		if err != nil {
 			t.Fatalf("seq %d: %v", seq, err)
 		}
@@ -175,7 +187,7 @@ func TestLossyFragmentedCalls(t *testing.T) {
 		args[i] = byte(i * 31)
 	}
 	for seq := uint32(1); seq <= 8; seq++ {
-		res, err := caller.Call(sa, act, seq, 1, 1, args)
+		res, err := caller.Call(context.Background(), sa, act, seq, 1, 1, args, nil)
 		if err != nil {
 			t.Fatalf("seq %d: %v", seq, err)
 		}
@@ -192,12 +204,12 @@ func TestDuplicateCallAnsweredFromRetainedResult(t *testing.T) {
 	ex := transport.NewExchange()
 	var executions atomic.Int64
 	caller, server, sa := pair(t, ex, fastCfg(),
-		func(_ transport.Addr, _ uint32, _ uint16, args []byte) ([]byte, error) {
+		func(_ transport.Addr, _ wire.TraceCtx, _ uint32, _ uint16, args []byte) ([]byte, error) {
 			executions.Add(1)
 			return []byte("answer"), nil
 		})
 	act := caller.NewActivity()
-	if _, err := caller.Call(sa, act, 1, 1, 1, nil); err != nil {
+	if _, err := caller.Call(context.Background(), sa, act, 1, 1, 1, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Manually retransmit the same call (simulating a lost result): the
@@ -241,7 +253,7 @@ func TestInProgressAckResetsPatience(t *testing.T) {
 	release := make(chan struct{})
 	cfg := Config{RetransInterval: 15 * time.Millisecond, MaxRetries: 3, Workers: 2}
 	caller, server, sa := pair(t, ex, cfg,
-		func(transport.Addr, uint32, uint16, []byte) ([]byte, error) {
+		func(transport.Addr, wire.TraceCtx, uint32, uint16, []byte) ([]byte, error) {
 			<-release
 			return []byte("slow"), nil
 		})
@@ -251,7 +263,7 @@ func TestInProgressAckResetsPatience(t *testing.T) {
 		time.Sleep(300 * time.Millisecond)
 		close(release)
 	}()
-	res, err := caller.Call(sa, caller.NewActivity(), 1, 1, 1, nil)
+	res, err := caller.Call(context.Background(), sa, caller.NewActivity(), 1, 1, 1, nil, nil)
 	if err != nil {
 		t.Fatalf("slow call failed: %v", err)
 	}
@@ -266,10 +278,10 @@ func TestInProgressAckResetsPatience(t *testing.T) {
 func TestRejectUnknown(t *testing.T) {
 	ex := transport.NewExchange()
 	caller, _, sa := pair(t, ex, fastCfg(),
-		func(transport.Addr, uint32, uint16, []byte) ([]byte, error) {
+		func(transport.Addr, wire.TraceCtx, uint32, uint16, []byte) ([]byte, error) {
 			return nil, errors.New("no such procedure")
 		})
-	_, err := caller.Call(sa, caller.NewActivity(), 1, 9, 9, nil)
+	_, err := caller.Call(context.Background(), sa, caller.NewActivity(), 1, 9, 9, nil, nil)
 	if err != ErrRejected {
 		t.Fatalf("err = %v, want ErrRejected", err)
 	}
@@ -281,7 +293,7 @@ func TestCallToNobodyTimesOut(t *testing.T) {
 	caller := NewConn(cp, Config{RetransInterval: 5 * time.Millisecond, MaxRetries: 3, Workers: 1}, nil)
 	defer caller.Close()
 	start := time.Now()
-	_, err := caller.Call(transport.AddrOf("ghost"), caller.NewActivity(), 1, 1, 1, nil)
+	_, err := caller.Call(context.Background(), transport.AddrOf("ghost"), caller.NewActivity(), 1, 1, 1, nil, nil)
 	if err != ErrTimeout {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
@@ -296,7 +308,7 @@ func TestCallerWithoutHandlerRejectsIncoming(t *testing.T) {
 	b := NewConn(ex.Port("b"), fastCfg(), nil)
 	defer a.Close()
 	defer b.Close()
-	_, err := a.Call(transport.AddrOf("b"), a.NewActivity(), 1, 1, 1, nil)
+	_, err := a.Call(context.Background(), transport.AddrOf("b"), a.NewActivity(), 1, 1, 1, nil, nil)
 	if err != ErrRejected {
 		t.Fatalf("err = %v, want ErrRejected", err)
 	}
@@ -314,7 +326,7 @@ func TestConcurrentCallers(t *testing.T) {
 			act := caller.NewActivity()
 			for seq := uint32(1); seq <= 25; seq++ {
 				msg := []byte(fmt.Sprintf("a%d-s%d", act, seq))
-				res, err := caller.Call(sa, act, seq, 1, 1, msg)
+				res, err := caller.Call(context.Background(), sa, act, seq, 1, 1, msg, nil)
 				if err != nil {
 					errs <- err
 					return
@@ -351,14 +363,14 @@ func TestCloseFailsOutstanding(t *testing.T) {
 	ex := transport.NewExchange()
 	release := make(chan struct{})
 	caller, _, sa := pair(t, ex, fastCfg(),
-		func(transport.Addr, uint32, uint16, []byte) ([]byte, error) {
+		func(transport.Addr, wire.TraceCtx, uint32, uint16, []byte) ([]byte, error) {
 			<-release
 			return nil, nil
 		})
 	defer close(release)
 	done := make(chan error, 1)
 	go func() {
-		_, err := caller.Call(sa, caller.NewActivity(), 1, 1, 1, nil)
+		_, err := caller.Call(context.Background(), sa, caller.NewActivity(), 1, 1, 1, nil, nil)
 		done <- err
 	}()
 	time.Sleep(30 * time.Millisecond)
@@ -381,10 +393,10 @@ func TestActivitiesIndependent(t *testing.T) {
 		t.Fatal("activities collide")
 	}
 	// Same seq on different activities must both execute.
-	if _, err := caller.Call(sa, a1, 1, 1, 1, []byte("x")); err != nil {
+	if _, err := caller.Call(context.Background(), sa, a1, 1, 1, 1, []byte("x"), nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := caller.Call(sa, a2, 1, 1, 1, []byte("y")); err != nil {
+	if _, err := caller.Call(context.Background(), sa, a2, 1, 1, 1, []byte("y"), nil); err != nil {
 		t.Fatal(err)
 	}
 	if server.Stats().CallsServed != 2 {
@@ -417,7 +429,7 @@ func TestUDPTransportRoundTrip(t *testing.T) {
 	defer server.Close()
 	defer caller.Close()
 
-	res, err := caller.Call(s.LocalAddr(), caller.NewActivity(), 1, 1, 1, []byte("over-udp"))
+	res, err := caller.Call(context.Background(), s.LocalAddr(), caller.NewActivity(), 1, 1, 1, []byte("over-udp"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +439,7 @@ func TestUDPTransportRoundTrip(t *testing.T) {
 
 	// Fragmented over real UDP too.
 	big := make([]byte, 6000)
-	res, err = caller.Call(s.LocalAddr(), caller.NewActivity(), 1, 1, 1, big)
+	res, err = caller.Call(context.Background(), s.LocalAddr(), caller.NewActivity(), 1, 1, 1, big, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

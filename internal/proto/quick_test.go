@@ -2,12 +2,14 @@ package proto
 
 import (
 	"bytes"
+	"context"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"fireflyrpc/internal/faultnet"
 	"fireflyrpc/internal/transport"
+	"fireflyrpc/internal/wire"
 )
 
 // Property: any payload round-trips through Call intact, for arbitrary
@@ -31,7 +33,7 @@ func TestQuickRoundTripUnderFaults(t *testing.T) {
 		seq++
 		n := int(size) % 4000
 		msg := bytes.Repeat([]byte{fill}, n)
-		res, err := caller.Call(sa, act, seq, 1, 1, msg)
+		res, err := caller.Call(context.Background(), sa, act, seq, 1, 1, msg, nil)
 		if err != nil {
 			t.Logf("seq %d (n=%d): %v", seq, n, err)
 			return false
@@ -56,7 +58,7 @@ func TestQuickExactlyOnceUnderDuplication(t *testing.T) {
 	cfg := fastCfg()
 	caller := NewConn(faultnet.Wrap(ex.Port("caller"), prof, 4), cfg, nil)
 	server := NewConn(ex.Port("server"), cfg,
-		func(_ transport.Addr, _ uint32, _ uint16, args []byte) ([]byte, error) {
+		func(_ transport.Addr, _ wire.TraceCtx, _ uint32, _ uint16, args []byte) ([]byte, error) {
 			seq := uint32(args[0])<<8 | uint32(args[1])
 			executed[seq]++
 			return args, nil
@@ -67,7 +69,7 @@ func TestQuickExactlyOnceUnderDuplication(t *testing.T) {
 	act := caller.NewActivity()
 	for seq := uint32(1); seq <= 40; seq++ {
 		args := []byte{byte(seq >> 8), byte(seq)}
-		if _, err := caller.Call(sa, act, seq, 1, 1, args); err != nil {
+		if _, err := caller.Call(context.Background(), sa, act, seq, 1, 1, args, nil); err != nil {
 			t.Fatalf("seq %d: %v", seq, err)
 		}
 	}
@@ -108,7 +110,7 @@ func TestQuickManyActivities(t *testing.T) {
 			acts[s.Act] = id
 		}
 		seqs[s.Act]++
-		res, err := caller.Call(sa, id, seqs[s.Act], 1, 1, []byte{s.Msg})
+		res, err := caller.Call(context.Background(), sa, id, seqs[s.Act], 1, 1, []byte{s.Msg}, nil)
 		return err == nil && len(res) == 2 && res[0] == s.Msg
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
@@ -130,7 +132,7 @@ func TestAdaptiveRTTConverges(t *testing.T) {
 	}
 	act := caller.NewActivity()
 	for seq := uint32(1); seq <= 10; seq++ {
-		if _, err := caller.Call(sa, act, seq, 1, 1, []byte("x")); err != nil {
+		if _, err := caller.Call(context.Background(), sa, act, seq, 1, 1, []byte("x"), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -167,7 +169,7 @@ func TestAdaptiveRTTSpeedsRecovery(t *testing.T) {
 	sa := transport.AddrOf("server")
 	act := caller.NewActivity()
 	for seq := uint32(1); seq <= 5; seq++ {
-		if _, err := caller.Call(sa, act, seq, 1, 1, nil); err != nil {
+		if _, err := caller.Call(context.Background(), sa, act, seq, 1, 1, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -178,7 +180,7 @@ func TestAdaptiveRTTSpeedsRecovery(t *testing.T) {
 		ft.Impairer().SetProfile(faultnet.Profile{})
 	}()
 	start := time.Now()
-	if _, err := caller.Call(sa, act, 6, 1, 1, nil); err != nil {
+	if _, err := caller.Call(context.Background(), sa, act, 6, 1, 1, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {

@@ -117,7 +117,7 @@ func (c *Conn) onCallFrag(src transport.Addr, hdr wire.RPCHeader, payload []byte
 	if hdr.Flags&(wire.FlagTraced|wire.FlagTraceCtx) != 0 {
 		recvNs = traceNow()
 	}
-	if (c.handler == nil && c.thandler == nil) || c.closed.Load() {
+	if c.handler == nil || c.closed.Load() {
 		c.stats.rejects.Add(1)
 		rej := wire.RPCHeader{
 			Type: wire.TypeReject, Activity: hdr.Activity, Seq: hdr.Seq, FragCount: 1,
@@ -176,7 +176,7 @@ func (c *Conn) onCallFrag(src transport.Addr, hdr wire.RPCHeader, payload []byte
 				if recvNs != 0 {
 					c.traceServerRecv(&req, recvNs)
 				}
-				c.enqueueExec(req)
+				c.admit.Offer(req, req.budgetNs)
 			}
 			return
 		case phaseExecuting:
@@ -230,7 +230,7 @@ func (c *Conn) onCallFrag(src transport.Addr, hdr wire.RPCHeader, payload []byte
 			if recvNs != 0 {
 				c.traceServerRecv(&req, recvNs)
 			}
-			c.enqueueExec(req)
+			c.admit.Offer(req, req.budgetNs)
 		}
 		return
 	}
@@ -304,16 +304,7 @@ func (c *Conn) execute(req execReq) {
 		}
 	}
 
-	var result []byte
-	var err error
-	if c.thandler != nil {
-		// Trace-aware dispatch: the handler sees the caller's trace context
-		// (zero for untraced or legacy calls) so it can re-emit it on calls
-		// it makes in turn.
-		result, err = c.thandler(act.src, req.tc, hdr.Interface, hdr.Proc, args)
-	} else {
-		result, err = c.handler(act.src, hdr.Interface, hdr.Proc, args)
-	}
+	result, err := c.handler(act.src, req.tc, hdr.Interface, hdr.Proc, args)
 	c.stats.callsServed.Add(1)
 	if req.trace != nil {
 		req.trace.stamp(StageSrvDone)
@@ -341,7 +332,7 @@ func (c *Conn) execute(req execReq) {
 			Type: wire.TypeReject, Activity: hdr.Activity, Seq: hdr.Seq,
 			FragCount: 1, Interface: hdr.Interface, Proc: hdr.Proc,
 		}
-		f := c.newFrame(rej, nil)
+		f := c.newFrame(rej, wire.TraceCtx{}, nil)
 		_ = c.send(act.src, f.Bytes())
 		c.retainResult(act, hdr.Seq, f)
 	default:
@@ -434,7 +425,7 @@ func (c *Conn) sendResult(act *serverAct, call wire.RPCHeader, result []byte) {
 			h := hdr
 			h.FragIndex = uint16(i)
 			h.Flags = wire.FlagPleaseAck
-			f := c.newFrame(h, frags[i])
+			f := c.newFrame(h, wire.TraceCtx{}, frags[i])
 			ok := c.sendResultFragWithAck(act, call, f, uint16(i))
 			f.Release()
 			if !ok {
@@ -449,7 +440,7 @@ func (c *Conn) sendResult(act *serverAct, call wire.RPCHeader, result []byte) {
 	if frags != nil {
 		lastPayload = frags[nfrags-1]
 	}
-	f := c.newFrame(last, lastPayload)
+	f := c.newFrame(last, wire.TraceCtx{}, lastPayload)
 	_ = c.send(act.src, f.Bytes())
 	c.retainResult(act, call.Seq, f)
 }

@@ -55,7 +55,7 @@ func TestBatchedTransportAsyncFanout(t *testing.T) {
 	for r := 0; r < rounds; r++ {
 		pending := make([]*Pending, width)
 		for i := 0; i < width; i++ {
-			p, err := caller.Go(ctx, st.LocalAddr(), acts[i], uint32(r+1), 1, 1,
+			p, err := caller.goCall(ctx, st.LocalAddr(), acts[i], uint32(r+1), 1, 1,
 				[]byte(fmt.Sprintf("m-%d-%d", r, i)), nil)
 			if err != nil {
 				t.Fatal(err)
@@ -109,7 +109,7 @@ func TestBatchedTransportFragmented(t *testing.T) {
 	for i := range big {
 		big[i] = byte(i)
 	}
-	res, err := caller.Call(st.LocalAddr(), caller.NewActivity(), 1, 1, 1, big)
+	res, err := caller.Call(context.Background(), st.LocalAddr(), caller.NewActivity(), 1, 1, 1, big, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestSendQueueCloseReleasesFrames(t *testing.T) {
 	ctx := context.Background()
 	var pending []*Pending
 	for i := 0; i < 32; i++ {
-		p, err := caller.Go(ctx, st.LocalAddr(), caller.NewActivity(), 1, 1, 1, []byte("x"), nil)
+		p, err := caller.goCall(ctx, st.LocalAddr(), caller.NewActivity(), 1, 1, 1, []byte("x"), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -72,7 +72,7 @@ func TestSessionNegotiates(t *testing.T) {
 	ex := transport.NewExchange()
 	caller, server, sa := pair(t, ex, fastCfg(), echoHandler)
 	act := caller.NewActivity()
-	if _, err := caller.Call(sa, act, 1, 7, 3, []byte("x")); err != nil {
+	if _, err := caller.Call(context.Background(), sa, act, 1, 7, 3, []byte("x"), nil); err != nil {
 		t.Fatal(err)
 	}
 	waitSessionState(t, caller, sa, sessNegotiated)
@@ -87,7 +87,7 @@ func TestSessionNegotiates(t *testing.T) {
 	// The responder caches the same agreement on its side of the channel.
 	waitSessionState(t, server, caller.LocalAddr(), sessNegotiated)
 	for i := 0; i < 10; i++ {
-		if _, err := caller.Call(sa, act, uint32(2+i), 7, 3, nil); err != nil {
+		if _, err := caller.Call(context.Background(), sa, act, uint32(2+i), 7, 3, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -121,7 +121,7 @@ func TestSessionLegacyFallback(t *testing.T) {
 	act := caller.NewActivity()
 	// Calls succeed from the first one, while negotiation is still pending.
 	for i := 0; i < 5; i++ {
-		res, err := caller.Call(sa, act, uint32(1+i), 7, 3, []byte("hi"))
+		res, err := caller.Call(context.Background(), sa, act, uint32(1+i), 7, 3, []byte("hi"), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +145,7 @@ func TestSessionLegacyFallback(t *testing.T) {
 	if f := caller.lookupChannel(sa).features(); f != legacyFeatures {
 		t.Fatalf("legacy features = %#x, want %#x", f, legacyFeatures)
 	}
-	if _, err := caller.Call(sa, act, 100, 7, 3, nil); err != nil {
+	if _, err := caller.Call(context.Background(), sa, act, 100, 7, 3, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -162,7 +162,7 @@ func TestSessionVersionMismatch(t *testing.T) {
 	caller.helloMinVersion = wire.SessionVersion + 5
 
 	act := caller.NewActivity()
-	if _, err := caller.Call(sa, act, 1, 7, 3, []byte("x")); err != nil {
+	if _, err := caller.Call(context.Background(), sa, act, 1, 7, 3, []byte("x"), nil); err != nil {
 		t.Fatal(err)
 	}
 	waitSessionState(t, caller, sa, sessLegacy)
@@ -173,7 +173,7 @@ func TestSessionVersionMismatch(t *testing.T) {
 		t.Fatalf("server HelloRejects = %d, want 1", server.Stats().HelloRejects)
 	}
 	waitSessionState(t, server, caller.LocalAddr(), sessLegacy)
-	if _, err := caller.Call(sa, act, 2, 7, 3, nil); err != nil {
+	if _, err := caller.Call(context.Background(), sa, act, 2, 7, 3, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -192,7 +192,7 @@ func TestSessionFeatureDowngrade(t *testing.T) {
 	sniff := &sniffTransport{Transport: ex.Port("caller")}
 	caller := NewConn(sniff, cfg, nil)
 	block := make(chan struct{})
-	server := NewConn(ex.Port("server"), srvCfg, func(src transport.Addr, iface uint32, proc uint16, args []byte) ([]byte, error) {
+	server := NewConn(ex.Port("server"), srvCfg, func(src transport.Addr, _ wire.TraceCtx, iface uint32, proc uint16, args []byte) ([]byte, error) {
 		if proc == 99 {
 			<-block
 		}
@@ -202,14 +202,14 @@ func TestSessionFeatureDowngrade(t *testing.T) {
 	sa := transport.AddrOf("server")
 
 	act := caller.NewActivity()
-	if _, err := caller.Call(sa, act, 1, 7, 3, []byte("x")); err != nil {
+	if _, err := caller.Call(context.Background(), sa, act, 1, 7, 3, []byte("x"), nil); err != nil {
 		t.Fatal(err)
 	}
 	waitSessionState(t, caller, sa, sessNegotiated)
 	if f := caller.lookupChannel(sa).features(); f != wire.FeatBatch {
 		t.Fatalf("negotiated features = %#x, want %#x", f, wire.FeatBatch)
 	}
-	if _, err := caller.Call(sa, act, 2, 7, 3, []byte("y")); err != nil {
+	if _, err := caller.Call(context.Background(), sa, act, 2, 7, 3, []byte("y"), nil); err != nil {
 		t.Fatal(err)
 	}
 	if hdr := sniff.lastCall(t); hdr.Flags&wire.FlagBudget != 0 {
@@ -217,7 +217,7 @@ func TestSessionFeatureDowngrade(t *testing.T) {
 	}
 	// Cancel a call stuck in a blocked handler: no cancel packet may leave.
 	ctx, cancel := context.WithCancel(context.Background())
-	p, err := caller.Go(ctx, sa, act, 3, 7, 99, nil, nil)
+	p, err := caller.goCall(ctx, sa, act, 3, 7, 99, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestSessionHelloLostFallsBack(t *testing.T) {
 	sa := transport.AddrOf("server")
 
 	act := caller.NewActivity()
-	if _, err := caller.Call(sa, act, 1, 7, 3, []byte("x")); err != nil {
+	if _, err := caller.Call(context.Background(), sa, act, 1, 7, 3, []byte("x"), nil); err != nil {
 		t.Fatal(err)
 	}
 	waitSessionState(t, caller, sa, sessLegacy)
@@ -277,7 +277,7 @@ func TestSessionHelloRacesFirstCalls(t *testing.T) {
 			defer wg.Done()
 			act := caller.NewActivity()
 			for seq := uint32(1); seq <= 8; seq++ {
-				if _, err := caller.Call(sa, act, seq, 7, 3, []byte("race")); err != nil {
+				if _, err := caller.Call(context.Background(), sa, act, seq, 7, 3, []byte("race"), nil); err != nil {
 					errs <- err
 					return
 				}
@@ -311,7 +311,7 @@ func TestSessionNegotiationUnderLoss(t *testing.T) {
 		caller, _, sa, _ := faultyPair(t, ex, cfg, echoHandler, faultnet.Loss(0.3), seed)
 		act := caller.NewActivity()
 		for seq := uint32(1); seq <= 20; seq++ {
-			if _, err := caller.Call(sa, act, seq, 7, 3, []byte("lossy")); err != nil {
+			if _, err := caller.Call(context.Background(), sa, act, seq, 7, 3, []byte("lossy"), nil); err != nil {
 				t.Fatalf("seed %d seq %d: %v", seed, seq, err)
 			}
 		}
@@ -340,7 +340,7 @@ func TestSessionRenegotiatesAfterEviction(t *testing.T) {
 	cfg.PeerIdleTimeout = 30 * time.Millisecond
 	caller, _, sa := pair(t, ex, cfg, echoHandler)
 	act := caller.NewActivity()
-	if _, err := caller.Call(sa, act, 1, 7, 3, nil); err != nil {
+	if _, err := caller.Call(context.Background(), sa, act, 1, 7, 3, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	waitSessionState(t, caller, sa, sessNegotiated)
@@ -351,7 +351,7 @@ func TestSessionRenegotiatesAfterEviction(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if _, err := caller.Call(sa, act, 2, 7, 3, nil); err != nil {
+	if _, err := caller.Call(context.Background(), sa, act, 2, 7, 3, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	waitSessionState(t, caller, sa, sessNegotiated)

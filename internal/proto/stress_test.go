@@ -2,12 +2,14 @@ package proto
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"fireflyrpc/internal/transport"
+	"fireflyrpc/internal/wire"
 )
 
 // TestConcurrentActivitiesStress drives one caller Conn from 8 concurrent
@@ -20,7 +22,7 @@ func TestConcurrentActivitiesStress(t *testing.T) {
 	ex := transport.NewExchange()
 	cfg := DefaultConfig()
 	cfg.Workers = 16
-	server := NewConn(ex.Port("server"), cfg, func(_ transport.Addr, _ uint32, _ uint16, args []byte) ([]byte, error) {
+	server := NewConn(ex.Port("server"), cfg, func(_ transport.Addr, _ wire.TraceCtx, _ uint32, _ uint16, args []byte) ([]byte, error) {
 		out := make([]byte, len(args))
 		copy(out, args)
 		return out, nil
@@ -50,7 +52,7 @@ func TestConcurrentActivitiesStress(t *testing.T) {
 				if seq%17 == 0 {
 					args = big // occasionally exercise the fragment path
 				}
-				res, err := caller.CallBuf(dst, activity, seq, 1, 1, args, resBuf)
+				res, err := caller.Call(context.Background(), dst, activity, seq, 1, 1, args, resBuf)
 				if err != nil {
 					errs <- fmt.Errorf("client %d seq %d: %w", id, seq, err)
 					return

@@ -1,17 +1,19 @@
 package proto
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
 
 	"fireflyrpc/internal/transport"
+	"fireflyrpc/internal/wire"
 )
 
 // nilHandler serves every call with an empty result: the proto-level Null
 // procedure, used by the tracing tests so handler work never muddies the
 // stage or allocation measurements.
-func nilHandler(transport.Addr, uint32, uint16, []byte) ([]byte, error) {
+func nilHandler(transport.Addr, wire.TraceCtx, uint32, uint16, []byte) ([]byte, error) {
 	return nil, nil
 }
 
@@ -21,7 +23,7 @@ func TestTraceSamplingDeterminism(t *testing.T) {
 	caller.SetTracing(4, 64)
 	act := caller.NewActivity()
 	for i := 0; i < 16; i++ {
-		if _, err := caller.Call(sa, act, uint32(i+1), 1, 1, nil); err != nil {
+		if _, err := caller.Call(context.Background(), sa, act, uint32(i+1), 1, 1, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -50,7 +52,7 @@ func TestTraceRingWraparound(t *testing.T) {
 	caller.SetTracing(1, 4)
 	act := caller.NewActivity()
 	for i := 0; i < 10; i++ {
-		if _, err := caller.Call(sa, act, uint32(i+1), 1, 1, nil); err != nil {
+		if _, err := caller.Call(context.Background(), sa, act, uint32(i+1), 1, 1, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -98,7 +100,7 @@ func TestTraceConcurrentWriters(t *testing.T) {
 			defer wg.Done()
 			act := caller.NewActivity()
 			for i := 0; i < perWorker; i++ {
-				if _, err := caller.Call(sa, act, uint32(i+1), 1, 1, nil); err != nil {
+				if _, err := caller.Call(context.Background(), sa, act, uint32(i+1), 1, 1, nil, nil); err != nil {
 					t.Error(err)
 					return
 				}
@@ -121,7 +123,7 @@ func TestAccountingSums(t *testing.T) {
 	act := caller.NewActivity()
 	const calls = 50
 	for i := 0; i < calls; i++ {
-		if _, err := caller.Call(sa, act, uint32(i+1), 1, 1, nil); err != nil {
+		if _, err := caller.Call(context.Background(), sa, act, uint32(i+1), 1, 1, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -155,10 +157,10 @@ func TestHistogramsRecorded(t *testing.T) {
 	act := caller.NewActivity()
 	const perMethod = 20
 	for i := 0; i < perMethod; i++ {
-		if _, err := caller.Call(sa, act, uint32(2*i+1), 1, 1, nil); err != nil {
+		if _, err := caller.Call(context.Background(), sa, act, uint32(2*i+1), 1, 1, nil, nil); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := caller.Call(sa, act, uint32(2*i+2), 1, 2, nil); err != nil {
+		if _, err := caller.Call(context.Background(), sa, act, uint32(2*i+2), 1, 2, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -197,7 +199,7 @@ func TestTraceDisabledAllocBudget(t *testing.T) {
 	seq := uint32(0)
 	call := func() {
 		seq++
-		if _, err := caller.Call(sa, act, seq, 1, 1, nil); err != nil {
+		if _, err := caller.Call(context.Background(), sa, act, seq, 1, 1, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

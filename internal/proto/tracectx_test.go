@@ -11,7 +11,7 @@ import (
 	"fireflyrpc/internal/wire"
 )
 
-// tcCapture is a TraceHandler that records every received trace context.
+// tcCapture is a Handler that records every received trace context.
 type tcCapture struct {
 	mu  sync.Mutex
 	got []wire.TraceCtx
@@ -35,13 +35,13 @@ func (tc *tcCapture) last(t *testing.T) wire.TraceCtx {
 }
 
 // tracedPair builds a caller and a trace-aware server on one exchange.
-func tracedPair(t *testing.T, cfg Config, th TraceHandler) (caller *Conn, server *Conn, sa transport.Addr) {
+func tracedPair(t *testing.T, cfg Config, th Handler) (caller *Conn, server *Conn, sa transport.Addr) {
 	t.Helper()
 	ex := transport.NewExchange()
 	cp := ex.Port("caller")
 	sp := ex.Port("server")
 	caller = NewConn(cp, cfg, nil)
-	server = NewConnTraced(sp, cfg, th)
+	server = NewConn(sp, cfg, th)
 	t.Cleanup(func() {
 		caller.Close()
 		server.Close()
@@ -68,11 +68,11 @@ func TestTraceCtxPropagation(t *testing.T) {
 	server.SetTracing(1, 64)
 	act := caller.NewActivity()
 	// The first call rides the pending (legacy-implied) session: no prefix.
-	if _, err := caller.Call(sa, act, 1, 1, 1, nil); err != nil {
+	if _, err := caller.Call(context.Background(), sa, act, 1, 1, 1, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	waitSessionState(t, caller, sa, sessNegotiated)
-	if _, err := caller.Call(sa, act, 2, 1, 1, nil); err != nil {
+	if _, err := caller.Call(context.Background(), sa, act, 2, 1, 1, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	got := cap.last(t)
@@ -121,14 +121,14 @@ func TestTraceCtxInheritance(t *testing.T) {
 	caller, _, sa := tracedPair(t, fastCfg(), cap.handle)
 	caller.SetTracing(1000000, 64) // sampler effectively never fires on its own
 	act := caller.NewActivity()
-	if _, err := caller.Call(sa, act, 1, 1, 1, nil); err != nil {
+	if _, err := caller.Call(context.Background(), sa, act, 1, 1, 1, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	waitSessionState(t, caller, sa, sessNegotiated)
 
 	parent := wire.TraceCtx{TraceID: 0xfeedf00d, SpanID: 0xbeef, Flags: wire.TraceFlagSampled}
 	ctx := ContextWithTrace(context.Background(), parent)
-	if _, err := caller.CallBufCtx(ctx, sa, act, 2, 1, 1, nil, nil); err != nil {
+	if _, err := caller.Call(ctx, sa, act, 2, 1, 1, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	got := cap.last(t)
@@ -149,7 +149,7 @@ func TestTraceCtxInheritance(t *testing.T) {
 
 	// With tracing fully off, the ambient context is ignored entirely.
 	caller.SetTracing(0, 0)
-	if _, err := caller.CallBufCtx(ctx, sa, act, 3, 1, 1, nil, nil); err != nil {
+	if _, err := caller.Call(ctx, sa, act, 3, 1, 1, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := cap.last(t); got.Valid() {
@@ -183,7 +183,7 @@ func TestTraceLegacyV0Compat(t *testing.T) {
 	payload := []byte("unchanged across the v0 boundary")
 	want := append(append([]byte(nil), payload...), 0xEE) // echoHandler's marker
 	for i := 0; i < 5; i++ {
-		res, err := caller.Call(sa, act, uint32(i+1), 1, 1, payload)
+		res, err := caller.Call(context.Background(), sa, act, uint32(i+1), 1, 1, payload, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +193,7 @@ func TestTraceLegacyV0Compat(t *testing.T) {
 	}
 	waitSessionState(t, caller, sa, sessLegacy)
 	for i := 5; i < 10; i++ {
-		res, err := caller.Call(sa, act, uint32(i+1), 1, 1, payload)
+		res, err := caller.Call(context.Background(), sa, act, uint32(i+1), 1, 1, payload, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,14 +242,14 @@ func TestTraceCtxMultiFragment(t *testing.T) {
 	caller.SetTracing(1, 64)
 	server.SetTracing(1, 64)
 	act := caller.NewActivity()
-	if _, err := caller.Call(sa, act, 1, 1, 1, nil); err != nil {
+	if _, err := caller.Call(context.Background(), sa, act, 1, 1, 1, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	waitSessionState(t, caller, sa, sessNegotiated)
 
 	args := bytes.Repeat([]byte("0123456789abcdef"), 3*wire.MaxSinglePacketPayload/16)
 	want := append(append([]byte(nil), args...), 0xEE) // echoHandler's marker
-	res, err := caller.Call(sa, act, 2, 1, 1, args)
+	res, err := caller.Call(context.Background(), sa, act, 2, 1, 1, args, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,12 +297,12 @@ func TestFlightTimeoutDump(t *testing.T) {
 	cfg := fastCfg()
 	cfg.RetransInterval = 30 * time.Millisecond
 	cfg.CallTimeout = 150 * time.Millisecond
-	caller, _, sa := pair(t, ex, cfg, func(transport.Addr, uint32, uint16, []byte) ([]byte, error) {
+	caller, _, sa := pair(t, ex, cfg, func(transport.Addr, wire.TraceCtx, uint32, uint16, []byte) ([]byte, error) {
 		<-block
 		return nil, nil
 	})
 	act := caller.NewActivity()
-	if _, err := caller.Call(sa, act, 1, 1, 1, nil); err != ErrTimeout {
+	if _, err := caller.Call(context.Background(), sa, act, 1, 1, 1, nil, nil); err != ErrTimeout {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
 	dump, n := caller.LastFlightDump()

@@ -174,9 +174,11 @@ type OverloadCell struct {
 }
 
 // OverloadSweep measures goodput for: the unsaturated baseline (as many
-// callers as workers, no admission control), then a 2×-saturated caller
-// population with no admission control, FIFO admission, and
-// deadline-shedding admission. The paper-shaped claim under test: FIFO
+// callers as workers, default dispatch queue), then a 2×-saturated caller
+// population with the default queue, FIFO admission, and
+// deadline-shedding admission. "Default" leaves Config.Admission zero: a
+// FIFO queue of 1024 calls, deeper than the callers can fill, so it never
+// sheds. The paper-shaped claim under test: FIFO
 // queueing collapses once queue delay exceeds the deadline (the server
 // serves only the dead), while deadline shedding keeps goodput near the
 // unsaturated baseline.
@@ -209,6 +211,8 @@ func OverloadSweep(opts OverloadOptions) ([]OverloadCell, error) {
 		admit   overload.Config
 	}{
 		{"baseline", opts.Workers, overload.Config{}},
+		// "none": no policy configured, so the server drains its default
+		// FIFO queue, which these callers cannot fill.
 		{"none", opts.Callers, overload.Config{}},
 		{"fifo", opts.Callers, overload.Config{Policy: overload.FIFO, Capacity: opts.Capacity}},
 		{"deadline", opts.Callers, overload.Config{Policy: overload.Deadline, Capacity: opts.Capacity}},

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"fireflyrpc/internal/proto"
 	"fireflyrpc/internal/transport"
 	"fireflyrpc/internal/transport/transporttest"
+	"fireflyrpc/internal/wire"
 )
 
 // TestConformance proves the simulator stack satisfies the same transport
@@ -62,14 +64,14 @@ func TestProtoOverSimnet(t *testing.T) {
 	cfg := proto.Config{RetransInterval: 20 * time.Millisecond, MaxRetries: 8, Workers: 4}
 	caller := proto.NewConn(n.Endpoint("caller"), cfg, nil)
 	defer caller.Close()
-	server := proto.NewConn(n.Endpoint("server"), cfg, func(src transport.Addr, iface uint32, proc uint16, args []byte) ([]byte, error) {
+	server := proto.NewConn(n.Endpoint("server"), cfg, func(src transport.Addr, _ wire.TraceCtx, iface uint32, proc uint16, args []byte) ([]byte, error) {
 		return append(append([]byte(nil), args...), 0xEE), nil
 	})
 	defer server.Close()
 
 	for i := 0; i < 5; i++ {
 		args := []byte(fmt.Sprintf("sim-call-%d", i))
-		res, err := caller.Call(AddrOf("server"), 1, uint32(i+1), 0, 1, args)
+		res, err := caller.Call(context.Background(), AddrOf("server"), 1, uint32(i+1), 0, 1, args, nil)
 		if err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
@@ -92,14 +94,14 @@ func TestProtoOverLossySimnet(t *testing.T) {
 	cfg := proto.Config{RetransInterval: 5 * time.Millisecond, MaxRetries: 20, Workers: 4}
 	caller := proto.NewConn(n.Endpoint("caller"), cfg, nil)
 	defer caller.Close()
-	server := proto.NewConn(n.Endpoint("server"), cfg, func(src transport.Addr, iface uint32, proc uint16, args []byte) ([]byte, error) {
+	server := proto.NewConn(n.Endpoint("server"), cfg, func(src transport.Addr, _ wire.TraceCtx, iface uint32, proc uint16, args []byte) ([]byte, error) {
 		return args, nil
 	})
 	defer server.Close()
 
 	for i := 0; i < 20; i++ {
 		args := []byte{byte(i)}
-		res, err := caller.Call(AddrOf("server"), 1, uint32(i+1), 0, 1, args)
+		res, err := caller.Call(context.Background(), AddrOf("server"), 1, uint32(i+1), 0, 1, args, nil)
 		if err != nil {
 			t.Fatalf("call %d under 25%% loss: %v", i, err)
 		}

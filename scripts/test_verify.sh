@@ -154,7 +154,7 @@ case "$out" in
 *) fail "runbook-validation failure did not print its step (got: $out)" ;;
 esac
 
-# 8. A failure in the flight-recorder alloc-budget step must propagate —
+# 8. A flight-recorder failure in the alloc-budget step must propagate —
 # the zero-allocation recording guarantee is part of the contract.
 cat >"$tmp/go" <<'EOF'
 #!/bin/sh
@@ -172,7 +172,7 @@ status=$?
 set -e
 [ "$status" -ne 0 ] || fail "verify.sh swallowed a flight-recorder alloc failure"
 case "$out" in
-*"FAIL: alloc budget: flight recorder"*) ;;
+*"FAIL: alloc budgets"*) ;;
 *) fail "flight-recorder alloc failure did not print its step (got: $out)" ;;
 esac
 

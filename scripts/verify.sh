@@ -3,10 +3,11 @@
 # full test suite, then the race-detector pass over the packages with
 # lock-sharded concurrent fast paths — proto carries the per-peer channel
 # map, central retransmission engine, and the stage-trace ring, so its
-# channel/cancellation/trace tests run under -race here. The final steps pin
-# the fast path's allocation budgets (Client.Go/Await must cost no more
-# objects per call than blocking Call, and the observability machinery must
-# add nothing to a call while tracing is disabled) and run the chaos smoke:
+# channel/cancellation/trace tests run under -race here. One step pins every
+# allocation budget (a blocking Null costs exactly one allocation, Client.Go/
+# Await no more per call, the observability machinery adds nothing while
+# tracing is disabled, and the flight recorder records an anomaly in steady
+# state without allocating). The final steps run the chaos smoke:
 # faultnet/overload under -race plus one tail-table cell asserting that
 # injected loss inflates p99 without failing calls and that the same seed
 # reproduces the same impairment schedule. The batched-datapath steps run
@@ -23,9 +24,7 @@
 # byte-identical report, and the committed overload runbook's assertions
 # must detect an admission-policy flip. The tracing steps race the wire
 # trace-context propagation path (negotiated prefix, inheritance, legacy
-# fallback, the two-hop chained-call join) and pin the flight recorder's
-# zero-allocation budget: recording an anomaly in steady state must not
-# allocate. The cluster steps race the replica-set layer's concurrent
+# fallback, the two-hop chained-call join). The cluster steps race the replica-set layer's concurrent
 # machinery — P2C picks against live latency histograms, hedged requests
 # with cross-server cancellation, quorum fan-out with straggler cancel,
 # the /debug/rpc/cluster view under live traffic — and the registry's
@@ -80,8 +79,7 @@ run "tests" go test ./...
 run "race: proto + core" go test -race ./internal/proto ./internal/core
 run "race: cancellation + leak stress" go test -race -run 'TestLossyAsyncStressNoLeaks|TestCancel' ./internal/proto
 run "race: live sim inspection" go test -race -run 'TestInspectConcurrentWithRun|TestSimSurfaceLive' ./internal/sim ./internal/debughttp
-run "alloc budgets: fast path" go test -run 'TestNullAllocBudget|TestAsyncNullAllocBudget' -count=1 .
-run "alloc budget: tracing disabled" go test -run 'TestTraceDisabledAllocBudget' -count=1 ./internal/proto
+run "alloc budgets" go test -count=1 -run 'TestNullAllocBudget|TestAsyncNullAllocBudget|TestTraceDisabledAllocBudget|TestFlightRecorderAllocBudget' . ./internal/proto
 run "sim determinism: trace + timings" go test -run 'TestTraceDeterminism|TestTracerDoesNotPerturb' -count=1 ./internal/sim ./internal/simtrace
 run "runbook determinism + policy gate" go test -run 'TestRunbookDeterminism|TestOverloadRunbookPolicyFlip' -count=1 ./internal/runbook
 run "chaos smoke: faultnet + overload race" go test -race ./internal/faultnet ./internal/overload
@@ -89,7 +87,6 @@ run "chaos smoke: tail inflation + determinism" go test -run 'TestTailSweepP99In
 run "race: batched transport" go test -race ./internal/transport
 run "race: session-negotiation" go test -race -run 'TestSession' ./internal/proto
 run "race: trace-propagation" go test -race -run 'TestTraceCtx|TestTraceLegacyV0Compat|TestChainSpansLinked' ./internal/proto ./internal/realbench
-run "alloc budget: flight recorder" go test -run 'TestFlightRecorderAllocBudget' -count=1 ./internal/proto
 run "tcp transport: conformance + proto" go test -count=1 -run 'TestTCP|TestConformance' ./internal/transport
 run "transport conformance: sim + faultnet" go test -count=1 -run 'TestConformance|TestProtoOver' ./internal/simnet ./internal/faultnet
 run "batch force-disabled: transport + proto" env FIREFLYRPC_NOBATCH=1 go test -count=1 ./internal/transport ./internal/proto ./internal/faultnet
