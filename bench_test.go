@@ -1,17 +1,13 @@
 package fireflyrpc
 
 import (
-	"sync"
 	"testing"
 	"time"
 
 	"fireflyrpc/internal/costmodel"
 	"fireflyrpc/internal/exper"
 	"fireflyrpc/internal/marshal"
-	"fireflyrpc/internal/proto"
 	"fireflyrpc/internal/simstack"
-	"fireflyrpc/internal/testsvc"
-	"fireflyrpc/internal/transport"
 	"fireflyrpc/internal/wire"
 )
 
@@ -208,230 +204,6 @@ func BenchmarkExperimentTableI(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		exper.TableI(exper.Options{Quality: 0.05, Seed: 1})
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Real-stack benchmarks: the modern-hardware analogue of Table I over the
-// in-process exchange and real UDP loopback.
-// ---------------------------------------------------------------------------
-
-func realPair(b *testing.B, overUDP bool) (*testsvc.TestClient, func()) {
-	b.Helper()
-	cfg := proto.DefaultConfig()
-	var callerTr, serverTr transport.Transport
-	if overUDP {
-		var err error
-		serverTr, err = transport.ListenUDP("127.0.0.1:0")
-		if err != nil {
-			b.Skip("no loopback UDP:", err)
-		}
-		callerTr, err = transport.ListenUDP("127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-	} else {
-		ex := transport.NewExchange()
-		serverTr = ex.Port("server")
-		callerTr = ex.Port("caller")
-	}
-	server := NewNode(serverTr, cfg)
-	caller := NewNode(callerTr, cfg)
-	server.Export(testsvc.ExportTest(benchImpl{}))
-	client := testsvc.NewTestClient(caller.Bind(server.Addr(), testsvc.TestName, testsvc.TestVersion))
-	return client, func() { caller.Close(); server.Close() }
-}
-
-type benchImpl struct{}
-
-func (benchImpl) Null() error { return nil }
-func (benchImpl) MaxResult(buffer []byte) error {
-	for i := range buffer {
-		buffer[i] = byte(i)
-	}
-	return nil
-}
-func (benchImpl) MaxArg(buffer []byte) error             { return nil }
-func (benchImpl) Add4(a, b, c, d int32) (int32, error)   { return a + b + c + d, nil }
-func (benchImpl) Reverse(data []byte, out *[]byte) error { *out = data; return nil }
-func (benchImpl) Increment(counter *uint32) error        { *counter++; return nil }
-func (benchImpl) Greet(n *marshal.Text) (*marshal.Text, error) {
-	return marshal.NewText("hi " + n.String()), nil
-}
-
-// BenchmarkRealNull_Mem is a Null() call over the in-process exchange —
-// the single-packet fast path this stack optimizes for. The allocation
-// budget for this benchmark is enforced by TestNullAllocBudget.
-func BenchmarkRealNull_Mem(b *testing.B) {
-	client, done := realPair(b, false)
-	defer done()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := client.Null(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRealNull_UDP is a Null() call over real loopback UDP.
-func BenchmarkRealNull_UDP(b *testing.B) {
-	client, done := realPair(b, true)
-	defer done()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := client.Null(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRealMaxArg_Mem is the 1440-byte VAR IN argument over the exchange.
-func BenchmarkRealMaxArg_Mem(b *testing.B) {
-	client, done := realPair(b, false)
-	defer done()
-	buf := make([]byte, 1440)
-	b.ReportAllocs()
-	b.SetBytes(1440)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := client.MaxArg(buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRealMaxResult_Mem is the 1440-byte VAR OUT result over the exchange.
-func BenchmarkRealMaxResult_Mem(b *testing.B) {
-	client, done := realPair(b, false)
-	defer done()
-	buf := make([]byte, 1440)
-	b.ReportAllocs()
-	b.SetBytes(1440)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := client.MaxResult(buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRealMaxResult_UDP is the 1440-byte VAR OUT result over UDP.
-func BenchmarkRealMaxResult_UDP(b *testing.B) {
-	client, done := realPair(b, true)
-	defer done()
-	buf := make([]byte, 1440)
-	b.ReportAllocs()
-	b.SetBytes(1440)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := client.MaxResult(buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchRealThreads splits b.N Null() calls across exactly `threads` caller
-// goroutines, one Client (activity) per thread as on the Firefly — the
-// Table I thread-scaling shape on the real stack.
-func benchRealThreads(b *testing.B, overUDP bool, threads int) {
-	b.Helper()
-	cfg := proto.DefaultConfig()
-	if 2*threads > cfg.Workers {
-		cfg.Workers = 2 * threads
-	}
-	var callerTr, serverTr transport.Transport
-	if overUDP {
-		var err error
-		serverTr, err = transport.ListenUDP("127.0.0.1:0")
-		if err != nil {
-			b.Skip("no loopback UDP:", err)
-		}
-		callerTr, err = transport.ListenUDP("127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-	} else {
-		ex := transport.NewExchange()
-		serverTr = ex.Port("server")
-		callerTr = ex.Port("caller")
-	}
-	server := NewNode(serverTr, cfg)
-	caller := NewNode(callerTr, cfg)
-	defer server.Close()
-	defer caller.Close()
-	server.Export(testsvc.ExportTest(benchImpl{}))
-	binding := caller.Bind(server.Addr(), testsvc.TestName, testsvc.TestVersion)
-	clients := make([]*testsvc.TestClient, threads)
-	for i := range clients {
-		clients[i] = testsvc.NewTestClient(binding)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var wg sync.WaitGroup
-	for t := 0; t < threads; t++ {
-		n := b.N / threads
-		if t < b.N%threads {
-			n++
-		}
-		wg.Add(1)
-		go func(cl *testsvc.TestClient, n int) {
-			defer wg.Done()
-			for i := 0; i < n; i++ {
-				if err := cl.Null(); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		}(clients[t], n)
-	}
-	wg.Wait()
-}
-
-func BenchmarkRealNullThreads_Mem1(b *testing.B) { benchRealThreads(b, false, 1) }
-func BenchmarkRealNullThreads_Mem2(b *testing.B) { benchRealThreads(b, false, 2) }
-func BenchmarkRealNullThreads_Mem4(b *testing.B) { benchRealThreads(b, false, 4) }
-func BenchmarkRealNullThreads_Mem8(b *testing.B) { benchRealThreads(b, false, 8) }
-func BenchmarkRealNullThreads_UDP8(b *testing.B) { benchRealThreads(b, true, 8) }
-
-// BenchmarkRealFragmented_UDP pushes a 100 KiB argument through the
-// fragmentation path over UDP.
-func BenchmarkRealFragmented_UDP(b *testing.B) {
-	client, done := realPair(b, true)
-	defer done()
-	data := make([]byte, 100*1024)
-	var out []byte
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := client.Reverse(data, &out); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(int64(len(data)))
-}
-
-// BenchmarkRealParallel_Mem is the Table I shape on modern hardware: 8
-// caller goroutines in parallel over the exchange.
-func BenchmarkRealParallel_Mem(b *testing.B) {
-	cfg := proto.DefaultConfig()
-	cfg.Workers = 16
-	ex := transport.NewExchange()
-	server := NewNode(ex.Port("server"), cfg)
-	caller := NewNode(ex.Port("caller"), cfg)
-	defer server.Close()
-	defer caller.Close()
-	server.Export(testsvc.ExportTest(benchImpl{}))
-	binding := caller.Bind(server.Addr(), testsvc.TestName, testsvc.TestVersion)
-	b.SetParallelism(8)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		client := testsvc.NewTestClient(binding)
-		for pb.Next() {
-			if err := client.Null(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // ---------------------------------------------------------------------------

@@ -7,82 +7,50 @@
 //	fireflybench -table I,VIII    # selected tables
 //	fireflybench -quality 0.1     # 10% of the paper's call counts (fast)
 //	fireflybench -list            # list experiments
-//	fireflybench -real            # benchmark the real stack, write BENCH_realstack.json
+//	fireflybench -table tail,overload,hedge -quality 0.4  # real-stack loss, overload and hedging sweeps
 //	fireflybench -breakdown       # traced per-stage latency accounting (Tables VI/VII style)
-//	fireflybench -realcheck F     # validate a BENCH_realstack.json and exit
 //	fireflybench -simtrace out.json  # Perfetto timeline + utilization report for a simulated run
-//	fireflybench -real -faulty lossy.json  # real-stack benchmark under a faultnet impairment profile
-//	fireflybench -real -batch     # real-stack benchmark over the batched UDP datapath
 //	fireflybench -batchcompare    # per-frame vs batched UDP fan-out, back to back
-//	fireflybench -real -traced    # real-stack benchmark with tracing on (@trace cells)
 //	fireflybench -traceoverhead   # tracing-on vs tracing-off async Null, gated ≤5%
 //	fireflybench -mergedtrace out.json  # one Perfetto doc: simulated run + real chained-call spans
-//	fireflybench -cluster         # replica-set hedged vs unhedged tail sweep (@cluster cells)
+//
+// The real-stack Table I matrix is a Go benchmark:
+// go test -run '^$' -bench Stack -benchmem ./internal/realbench
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
-	"testing"
 	"time"
 
 	"fireflyrpc/internal/exper"
-	"fireflyrpc/internal/faultnet"
 	"fireflyrpc/internal/realbench"
 )
 
 func main() {
-	tables := flag.String("table", "all", "comma-separated table IDs (I..XII, improvements, streaming, ablations) or 'all'")
+	tables := flag.String("table", "all", "comma-separated table IDs (I..XII, util, improvements, streaming, ablations, tail, overload, hedge) or 'all'")
 	quality := flag.Float64("quality", 1.0, "fraction of the paper's call counts to run")
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	list := flag.Bool("list", false, "list experiments and exit")
 	trace := flag.Bool("trace", false, "trace one Null() and one MaxResult(b) call through the simulated fast path and exit")
-	real := flag.Bool("real", false, "benchmark the real RPC stack (exchange + UDP loopback) instead of the simulation")
-	realOut := flag.String("realout", "BENCH_realstack.json", "output path for -real results")
-	realThreads := flag.String("realthreads", "1,2,4,8", "comma-separated caller-thread counts for -real")
-	realFanout := flag.String("realfanout", "1,8,64", "comma-separated async fan-out widths for -real")
-	realCases := flag.String("realcases", "", "comma-separated -real case names (Null, MaxArg, MaxResult); empty = all")
-	realTime := flag.String("realtime", "", "per-cell benchmark time for -real (e.g. 50ms); empty = the testing default (1s)")
-	realMemOnly := flag.Bool("realmem", false, "restrict -real to the in-process exchange transport")
-	realTransport := flag.String("transport", "", "restrict -real to one transport: exchange, udp, udpbatch, or tcp; empty = mem+udp sweep")
-	realCheck := flag.String("realcheck", "", "validate this BENCH_realstack.json and exit")
-	realBatch := flag.Bool("batch", false, "run -real UDP cells over the batched datapath (sendmmsg/GSO); results diff under the @batch namespace")
-	realRecvMode := flag.String("recvmode", "", "batched engine receive mode for -batch: park (default) or spin")
 	batchCompare := flag.Bool("batchcompare", false, "run the per-frame vs batched UDP async fan-out comparison and exit")
 	batchCompareCalls := flag.Int("batchcomparecalls", 20000, "calls per side for -batchcompare")
 	batchCompareWidth := flag.Int("batchcomparewidth", 64, "async fan-out width for -batchcompare")
-	realTraced := flag.Bool("traced", false, "run -real cells with stage tracing on at the production posture; results diff under the @trace namespace")
 	traceOverhead := flag.Bool("traceoverhead", false, "run the tracing-on vs tracing-off async Null comparison and exit non-zero above the bound")
 	traceOverheadCalls := flag.Int("traceoverheadcalls", 20000, "calls per round for -traceoverhead")
 	traceOverheadWidth := flag.Int("traceoverheadwidth", 64, "async fan-out width for -traceoverhead")
 	traceOverheadBound := flag.Float64("traceoverheadbound", 1.05, "maximum tracing-on/off ns-per-op ratio for -traceoverhead")
 	mergedTrace := flag.String("mergedtrace", "", "write one Perfetto JSON combining a simulated run and real chained-call spans to this path and exit")
 	mergedChainCalls := flag.Int("mergedchaincalls", 16, "real two-hop chained calls for -mergedtrace")
-	faulty := flag.String("faulty", "", "faultnet profile JSON; -real cells run behind this impairment")
-	faultSeed := flag.Uint64("faultseed", 1, "impairment schedule seed for -faulty")
 	breakdown := flag.Bool("breakdown", false, "trace Null calls through both endpoints and print the per-stage latency accounting")
 	breakdownCalls := flag.Int("breakdowncalls", 2000, "calls to trace for -breakdown")
 	breakdownSample := flag.Int("breakdownsample", 64, "sampling stride for the -breakdown overhead measurement")
-	clusterSweep := flag.Bool("cluster", false, "run the replica-set hedged vs unhedged tail sweep and write @cluster cells to -realout")
-	clusterReplicas := flag.Int("clusterreplicas", 3, "replica-set size for -cluster")
-	clusterLoss := flag.Float64("clusterloss", 0.10, "caller-uplink frame-drop probability for -cluster")
-	clusterCalls := flag.Int("clustercalls", 1000, "measured calls per caller thread for -cluster")
 	simTrace := flag.String("simtrace", "", "write a Chrome trace-event JSON timeline of a simulated run to this path and exit")
 	simTraceThreads := flag.Int("simtracethreads", 4, "caller threads for -simtrace")
 	simTraceCalls := flag.Int("simtracecalls", 200, "total calls for -simtrace")
 	flag.Parse()
-
-	if *realCheck != "" {
-		if err := realbench.CheckFile(*realCheck); err != nil {
-			fmt.Fprintf(os.Stderr, "fireflybench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("%s: ok\n", *realCheck)
-		return
-	}
 
 	if *breakdown {
 		runBreakdown(*breakdownCalls, *breakdownSample)
@@ -99,11 +67,6 @@ func main() {
 		return
 	}
 
-	if *clusterSweep {
-		runCluster(*realOut, *clusterReplicas, *clusterLoss, *clusterCalls, *seed)
-		return
-	}
-
 	if *mergedTrace != "" {
 		runMergedTrace(*mergedTrace, *seed, *simTraceThreads, *simTraceCalls, *mergedChainCalls)
 		return
@@ -112,36 +75,6 @@ func main() {
 	if *simTrace != "" {
 		runSimTrace(*simTrace, *seed, *simTraceThreads, *simTraceCalls)
 		return
-	}
-
-	if *real {
-		var prof *faultnet.Profile
-		if *faulty != "" {
-			p, err := faultnet.Load(*faulty)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "fireflybench: -faulty: %v\n", err)
-				os.Exit(2)
-			}
-			prof = p
-		}
-		runReal(*realOut, *realThreads, *realFanout, *realCases, *realTime, *realMemOnly, *realTransport, prof, *faultSeed, *realBatch, *realRecvMode, *realTraced)
-		return
-	}
-	if *realTraced {
-		fmt.Fprintln(os.Stderr, "fireflybench: -traced requires -real")
-		os.Exit(2)
-	}
-	if *realTransport != "" {
-		fmt.Fprintln(os.Stderr, "fireflybench: -transport requires -real")
-		os.Exit(2)
-	}
-	if *faulty != "" {
-		fmt.Fprintln(os.Stderr, "fireflybench: -faulty requires -real")
-		os.Exit(2)
-	}
-	if *realBatch || *realRecvMode != "" {
-		fmt.Fprintln(os.Stderr, "fireflybench: -batch/-recvmode require -real")
-		os.Exit(2)
 	}
 
 	if *trace {
@@ -179,107 +112,6 @@ func main() {
 		fmt.Print(tb.Render())
 		fmt.Printf("  [%s in %.1fs wall]\n\n", e.ID, time.Since(start).Seconds())
 	}
-}
-
-// runReal benchmarks the real stack and writes the JSON suite.
-func runReal(outPath, threadSpec, fanoutSpec, caseSpec, timeSpec string, memOnly bool, transportName string, prof *faultnet.Profile, faultSeed uint64, batch bool, recvMode string, traced bool) {
-	parse := func(spec, flagName string) []int {
-		var out []int
-		for _, s := range strings.Split(spec, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || n < 1 {
-				fmt.Fprintf(os.Stderr, "fireflybench: bad %s entry %q\n", flagName, s)
-				os.Exit(2)
-			}
-			out = append(out, n)
-		}
-		return out
-	}
-	threads := parse(threadSpec, "-realthreads")
-	fanout := parse(fanoutSpec, "-realfanout")
-	var caseNames []string
-	if caseSpec != "" {
-		for _, s := range strings.Split(caseSpec, ",") {
-			caseNames = append(caseNames, strings.TrimSpace(s))
-		}
-	}
-	if timeSpec != "" {
-		// realbench drives testing.Benchmark, which sizes each cell from the
-		// standard -test.benchtime flag; registering the testing flags makes
-		// it settable from this non-test binary (CI's bench-smoke job uses
-		// this to cut the run from minutes to seconds).
-		testing.Init()
-		if err := flag.Set("test.benchtime", timeSpec); err != nil {
-			fmt.Fprintf(os.Stderr, "fireflybench: bad -realtime %q: %v\n", timeSpec, err)
-			os.Exit(2)
-		}
-	}
-	datapath := ""
-	if batch {
-		datapath = ", batched UDP datapath"
-		if recvMode != "" {
-			datapath += " (" + recvMode + ")"
-		}
-	}
-	if traced {
-		datapath += ", tracing on"
-	}
-	if prof != nil {
-		fmt.Printf("Real-stack Table I analogue under profile %q, fault seed %d (threads %v, async fan-out %v%s)\n",
-			prof.Name, faultSeed, threads, fanout, datapath)
-	} else {
-		fmt.Printf("Real-stack Table I analogue (threads %v, async fan-out %v%s)\n", threads, fanout, datapath)
-	}
-	suite := realbench.Run(realbench.Options{
-		Threads:     threads,
-		Outstanding: fanout,
-		Cases:       caseNames,
-		MemOnly:     memOnly,
-		Transport:   transportName,
-		Log:         os.Stdout,
-		Profile:     prof,
-		FaultSeed:   faultSeed,
-		Batch:       batch,
-		RecvMode:    recvMode,
-		Trace:       traced,
-	})
-	if err := suite.WriteJSON(outPath); err != nil {
-		fmt.Fprintf(os.Stderr, "fireflybench: writing %s: %v\n", outPath, err)
-		os.Exit(1)
-	}
-	fmt.Printf("wrote %s (%d results)\n", outPath, len(suite.Results))
-}
-
-// runCluster runs the hedged vs unhedged replica-set sweep and writes the
-// @cluster cells as their own suite — the measurement behind the
-// EXPERIMENTS.md hedging table and the cluster cells in the committed
-// baseline.
-func runCluster(outPath string, replicas int, loss float64, callsPerThread int, seed uint64) {
-	fmt.Printf("Replica-set tail sweep: %d replicas, %.0f%% caller-uplink loss, 2%% 20ms stragglers\n",
-		replicas, 100*loss)
-	results, err := realbench.ClusterSweep(realbench.ClusterOptions{
-		Replicas:       replicas,
-		Loss:           loss,
-		CallsPerThread: callsPerThread,
-		Seed:           seed,
-		Log:            os.Stdout,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fireflybench: cluster sweep: %v\n", err)
-		os.Exit(1)
-	}
-	suite := realbench.Suite{
-		Generated: time.Now().UTC().Format(time.RFC3339),
-		Note: "Replica-set tail sweep: blocking Null through the cluster " +
-			"balancer against 3 replicas behind a lossy caller uplink with " +
-			"deterministic server-side stragglers, hedged vs unhedged.",
-		Results: results,
-	}
-	if err := suite.WriteJSON(outPath); err != nil {
-		fmt.Fprintf(os.Stderr, "fireflybench: writing %s: %v\n", outPath, err)
-		os.Exit(1)
-	}
-	fmt.Printf("wrote %s (%d results)\n", outPath, len(suite.Results))
 }
 
 // runBatchCompare runs the per-frame vs batched UDP async fan-out

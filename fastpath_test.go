@@ -5,10 +5,30 @@ import (
 	"sync"
 	"testing"
 
+	"fireflyrpc/internal/marshal"
 	"fireflyrpc/internal/proto"
 	"fireflyrpc/internal/testsvc"
 	"fireflyrpc/internal/transport"
 )
+
+// benchImpl is the test server: procedures do minimal work so the stack,
+// not the service, is measured.
+type benchImpl struct{}
+
+func (benchImpl) Null() error { return nil }
+func (benchImpl) MaxResult(buffer []byte) error {
+	for i := range buffer {
+		buffer[i] = byte(i)
+	}
+	return nil
+}
+func (benchImpl) MaxArg(buffer []byte) error             { return nil }
+func (benchImpl) Add4(a, b, c, d int32) (int32, error)   { return a + b + c + d, nil }
+func (benchImpl) Reverse(data []byte, out *[]byte) error { *out = data; return nil }
+func (benchImpl) Increment(counter *uint32) error        { *counter++; return nil }
+func (benchImpl) Greet(n *marshal.Text) (*marshal.Text, error) {
+	return marshal.NewText("hi " + n.String()), nil
+}
 
 // nullAllocBudget is the ceiling for heap allocations per single-packet
 // Call over the in-process exchange, measured across the whole process

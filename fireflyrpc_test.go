@@ -62,8 +62,8 @@ func TestFacadeSimulator(t *testing.T) {
 // TestFacadeExperiments lists and runs one experiment through the facade.
 func TestFacadeExperiments(t *testing.T) {
 	all := Experiments()
-	if len(all) != 18 { // Tables I–XII + util + improvements + streaming + ablations + tail + overload
-		t.Fatalf("%d experiments, want 18", len(all))
+	if len(all) != 19 { // Tables I–XII + util + improvements + streaming + ablations + tail + overload + hedge
+		t.Fatalf("%d experiments, want 19", len(all))
 	}
 	e, ok := ExperimentByID("VII")
 	if !ok {

@@ -114,6 +114,7 @@ func All() []Experiment {
 		{"ablations", "§3.2 structural optimizations, individually removed", Ablations},
 		{"tail", "Null RPC latency under frame loss (real stack)", TableTail},
 		{"overload", "Goodput under overload by admission policy (real stack)", TableOverload},
+		{"hedge", "Hedged vs unhedged replica-set tail latency (real stack)", TableHedge},
 	}
 }
 

@@ -10,8 +10,7 @@
 // invariant: tests compare schedules byte for byte, and the simulator's
 // determinism guarantee would otherwise not survive fault injection.
 //
-// A Profile is JSON-serializable so `fireflybench -faulty profile.json` can
-// run any benchmark cell under impairment:
+// A Profile is JSON-serializable, so Load reads one from a file such as:
 //
 //	{"name": "lossy", "out": {"drop": 0.1}, "in": {"drop": 0.1, "dup": 0.05}}
 //

@@ -276,7 +276,10 @@ func (q *Queue[T]) Offer(v T, budgetNs int64) bool {
 // closed and drained. Under the Deadline policy it sheds — via the
 // callback — every queued request whose remaining budget no longer covers
 // the observed service time, so workers only receive requests that can
-// still make their deadlines.
+// still make their deadlines. Each such shed decays the service-time
+// estimate by one EWMA step (α = 1/8) toward zero, so an estimate left
+// stale by a slow outlier shrinks until a request is served and measured
+// again.
 func (q *Queue[T]) Take() (v T, ok bool) {
 	for {
 		var sheds []T
@@ -296,6 +299,10 @@ func (q *Queue[T]) Take() (v T, ok bool) {
 				e = q.remove(0)
 			}
 			if q.cfg.Policy == Deadline && q.ewmaNs > 0 && float64(e.remaining(now)) < q.ewmaNs {
+				// A shed request never runs, so it never refreshes the
+				// estimate: decay it by the EWMA step per shed, or one slow
+				// observation would shed every later request it overstates.
+				q.ewmaNs -= q.ewmaNs / 8
 				q.shedDeadline++
 				sheds = append(sheds, e.v)
 				continue

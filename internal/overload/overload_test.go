@@ -133,6 +133,26 @@ func TestDeadlineShedsStaleAtDequeue(t *testing.T) {
 	}
 }
 
+// One slow first call must not wedge the queue: with the estimate at 1s,
+// every 10ms-budget request looks dead, and a shed request never runs to
+// correct the estimate. Shedding decays it until a request is served.
+func TestDeadlineEstimateRecoversFromOutlier(t *testing.T) {
+	var l shedlog
+	q := NewQueue[int](Config{Policy: Deadline, Capacity: 64}, l.fn)
+	q.ObserveService(time.Second)
+	for i := 1; i <= 40; i++ {
+		q.Offer(i, 10*int64(time.Millisecond))
+	}
+	q.Offer(0, 0) // no budget: never deadline-shed, so Take cannot block
+	v, ok := q.Take()
+	if !ok || v == 0 {
+		t.Fatalf("Take = %d, %t: every 10ms request was shed (%d sheds)", v, ok, len(l.values()))
+	}
+	if s := q.Stats(); s.ServiceEWMAUs >= 10000 {
+		t.Fatalf("estimate %vus still above the 10ms budgets", s.ServiceEWMAUs)
+	}
+}
+
 func TestDeadlineColdStartServesEverything(t *testing.T) {
 	// Before any service observation the EWMA is zero: nothing is shed at
 	// dequeue, however small its budget.

@@ -75,6 +75,10 @@ func TestBatchedTransportAsyncFanout(t *testing.T) {
 	}
 
 	if transport.SupportsBatch(ct) {
+		// A reply can arrive before the flusher that sent its call has
+		// counted the frames. Close waits for the flusher to exit, so every
+		// SendBatch has returned and been counted before the read.
+		caller.Close()
 		st, ok := caller.TransportStats()
 		if !ok {
 			t.Fatal("batched transport reports no stats")

@@ -1,7 +1,6 @@
 package realbench
 
 import (
-	"context"
 	"time"
 
 	"fireflyrpc/internal/core"
@@ -46,50 +45,24 @@ type BatchCompareResult struct {
 // over one transport flavor and captures timing plus the caller transport's
 // counter deltas across the measured window.
 func batchCompareSide(to trOpts, calls, outstanding int) (BatchSide, error) {
-	side := BatchSide{Batch: to.batch, Calls: calls}
-	p, done, err := pair(to, 8, nil, 0)
+	side := BatchSide{Batch: to.kind == "udpbatch", Calls: calls}
+	p, done, err := pair(to, 8)
 	if err != nil {
 		return side, err
 	}
 	defer done()
 	cl := p.binding.NewClient()
-	ctx := context.Background()
 	pend := make([]*core.Pending, 0, outstanding)
 
-	round := func(n int) error {
-		pend = pend[:0]
-		for j := 0; j < n; j++ {
-			pd, err := cl.Go(ctx, testsvc.TestProcNull, 0, nil)
-			if err != nil {
-				return err
-			}
-			pend = append(pend, pd)
-		}
-		for _, pd := range pend {
-			if err := pd.Await(ctx, nil); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
 	// Warm pools, the send queue, and the peer map before measuring.
-	for i := 0; i < 4; i++ {
-		if err := round(outstanding); err != nil {
-			return side, err
-		}
+	if err := fanout(cl, testsvc.TestProcNull, 4*outstanding, outstanding, nil, pend); err != nil {
+		return side, err
 	}
 
 	before, _ := p.caller.Conn().TransportStats()
 	start := time.Now()
-	for n := calls; n > 0; n -= outstanding {
-		b := outstanding
-		if n < b {
-			b = n
-		}
-		if err := round(b); err != nil {
-			return side, err
-		}
+	if err := fanout(cl, testsvc.TestProcNull, calls, outstanding, nil, pend); err != nil {
+		return side, err
 	}
 	elapsed := time.Since(start)
 	after, ok := p.caller.Conn().TransportStats()
@@ -120,11 +93,11 @@ func BatchCompare(calls, outstanding int) (*BatchCompareResult, error) {
 	if outstanding <= 0 {
 		outstanding = 64
 	}
-	perFrame, err := batchCompareSide(trOpts{overUDP: true}, calls, outstanding)
+	perFrame, err := batchCompareSide(trOpts{kind: "udp"}, calls, outstanding)
 	if err != nil {
 		return nil, err
 	}
-	batched, err := batchCompareSide(trOpts{overUDP: true, batch: true}, calls, outstanding)
+	batched, err := batchCompareSide(trOpts{kind: "udpbatch"}, calls, outstanding)
 	if err != nil {
 		return nil, err
 	}

@@ -1,9 +1,6 @@
 package realbench
 
 import (
-	"encoding/json"
-	"fmt"
-	"os"
 	"time"
 
 	"fireflyrpc/internal/proto"
@@ -49,7 +46,7 @@ func Breakdown(calls, sampleEvery int) (*BreakdownResult, error) {
 	if sampleEvery <= 0 {
 		sampleEvery = 64
 	}
-	p, done, err := pair(trOpts{}, 4, nil, 0)
+	p, done, err := pair(trOpts{}, 4)
 	if err != nil {
 		return nil, err
 	}
@@ -96,41 +93,4 @@ func Breakdown(calls, sampleEvery int) (*BreakdownResult, error) {
 		res.OverheadPercent = 100 * (traced - untraced) / untraced
 	}
 	return res, nil
-}
-
-// CheckFile validates a BENCH_realstack.json produced by Run/WriteJSON: it
-// must parse, contain at least one result, and every result must report a
-// positive call count, latency, and throughput. CI's bench-smoke job runs
-// this so a silently-broken benchmark cannot keep publishing zeros.
-func CheckFile(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var suite Suite
-	if err := json.Unmarshal(data, &suite); err != nil {
-		return fmt.Errorf("%s: %v", path, err)
-	}
-	if suite.Generated == "" {
-		return fmt.Errorf("%s: missing generated timestamp", path)
-	}
-	if len(suite.Results) == 0 {
-		return fmt.Errorf("%s: no results", path)
-	}
-	for i, r := range suite.Results {
-		where := fmt.Sprintf("%s: result %d (%s/%s)", path, i, r.Bench, r.Transport)
-		if r.Bench == "" || r.Transport == "" {
-			return fmt.Errorf("%s: missing bench or transport name", where)
-		}
-		if r.N <= 0 {
-			return fmt.Errorf("%s: non-positive call count %d", where, r.N)
-		}
-		if r.NsPerOp <= 0 {
-			return fmt.Errorf("%s: non-positive ns/op %g", where, r.NsPerOp)
-		}
-		if r.CallsPerSec <= 0 {
-			return fmt.Errorf("%s: non-positive throughput %g", where, r.CallsPerSec)
-		}
-	}
-	return nil
 }

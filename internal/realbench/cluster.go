@@ -20,7 +20,6 @@ package realbench
 import (
 	"context"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,91 +33,74 @@ import (
 	"fireflyrpc/internal/transport"
 )
 
+// The sweep's fixed floor: a three-replica set behind 10% symmetric loss
+// on the caller uplink, where every 50th request per replica (2%) stalls
+// for 20ms in service, driven by four callers with a fixed 2ms hedge delay.
+const (
+	clusterReplicas       = 3
+	clusterLoss           = 0.10
+	clusterStragglerEvery = 50
+	clusterStragglerDelay = 20 * time.Millisecond
+	clusterHedgeAfter     = 2 * time.Millisecond
+	clusterThreads        = 4
+)
+
 // ClusterOptions configures the hedged-vs-unhedged replica-set sweep.
 type ClusterOptions struct {
-	Replicas       int           // replica-set size; default 3
-	Loss           float64       // symmetric frame-drop probability on the caller uplink; default 0.10
-	StragglerEvery int           // every Nth request per replica stalls in service; default 50 (2%)
-	StragglerDelay time.Duration // straggler service time; default 20ms
-	HedgeAfter     time.Duration // fixed hedge delay for the hedged cell; default 2ms
-	Threads        int           // concurrent callers; default 4
-	CallsPerThread int           // measured calls per caller; default 1000
-	Seed           uint64        // fault schedule + balancer seed; default 1
-	Log            io.Writer
+	CallsPerThread int    // measured calls per caller; default 1000
+	Seed           uint64 // fault schedule + balancer seed; default 1
 }
 
-func (o *ClusterOptions) defaults() {
-	if o.Replicas == 0 {
-		o.Replicas = 3
-	}
-	if o.Loss == 0 {
-		o.Loss = 0.10
-	}
-	if o.StragglerEvery == 0 {
-		o.StragglerEvery = 50
-	}
-	if o.StragglerDelay == 0 {
-		o.StragglerDelay = 20 * time.Millisecond
-	}
-	if o.HedgeAfter == 0 {
-		o.HedgeAfter = 2 * time.Millisecond
-	}
-	if o.Threads == 0 {
-		o.Threads = 4
-	}
-	if o.CallsPerThread == 0 {
-		o.CallsPerThread = 1000
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
+// ClusterCell is one side of the sweep.
+type ClusterCell struct {
+	Hedged        bool    // hedged requests enabled
+	Replicas      int     // replica-set size
+	Threads       int     // concurrent callers
+	N             int     // calls measured
+	NsPerOp       float64 // mean latency
+	P99Us         float64 // tail latency
+	CallsPerSec   float64
+	IssuedPerCall float64 // wire calls per logical call (>1 = hedging overhead)
 }
 
-// stragglerImpl is the cluster-benchmark server: every Nth Null request
+// stragglerImpl is the cluster-benchmark server: every 50th Null request
 // stalls for the straggler delay — a deterministic stand-in for the GC
-// pauses and queueing hiccups that give real services their p99. The rate
-// (2% by default) sits below the balancer's p90 pick quantile on purpose:
+// pauses and queueing hiccups that give real services their p99. The 2%
+// rate sits below the balancer's p90 pick quantile on purpose:
 // P2C cannot see it, so the straggler slice is exactly the traffic only a
 // hedge can rescue.
 type stragglerImpl struct {
 	impl
-	every int64
-	delay time.Duration
-	n     atomic.Int64
+	n atomic.Int64
 }
 
 func (s *stragglerImpl) Null() error {
-	if s.n.Add(1)%s.every == 0 {
-		time.Sleep(s.delay)
+	if s.n.Add(1)%clusterStragglerEvery == 0 {
+		time.Sleep(clusterStragglerDelay)
 	}
 	return nil
 }
 
-// ClusterSweep runs the unhedged and hedged cells and returns them as
-// @cluster-namespaced results for BENCH_realstack.json.
-func ClusterSweep(opts ClusterOptions) ([]Result, error) {
-	opts.defaults()
-	var out []Result
+// ClusterSweep runs the unhedged and then the hedged cell.
+func ClusterSweep(opts ClusterOptions) ([]ClusterCell, error) {
+	if opts.CallsPerThread == 0 {
+		opts.CallsPerThread = 1000
+	}
+	if opts.Seed == 0 {
+		opts.Seed = 1
+	}
+	var out []ClusterCell
 	for _, hedged := range []bool{false, true} {
 		res, err := clusterCell(hedged, opts)
 		if err != nil {
 			return out, err
 		}
 		out = append(out, res)
-		if opts.Log != nil {
-			mode := "unhedged"
-			if hedged {
-				mode = "hedged  "
-			}
-			fmt.Fprintf(opts.Log,
-				"  %s %d replicas loss=%g: %6d calls  mean %7.0f ns  p99 %8.1f µs  issued/call %.3f\n",
-				mode, opts.Replicas, opts.Loss, res.N, res.NsPerOp, res.P99Us, res.IssuedPerCall)
-		}
 	}
 	return out, nil
 }
 
-func clusterCell(hedged bool, opts ClusterOptions) (Result, error) {
+func clusterCell(hedged bool, opts ClusterOptions) (ClusterCell, error) {
 	ex := transport.NewExchange()
 	// A tight retransmission clamp matters here: the 20ms straggler RTTs
 	// feed the Jacobson estimator and would otherwise inflate the RTO past
@@ -129,18 +111,15 @@ func clusterCell(hedged bool, opts ClusterOptions) (Result, error) {
 	cfg := proto.Config{
 		RetransInterval: time.Millisecond,
 		MaxRetries:      100,
-		Workers:         2 * opts.Threads,
+		Workers:         2 * clusterThreads,
 	}
-	prof := faultnet.Loss(opts.Loss)
+	prof := faultnet.Loss(clusterLoss)
 	var addrs []string
 	var nodes []*core.Node
-	for i := 0; i < opts.Replicas; i++ {
+	for i := 0; i < clusterReplicas; i++ {
 		name := fmt.Sprintf("replica-%d", i)
 		node := core.NewNode(ex.Port(name), cfg)
-		node.Export(testsvc.ExportTest(&stragglerImpl{
-			every: int64(opts.StragglerEvery),
-			delay: opts.StragglerDelay,
-		}))
+		node.Export(testsvc.ExportTest(&stragglerImpl{}))
 		nodes = append(nodes, node)
 		addrs = append(addrs, name)
 	}
@@ -157,20 +136,20 @@ func clusterCell(hedged bool, opts ClusterOptions) (Result, error) {
 		ParseAddr: func(s string) (transport.Addr, error) { return transport.AddrOf(s), nil },
 		Iface:     testsvc.TestName,
 		Version:   testsvc.TestVersion,
-		Hedge:     cluster.HedgeConfig{Enabled: hedged, After: opts.HedgeAfter},
+		Hedge:     cluster.HedgeConfig{Enabled: hedged, After: clusterHedgeAfter},
 		Seed:      opts.Seed,
 	})
 	if err != nil {
-		return Result{}, err
+		return ClusterCell{}, err
 	}
 
 	var lat stats.Sample
 	run := func(perThread int, record bool) error {
 		var firstErr error
 		var errMu sync.Mutex
-		samples := make([]stats.Sample, opts.Threads)
+		samples := make([]stats.Sample, clusterThreads)
 		var wg sync.WaitGroup
-		for th := 0; th < opts.Threads; th++ {
+		for th := 0; th < clusterThreads; th++ {
 			wg.Add(1)
 			go func(th int) {
 				defer wg.Done()
@@ -203,12 +182,12 @@ func clusterCell(hedged bool, opts ClusterOptions) (Result, error) {
 	// Warm the sessions, RTT estimators, and balancer histograms off the
 	// record, then snapshot the hedge accounting around the measured window.
 	if err := run(64, false); err != nil {
-		return Result{}, fmt.Errorf("cluster warmup (hedged=%v): %v", hedged, err)
+		return ClusterCell{}, fmt.Errorf("cluster warmup (hedged=%v): %v", hedged, err)
 	}
 	before := cc.Stats()
 	start := time.Now()
 	if err := run(opts.CallsPerThread, true); err != nil {
-		return Result{}, fmt.Errorf("cluster cell (hedged=%v): %v", hedged, err)
+		return ClusterCell{}, fmt.Errorf("cluster cell (hedged=%v): %v", hedged, err)
 	}
 	elapsed := time.Since(start)
 	after := cc.Stats()
@@ -217,15 +196,12 @@ func clusterCell(hedged bool, opts ClusterOptions) (Result, error) {
 	issued := after.Issued - before.Issued
 	n := lat.N()
 	if n == 0 || calls == 0 {
-		return Result{}, fmt.Errorf("cluster cell (hedged=%v): no calls measured", hedged)
+		return ClusterCell{}, fmt.Errorf("cluster cell (hedged=%v): no calls measured", hedged)
 	}
-	res := Result{
-		Bench:         "Null",
-		Transport:     "mem",
-		Profile:       prof.Name,
-		Replicas:      opts.Replicas,
+	res := ClusterCell{
 		Hedged:        hedged,
-		Threads:       opts.Threads,
+		Replicas:      clusterReplicas,
+		Threads:       clusterThreads,
 		N:             n,
 		NsPerOp:       lat.Mean() * 1e3, // Sample reports µs
 		P99Us:         lat.Percentile(99),

@@ -19,7 +19,7 @@ func TestHedgedTailImprovement(t *testing.T) {
 	if len(results) != 2 {
 		t.Fatalf("got %d results, want 2", len(results))
 	}
-	var unhedged, hedged Result
+	var unhedged, hedged ClusterCell
 	for _, r := range results {
 		if r.Hedged {
 			hedged = r
@@ -27,7 +27,7 @@ func TestHedgedTailImprovement(t *testing.T) {
 			unhedged = r
 		}
 	}
-	for _, r := range []Result{unhedged, hedged} {
+	for _, r := range []ClusterCell{unhedged, hedged} {
 		if r.N == 0 || r.NsPerOp <= 0 || r.P99Us <= 0 || r.CallsPerSec <= 0 {
 			t.Fatalf("degenerate cell: %+v", r)
 		}

@@ -1,62 +1,26 @@
-// Package realbench benchmarks the real (non-simulated) RPC stack: the
+// Package realbench measures the real (non-simulated) RPC stack: the
 // modern-hardware analogue of the paper's Table I, run over the in-process
-// exchange and real UDP loopback instead of the Firefly's Ethernet.
+// exchange and loopback UDP/TCP instead of the Firefly's Ethernet.
 //
-// Each case drives Null, MaxArg (1440-byte VAR IN argument), or MaxResult
-// (1440-byte VAR OUT result) from a fixed number of caller threads, one
-// Client (activity) per thread as on the Firefly, and reports latency,
-// allocation, and throughput figures via the standard testing.Benchmark
-// machinery so the numbers are directly comparable to `go test -bench`.
+// The Table I matrix itself is BenchmarkStack (stack_test.go): Null,
+// MaxArg (1440-byte VAR IN argument) and MaxResult (1440-byte VAR OUT
+// result) from 1–8 caller threads, one Client (activity) per thread as on
+// the Firefly, plus async fan-out rows, measured with the standard
+// `go test -bench` machinery. The exported functions here are the
+// self-relative comparisons and sweeps built on the same node pairs: the
+// batched-datapath speedup, the stage breakdown, the tracing overhead, the
+// chained-call spans, and the loss, overload and hedging sweeps.
 package realbench
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
-	"io"
-	"os"
-	"sync"
-	"testing"
-	"time"
 
 	"fireflyrpc/internal/core"
-	"fireflyrpc/internal/faultnet"
 	"fireflyrpc/internal/marshal"
 	"fireflyrpc/internal/proto"
 	"fireflyrpc/internal/testsvc"
 	"fireflyrpc/internal/transport"
 )
-
-// payloadBytes is the single-packet payload used by MaxArg and MaxResult.
-const payloadBytes = 1440
-
-// Result is one benchmark case.
-type Result struct {
-	Bench         string  `json:"bench"`              // Null | MaxArg | MaxResult
-	Transport     string  `json:"transport"`          // mem | udp | tcp
-	Profile       string  `json:"profile,omitempty"`  // faultnet profile name; empty = clean link
-	Batch         bool    `json:"batch,omitempty"`    // batched UDP datapath (sendmmsg/GSO)
-	Traced        bool    `json:"traced,omitempty"`   // stage tracing enabled on both Conns
-	Replicas      int     `json:"replicas,omitempty"` // replica-set size for cluster cells; 0 = point-to-point
-	Hedged        bool    `json:"hedged,omitempty"`   // cluster cell ran with hedged requests enabled
-	Threads       int     `json:"threads"`
-	Outstanding   int     `json:"outstanding,omitempty"` // async calls in flight per thread; 0 = blocking
-	N             int     `json:"n"`                     // calls measured
-	NsPerOp       float64 `json:"ns_per_op"`
-	AllocsPerOp   int64   `json:"allocs_per_op"`
-	BytesPerOp    int64   `json:"bytes_per_op"`
-	CallsPerSec   float64 `json:"calls_per_sec"`
-	MbitPerSec    float64 `json:"mbit_per_sec,omitempty"`    // payload throughput
-	P99Us         float64 `json:"p99_us,omitempty"`          // tail latency (cluster cells)
-	IssuedPerCall float64 `json:"issued_per_call,omitempty"` // wire calls per logical call (cluster cells; >1 = hedging overhead)
-}
-
-// Suite is the full run, serialized to BENCH_realstack.json.
-type Suite struct {
-	Generated string   `json:"generated"`
-	Note      string   `json:"note"`
-	Results   []Result `json:"results"`
-}
 
 // impl is the benchmark server: procedures do minimal work so the stack,
 // not the service, is measured.
@@ -88,11 +52,8 @@ type benchPair struct {
 
 // trOpts selects the caller/server transport flavor for one cell.
 type trOpts struct {
-	overUDP  bool
-	batch    bool   // batched UDP engine (ListenUDPBatch) instead of per-frame
-	recvMode string // batched engine receive mode ("" = park)
-	kind     string // "tcp" = multiplexed TCP streams instead of UDP sockets
-	traced   bool   // enable stage tracing on both Conns (production posture)
+	kind   string // "" = in-process exchange; "udp", "udpbatch" (batched engine) or "tcp" over loopback
+	traced bool   // enable stage tracing on both Conns (production posture)
 }
 
 // The tracing posture traced cells run under: the production always-on
@@ -104,28 +65,26 @@ const (
 	traceRingSize = 4096
 )
 
-// pair builds a caller/server node pair over the requested transport.
-// When prof is non-nil the caller's transport is wrapped in a faultnet
-// impairer, so the cell measures the stack under that profile.
-// It returns an error (rather than failing) when UDP loopback is
+// pair builds a caller/server node pair over the requested transport. It
+// returns an error (rather than failing) when loopback sockets are
 // unavailable, so sandboxed environments just skip those cases.
-func pair(to trOpts, workers int, prof *faultnet.Profile, seed uint64) (*benchPair, func(), error) {
+func pair(to trOpts, workers int) (*benchPair, func(), error) {
 	cfg := proto.DefaultConfig()
 	if workers > cfg.Workers {
 		cfg.Workers = workers
 	}
 	listen := func() (transport.Transport, error) {
-		switch {
-		case to.kind == "tcp":
+		switch to.kind {
+		case "tcp":
 			return transport.ListenTCP("127.0.0.1:0", transport.TCPOptions{})
-		case to.batch:
-			return transport.ListenUDPBatch("127.0.0.1:0", transport.UDPOptions{RecvMode: to.recvMode})
+		case "udpbatch":
+			return transport.ListenUDPBatch("127.0.0.1:0", transport.UDPOptions{})
 		default:
 			return transport.ListenUDP("127.0.0.1:0")
 		}
 	}
 	var callerTr, serverTr transport.Transport
-	if to.overUDP {
+	if to.kind != "" {
 		var err error
 		serverTr, err = listen()
 		if err != nil {
@@ -141,9 +100,6 @@ func pair(to trOpts, workers int, prof *faultnet.Profile, seed uint64) (*benchPa
 		serverTr = ex.Port("server")
 		callerTr = ex.Port("caller")
 	}
-	if prof != nil {
-		callerTr = faultnet.Wrap(callerTr, *prof, seed)
-	}
 	server := core.NewNode(serverTr, cfg)
 	caller := core.NewNode(callerTr, cfg)
 	if to.traced {
@@ -156,322 +112,28 @@ func pair(to trOpts, workers int, prof *faultnet.Profile, seed uint64) (*benchPa
 	return p, func() { caller.Close(); server.Close() }, nil
 }
 
-// callFunc runs one call on a per-thread client with a per-thread buffer.
-type callFunc func(cl *testsvc.TestClient, buf []byte) error
-
-var cases = []struct {
-	name  string
-	bytes int // payload bytes moved per call, for Mb/s
-	call  callFunc
-}{
-	{"Null", 0, func(cl *testsvc.TestClient, _ []byte) error { return cl.Null() }},
-	{"MaxArg", payloadBytes, func(cl *testsvc.TestClient, buf []byte) error { return cl.MaxArg(buf) }},
-	{"MaxResult", payloadBytes, func(cl *testsvc.TestClient, buf []byte) error { return cl.MaxResult(buf) }},
-}
-
-// runCase measures one (bench, transport, threads) cell. The b.N calls are
-// split across exactly `threads` caller goroutines, each with its own
-// Client, mirroring the paper's caller-thread scaling rather than
-// RunParallel's GOMAXPROCS-coupled parallelism.
-func runCase(to trOpts, call callFunc, threads int, prof *faultnet.Profile, seed uint64) (testing.BenchmarkResult, error) {
-	p, done, err := pair(to, 2*threads, prof, seed)
-	if err != nil {
-		return testing.BenchmarkResult{}, err
-	}
-	defer done()
-	binding := p.binding
-
-	var failure error
-	var failMu sync.Mutex
-	r := testing.Benchmark(func(b *testing.B) {
-		clients := make([]*testsvc.TestClient, threads)
-		for i := range clients {
-			clients[i] = testsvc.NewTestClient(binding)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		var wg sync.WaitGroup
-		for t := 0; t < threads; t++ {
-			n := b.N / threads
-			if t < b.N%threads {
-				n++
+// fanout makes n async calls to proc through cl, width at a time: issue a
+// window of calls through Client.Go, then await them all. dec decodes each
+// result (nil when the procedure returns nothing); pend is scratch space
+// whose capacity should be width, so steady state does not allocate.
+func fanout(cl *core.Client, proc uint16, n, width int, dec func(*marshal.Dec), pend []*core.Pending) error {
+	ctx := context.Background()
+	for n > 0 {
+		w := min(width, n)
+		pend = pend[:0]
+		for j := 0; j < w; j++ {
+			pd, err := cl.Go(ctx, proc, 0, nil)
+			if err != nil {
+				return err
 			}
-			wg.Add(1)
-			go func(cl *testsvc.TestClient, n int) {
-				defer wg.Done()
-				buf := make([]byte, payloadBytes)
-				for i := 0; i < n; i++ {
-					if err := call(cl, buf); err != nil {
-						failMu.Lock()
-						failure = err
-						failMu.Unlock()
-						return
-					}
-				}
-			}(clients[t], n)
+			pend = append(pend, pd)
 		}
-		wg.Wait()
-	})
-	return r, failure
-}
-
-// asyncCall issues one async call on a pooled slot; the procedure is Null
-// for latency-shaped cases and MaxResult for throughput-shaped ones.
-type asyncCall func(cl *core.Client, ctx context.Context) (*core.Pending, error)
-
-var asyncCases = []struct {
-	name  string
-	bytes int
-	start asyncCall
-	// mkDec builds the per-run result decoder over a reusable buffer
-	// (nil when the procedure returns nothing).
-	mkDec func(buf []byte) func(*marshal.Dec)
-}{
-	{"Null", 0, func(cl *core.Client, ctx context.Context) (*core.Pending, error) {
-		return cl.Go(ctx, testsvc.TestProcNull, 0, nil)
-	}, nil},
-	{"MaxResult", payloadBytes, func(cl *core.Client, ctx context.Context) (*core.Pending, error) {
-		return cl.Go(ctx, testsvc.TestProcMaxResult, 0, nil)
-	}, func(buf []byte) func(*marshal.Dec) {
-		return func(d *marshal.Dec) { d.FixedBytes(buf) }
-	}},
-}
-
-// runAsyncCase measures the asynchronous fan-out path: one caller
-// goroutine keeps `outstanding` calls in flight through Client.Go/Await,
-// so the cell reports per-call cost when the engine — not a goroutine per
-// call — carries the in-flight state.
-func runAsyncCase(to trOpts, ac asyncCall, mkDec func([]byte) func(*marshal.Dec), outstanding int, prof *faultnet.Profile, seed uint64) (testing.BenchmarkResult, error) {
-	p, done, err := pair(to, 8, prof, seed)
-	if err != nil {
-		return testing.BenchmarkResult{}, err
-	}
-	defer done()
-	binding := p.binding
-
-	var failure error
-	r := testing.Benchmark(func(b *testing.B) {
-		cl := binding.NewClient()
-		ctx := context.Background()
-		pend := make([]*core.Pending, 0, outstanding)
-		var dec func(*marshal.Dec)
-		if mkDec != nil {
-			dec = mkDec(make([]byte, payloadBytes))
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; {
-			batch := outstanding
-			if b.N-i < batch {
-				batch = b.N - i
-			}
-			pend = pend[:0]
-			for j := 0; j < batch; j++ {
-				p, err := ac(cl, ctx)
-				if err != nil {
-					failure = err
-					return
-				}
-				pend = append(pend, p)
-			}
-			for _, p := range pend {
-				if err := p.Await(ctx, dec); err != nil {
-					failure = err
-					return
-				}
-			}
-			i += batch
-		}
-	})
-	return r, failure
-}
-
-// Options configures a suite run.
-type Options struct {
-	Threads     []int     // caller-thread counts; default 1,2,4,8
-	Outstanding []int     // async fan-out widths; default 1,8,64
-	Cases       []string  // case names (Null, MaxArg, MaxResult); empty = all
-	MemOnly     bool      // skip the UDP loopback transport
-	Log         io.Writer // progress output; nil for quiet
-
-	// Transport restricts the run to one transport: "exchange" (or "mem"),
-	// "udp", "udpbatch" (the batched UDP engine, tagged like Batch), or
-	// "tcp" (multiplexed streams). Empty keeps the default mem+udp sweep.
-	// The transport name is part of every cell's identity, so e.g. tcp
-	// results diff only against tcp baselines.
-	Transport string
-
-	// Profile, when non-nil, wraps every caller transport in a faultnet
-	// impairer; each Result is tagged with the profile name so impaired
-	// cells never diff against a clean baseline.
-	Profile   *faultnet.Profile
-	FaultSeed uint64 // impairment schedule seed; default 1
-
-	// Batch runs the UDP cells over the batched datapath (ListenUDPBatch:
-	// sendmmsg/recvmmsg, GSO/GRO, plus the protocol send queue). Results
-	// are tagged batch=true, which diffs under the @batch cell namespace —
-	// batched cells never compare against per-frame ones. Mem cells are
-	// unaffected.
-	Batch bool
-	// RecvMode selects the batched engine's receive loop
-	// (transport.RecvModePark or RecvModeSpin); empty = park.
-	RecvMode string
-
-	// Trace enables stage tracing on both Conns in every cell, at the
-	// production always-on posture (1-in-64 sampling). Results are tagged
-	// traced=true and diff under the @trace cell namespace, so the cost of
-	// tracing is gated against a traced baseline — never against the
-	// tracing-off cells.
-	Trace bool
-}
-
-// wantCase reports whether name passed the Options.Cases filter.
-func (o *Options) wantCase(name string) bool {
-	if len(o.Cases) == 0 {
-		return true
-	}
-	for _, c := range o.Cases {
-		if c == name {
-			return true
-		}
-	}
-	return false
-}
-
-// Run executes the full real-stack suite and returns it.
-func Run(opts Options) Suite {
-	threads := opts.Threads
-	if len(threads) == 0 {
-		threads = []int{1, 2, 4, 8}
-	}
-	logf := func(format string, a ...any) {
-		if opts.Log != nil {
-			fmt.Fprintf(opts.Log, format, a...)
-		}
-	}
-	outstanding := opts.Outstanding
-	if len(outstanding) == 0 {
-		outstanding = []int{1, 8, 64}
-	}
-	seed := opts.FaultSeed
-	if seed == 0 {
-		seed = 1
-	}
-	profName := ""
-	if opts.Profile != nil {
-		profName = opts.Profile.Name
-		if profName == "" {
-			profName = "custom"
-		}
-	}
-	suite := Suite{
-		Generated: time.Now().UTC().Format(time.RFC3339),
-		Note: "Real-stack Table I analogue: Null/MaxArg/MaxResult over the " +
-			"in-process exchange (mem), UDP loopback (udp), and multiplexed " +
-			"TCP loopback (tcp), one client activity per caller thread. " +
-			"Async cells keep N calls in flight from one goroutine via " +
-			"Client.Go/Await.",
-	}
-	type trSel struct {
-		name    string
-		overUDP bool
-		kind    string
-		batch   bool
-	}
-	var transports []trSel
-	switch opts.Transport {
-	case "":
-		transports = []trSel{{name: "mem"}, {name: "udp", overUDP: true, batch: opts.Batch}}
-		if opts.MemOnly {
-			transports = transports[:1]
-		}
-	case "mem", "exchange":
-		transports = []trSel{{name: "mem"}}
-	case "udp":
-		transports = []trSel{{name: "udp", overUDP: true, batch: opts.Batch}}
-	case "udpbatch":
-		transports = []trSel{{name: "udp", overUDP: true, batch: true}}
-	case "tcp":
-		transports = []trSel{{name: "tcp", overUDP: true, kind: "tcp"}}
-	default:
-		logf("  unknown transport %q (want exchange, udp, udpbatch, or tcp)\n", opts.Transport)
-		return suite
-	}
-	for _, tr := range transports {
-		to := trOpts{overUDP: tr.overUDP, batch: tr.batch, recvMode: opts.RecvMode, kind: tr.kind, traced: opts.Trace}
-		for _, c := range cases {
-			if !opts.wantCase(c.name) {
-				continue
-			}
-			for _, th := range threads {
-				br, err := runCase(to, c.call, th, opts.Profile, seed)
-				if err != nil {
-					logf("  %-9s %-3s %d threads: skipped (%v)\n", c.name, tr.name, th, err)
-					continue
-				}
-				res := Result{
-					Bench:       c.name,
-					Transport:   tr.name,
-					Profile:     profName,
-					Batch:       to.batch,
-					Traced:      to.traced,
-					Threads:     th,
-					N:           br.N,
-					NsPerOp:     float64(br.NsPerOp()),
-					AllocsPerOp: br.AllocsPerOp(),
-					BytesPerOp:  br.AllocedBytesPerOp(),
-				}
-				if res.NsPerOp > 0 {
-					res.CallsPerSec = 1e9 / res.NsPerOp
-					res.MbitPerSec = res.CallsPerSec * float64(c.bytes) * 8 / 1e6
-				}
-				suite.Results = append(suite.Results, res)
-				logf("  %-9s %-3s %d threads: %8.0f ns/op  %3d allocs/op  %9.0f calls/s\n",
-					c.name, tr.name, th, res.NsPerOp, res.AllocsPerOp, res.CallsPerSec)
+		for _, pd := range pend {
+			if err := pd.Await(ctx, dec); err != nil {
+				return err
 			}
 		}
-		for _, c := range asyncCases {
-			if !opts.wantCase(c.name) {
-				continue
-			}
-			for _, out := range outstanding {
-				br, err := runAsyncCase(to, c.start, c.mkDec, out, opts.Profile, seed)
-				if err != nil {
-					logf("  %-9s %-3s async %2d outstanding: skipped (%v)\n", c.name, tr.name, out, err)
-					continue
-				}
-				res := Result{
-					Bench:       c.name + "Async",
-					Transport:   tr.name,
-					Profile:     profName,
-					Batch:       to.batch,
-					Traced:      to.traced,
-					Threads:     1,
-					Outstanding: out,
-					N:           br.N,
-					NsPerOp:     float64(br.NsPerOp()),
-					AllocsPerOp: br.AllocsPerOp(),
-					BytesPerOp:  br.AllocedBytesPerOp(),
-				}
-				if res.NsPerOp > 0 {
-					res.CallsPerSec = 1e9 / res.NsPerOp
-					res.MbitPerSec = res.CallsPerSec * float64(c.bytes) * 8 / 1e6
-				}
-				suite.Results = append(suite.Results, res)
-				logf("  %-9s %-3s async %2d outstanding: %8.0f ns/op  %3d allocs/op  %9.0f calls/s\n",
-					c.name, tr.name, out, res.NsPerOp, res.AllocsPerOp, res.CallsPerSec)
-			}
-		}
+		n -= w
 	}
-	return suite
-}
-
-// WriteJSON writes the suite to path.
-func (s Suite) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	return os.WriteFile(path, data, 0o644)
+	return nil
 }

@@ -1,5 +1,5 @@
 // Tail-latency and overload sweeps: the chaos-engineering counterpart of
-// the Table I cells. Where realbench.Run measures the clean fast path,
+// the Table I cells. Where BenchmarkStack measures the clean fast path,
 // TailSweep measures the latency *distribution* under injected loss — the
 // paper's retransmission machinery priced in percentiles — and
 // OverloadSweep measures goodput at 2× saturation under each admission

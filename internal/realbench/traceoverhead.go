@@ -1,7 +1,6 @@
 package realbench
 
 import (
-	"context"
 	"time"
 
 	"fireflyrpc/internal/core"
@@ -45,7 +44,7 @@ type traceSideState struct {
 }
 
 func newTraceSide(traced bool, outstanding int) (*traceSideState, error) {
-	p, done, err := pair(trOpts{traced: traced}, 8, nil, 0)
+	p, done, err := pair(trOpts{traced: traced}, 8)
 	if err != nil {
 		return nil, err
 	}
@@ -54,28 +53,7 @@ func newTraceSide(traced bool, outstanding int) (*traceSideState, error) {
 
 // round drives n async Null calls at the side's fan-out width.
 func (s *traceSideState) round(n, outstanding int) error {
-	ctx := context.Background()
-	for n > 0 {
-		b := outstanding
-		if n < b {
-			b = n
-		}
-		s.pend = s.pend[:0]
-		for j := 0; j < b; j++ {
-			pd, err := s.cl.Go(ctx, testsvc.TestProcNull, 0, nil)
-			if err != nil {
-				return err
-			}
-			s.pend = append(s.pend, pd)
-		}
-		for _, pd := range s.pend {
-			if err := pd.Await(ctx, nil); err != nil {
-				return err
-			}
-		}
-		n -= b
-	}
-	return nil
+	return fanout(s.cl, testsvc.TestProcNull, n, outstanding, nil, s.pend)
 }
 
 // TraceOverhead measures the tracing-on/off async Null ratio over the

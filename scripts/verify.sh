@@ -1,13 +1,14 @@
 #!/bin/sh
-# Tier-1 verification: build, vet (examples and commands included via ./...),
-# full test suite, then the race-detector pass over the packages with
+# Tier-1 verification: build, vet (examples and commands included via ./...,
+# plus the perfbench module, which ./... does not reach), full test suite, then the race-detector pass over the packages with
 # lock-sharded concurrent fast paths — proto carries the per-peer channel
 # map, central retransmission engine, and the stage-trace ring, so its
 # channel/cancellation/trace tests run under -race here. One step pins every
 # allocation budget (a blocking Null costs exactly one allocation, Client.Go/
 # Await no more per call, the observability machinery adds nothing while
-# tracing is disabled, and the flight recorder records an anomaly in steady
-# state without allocating). The final steps run the chaos smoke:
+# tracing is disabled, the flight recorder records an anomaly in steady
+# state without allocating, and Null over every real-stack transport —
+# traced exchange, udp, udpbatch, tcp — stays at its pinned per-call count). The final steps run the chaos smoke:
 # faultnet/overload under -race plus one tail-table cell asserting that
 # injected loss inflates p99 without failing calls and that the same seed
 # reproduces the same impairment schedule. The batched-datapath steps run
@@ -73,13 +74,13 @@ run() {
 }
 
 run "build" go build ./...
-run "vet" go vet ./...
+run "vet" sh -c 'go vet ./... && go -C perfbench vet ./...'
 run "runbook validation" go run ./cmd/fireflysim -validate runbooks/*.json
 run "tests" go test ./...
 run "race: proto + core" go test -race ./internal/proto ./internal/core
 run "race: cancellation + leak stress" go test -race -run 'TestLossyAsyncStressNoLeaks|TestCancel' ./internal/proto
 run "race: live sim inspection" go test -race -run 'TestInspectConcurrentWithRun|TestSimSurfaceLive' ./internal/sim ./internal/debughttp
-run "alloc budgets" go test -count=1 -run 'TestNullAllocBudget|TestAsyncNullAllocBudget|TestTraceDisabledAllocBudget|TestFlightRecorderAllocBudget' . ./internal/proto
+run "alloc budgets" go test -count=1 -run 'TestNullAllocBudget|TestAsyncNullAllocBudget|TestTraceDisabledAllocBudget|TestFlightRecorderAllocBudget|TestStackAllocBudgets' . ./internal/proto ./internal/realbench
 run "sim determinism: trace + timings" go test -run 'TestTraceDeterminism|TestTracerDoesNotPerturb' -count=1 ./internal/sim ./internal/simtrace
 run "runbook determinism + policy gate" go test -run 'TestRunbookDeterminism|TestOverloadRunbookPolicyFlip' -count=1 ./internal/runbook
 run "chaos smoke: faultnet + overload race" go test -race ./internal/faultnet ./internal/overload
