@@ -210,22 +210,12 @@ func (c *Conn) StartCall(ctx context.Context, dst transport.Addr, activity uint6
 		extra = wire.TraceCtxLen
 	}
 
-	// Single-packet calls — the fast path — skip the fragmentation helper
-	// and its slice allocation entirely.
+	// Fragments are sliced out of args as they are sent; nothing is copied
+	// or collected up front.
 	maxP := c.maxPayload()
-	nfrags := 1
-	var frags [][]byte
-	if len(args)+extra > maxP {
-		if extra > 0 {
-			frags = append(frags, args[:maxP-extra])
-			frags = append(frags, fragment(args[maxP-extra:], maxP)...)
-		} else {
-			frags = fragment(args, maxP)
-		}
-		if len(frags) > maxFragments {
-			return ErrTooLarge
-		}
-		nfrags = len(frags)
+	nfrags := fragCount(len(args), maxP-extra, maxP)
+	if nfrags > maxFragments {
+		return ErrTooLarge
 	}
 
 	// The call's absolute deadline: the earlier of Config.CallTimeout and
@@ -340,7 +330,7 @@ func (c *Conn) StartCall(ctx context.Context, dst transport.Addr, activity uint6
 	// referenced until the pump exits, which Await waits for.
 	pump := make(chan struct{})
 	p.pump = pump
-	go c.pumpCall(oc, ch, k, hdr, last, tc, frags, iv, deadline, pump)
+	go c.pumpCall(oc, ch, k, hdr, last, tc, args, maxP-extra, iv, deadline, pump)
 	return nil
 }
 
@@ -349,6 +339,10 @@ func (c *Conn) StartCall(ctx context.Context, dst transport.Addr, activity uint6
 func (c *Conn) armRetrans(oc *outCall, k callKey, frame *buffer.Frame, sent time.Time, iv time.Duration, deadline time.Time) {
 	oc.mu.Lock()
 	if oc.finished || oc.key != k {
+		if oc.key == k {
+			// The result beat us here; Await still times the call from sent.
+			oc.sentAt = sent
+		}
 		oc.mu.Unlock()
 		frame.Release()
 		return
@@ -367,18 +361,21 @@ func (c *Conn) armRetrans(oc *outCall, k callKey, frame *buffer.Frame, sent time
 
 // pumpCall drives a multi-fragment call's stop-and-wait sends off the
 // caller's goroutine, then arms the retransmission engine for the final
-// fragment, last. It exits promptly if the call completes or is cancelled
-// mid-stream (sendFragWithAck watches oc.done).
+// fragment, last. Fragment 0 carries the first `first` bytes of args and
+// every later one up to maxPayload. It exits promptly if the call completes
+// or is cancelled mid-stream (sendFragWithAck watches oc.done).
 func (c *Conn) pumpCall(oc *outCall, ch *channel, k callKey, hdr, last wire.RPCHeader, tc wire.TraceCtx,
-	frags [][]byte, iv time.Duration, deadline time.Time, pump chan struct{}) {
+	args []byte, first int, iv time.Duration, deadline time.Time, pump chan struct{}) {
 	defer close(pump)
-	nfrags := len(frags)
-	for i := 0; i < nfrags-1; i++ {
+	n, maxP := first, c.maxPayload()
+	for i := uint16(0); i < last.FragIndex; i++ {
 		h := hdr
-		h.FragIndex = uint16(i)
+		h.FragIndex = i
 		h.Flags |= wire.FlagPleaseAck
-		f := c.newFrame(h, tc, frags[i])
-		err := c.sendFragWithAck(oc, k, f, uint16(i), deadline)
+		f := c.newFrame(h, tc, args[:n])
+		args = args[n:]
+		n = maxP
+		err := c.sendFragWithAck(oc, k, f, i, deadline)
 		f.Release()
 		if err != nil {
 			oc.finish(k, nil, err)
@@ -388,7 +385,7 @@ func (c *Conn) pumpCall(oc *outCall, ch *channel, k callKey, hdr, last wire.RPCH
 	oc.mu.Lock()
 	rec := oc.trace
 	oc.mu.Unlock()
-	frame := c.newFrame(last, tc, frags[nfrags-1])
+	frame := c.newFrame(last, tc, args)
 	sent := time.Now()
 	if err := c.send(ch.peer, frame.Bytes()); err != nil {
 		frame.Release()

@@ -189,7 +189,6 @@ func (c *Conn) evictChannel(ch *channel) {
 			act.lastResultFrame.Release()
 			act.lastResultFrame = nil
 		}
-		act.frags = nil
 		act.argBuf = nil
 	}
 	ch.acts = make(map[uint64]*serverAct)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -325,61 +326,113 @@ func TestCancelMidExecution(t *testing.T) {
 }
 
 // TestCancelMidReassembly delivers only the first fragment of a two-packet
-// call, then the caller's cancel notice: the server must drop the partial
-// reassembly state rather than waiting forever for the rest.
+// call, then the caller's cancel notice: the server must give up the partial
+// reassembly rather than waiting forever for the rest, keep the emptied
+// buffer for the activity's next call, which reuses it, and drop it when the
+// channel is evicted.
 func TestCancelMidReassembly(t *testing.T) {
 	ex := transport.NewExchange()
-	_, server, _ := pair(t, ex, fastCfg(), echoHandler)
+	argsBase := make(chan *byte, 1)
+	server := NewConn(ex.Port("server"), fastCfg(), func(_ transport.Addr, _ wire.TraceCtx, _ uint32, _ uint16, args []byte) ([]byte, error) {
+		argsBase <- &args[0]
+		return nil, nil
+	})
+	t.Cleanup(func() { server.Close() })
 
-	const activity, seq = 424242, 7
-	frag0 := buildFrame(wire.RPCHeader{
-		Type: wire.TypeCall, Activity: activity, Seq: seq,
-		FragIndex: 0, FragCount: 2, Interface: 1, Proc: 1,
-		Flags: wire.FlagPleaseAck,
-	}, []byte("first half"))
-	if err := ex.SendFrom("caller", "server", frag0); err != nil {
-		t.Fatal(err)
-	}
-	srcAddr := transport.AddrOf("caller")
-	waitCondition(t, 2*time.Second, func() error {
-		ch := server.lookupChannel(srcAddr)
-		if ch == nil {
-			return errors.New("server has no channel for the caller yet")
+	const activity = 424242
+	frag := func(seq uint32, idx uint16, payload string) {
+		t.Helper()
+		h := wire.RPCHeader{
+			Type: wire.TypeCall, Activity: activity, Seq: seq,
+			FragIndex: idx, FragCount: 2, Interface: 1, Proc: 1,
+			Flags: wire.FlagPleaseAck,
 		}
-		ch.actsMu.Lock()
-		defer ch.actsMu.Unlock()
-		act := ch.acts[activity]
-		if act == nil || act.frags == nil {
-			return errors.New("no reassembly state yet")
+		if idx == 1 {
+			h.Flags = wire.FlagLastFrag
+		}
+		if err := ex.SendFrom("caller", "server", buildFrame(h, []byte(payload))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// inspect runs f on the activity under the channel lock once it exists.
+	srcAddr := transport.AddrOf("caller")
+	inspect := func(f func(act *serverAct) error) {
+		t.Helper()
+		waitCondition(t, 2*time.Second, func() error {
+			ch := server.lookupChannel(srcAddr)
+			if ch == nil {
+				return errors.New("server has no channel for the caller yet")
+			}
+			ch.actsMu.Lock()
+			defer ch.actsMu.Unlock()
+			act := ch.acts[activity]
+			if act == nil {
+				return errors.New("no activity yet")
+			}
+			return f(act)
+		})
+	}
+
+	first := strings.Repeat("first half", 4) // more than all of the next call
+	frag(7, 0, first)
+	inspect(func(act *serverAct) error {
+		if act.next != 1 || string(act.argBuf) != first {
+			return fmt.Errorf("reassembly state next=%d buf=%q, want 1 and the first fragment", act.next, act.argBuf)
 		}
 		return nil
 	})
 
 	cancelFrame := buildFrame(wire.RPCHeader{
-		Type: wire.TypeCancel, Activity: activity, Seq: seq, FragCount: 1,
+		Type: wire.TypeCancel, Activity: activity, Seq: 7, FragCount: 1,
 	}, nil)
 	if err := ex.SendFrom("caller", "server", cancelFrame); err != nil {
 		t.Fatal(err)
 	}
-	waitCondition(t, 2*time.Second, func() error {
+	var partial *byte
+	inspect(func(act *serverAct) error {
 		if server.Stats().Cancels == 0 {
 			return errors.New("cancel not observed")
 		}
-		ch := server.lookupChannel(srcAddr)
-		ch.actsMu.Lock()
-		defer ch.actsMu.Unlock()
-		act := ch.acts[activity]
-		if act == nil {
-			return errors.New("activity vanished")
-		}
-		if act.frags != nil {
-			return errors.New("partial reassembly state still held")
-		}
-		if !act.abandoned {
+		if !act.abandoned || act.phase != phaseDone {
 			return errors.New("activity not marked abandoned")
 		}
+		if len(act.argBuf) != 0 || cap(act.argBuf) == 0 {
+			return fmt.Errorf("partial buffer not emptied and kept: len %d cap %d", len(act.argBuf), cap(act.argBuf))
+		}
+		partial = &act.argBuf[:1][0]
 		return nil
 	})
+
+	// The activity's next call reassembles into the same buffer.
+	frag(8, 0, "other half")
+	frag(8, 1, "and a tail")
+	select {
+	case got := <-argsBase:
+		if got != partial {
+			t.Fatal("next call did not reuse the cancelled call's buffer")
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("next call never executed")
+	}
+	var act *serverAct
+	inspect(func(a *serverAct) error {
+		if a.phase != phaseDone || a.argBuf == nil {
+			return errors.New("buffer not yet returned by the worker")
+		}
+		act = a
+		return nil
+	})
+	if n := server.Stats().CallsServed; n != 1 {
+		t.Fatalf("%d calls served, want 1 (the cancelled call must not run)", n)
+	}
+	ch := server.lookupChannel(srcAddr)
+	server.evictChannel(ch)
+	ch.actsMu.Lock()
+	held := act.argBuf != nil
+	ch.actsMu.Unlock()
+	if held {
+		t.Fatal("eviction kept the activity's argument buffer")
+	}
 }
 
 // TestIdlePeerEviction checks that a quiet peer's channel — call table,

@@ -308,15 +308,13 @@ type Conn struct {
 	flight flightRecorder
 }
 
-// execReq hands one complete call to a server worker. The fragment data is
-// snapshotted here when the call completes reassembly, so workers never
-// touch shared maps: args holds a single-packet call's payload, frags a
-// multi-packet call's pieces (joined by the worker, outside any lock).
+// execReq hands one complete call to a server worker. args is the whole
+// reassembled argument message, which the worker owns until it returns the
+// buffer to the activity for the next call.
 type execReq struct {
-	act   *serverAct
-	hdr   wire.RPCHeader
-	args  []byte
-	frags map[uint16][]byte
+	act  *serverAct
+	hdr  wire.RPCHeader
+	args []byte
 	// trace carries the server-side stage record for a FlagTraced call
 	// through the dispatch queue to the worker; nil when not traced.
 	trace *traceRec
@@ -373,8 +371,11 @@ type outCall struct {
 	heapIdx int
 	inHeap  bool
 
-	resBuf   []byte            // caller-provided result space (may be nil)
-	resFrags map[uint16][]byte // lazy: only multi-fragment results
+	// resBuf is the caller-provided result space (may be nil), which the
+	// result's fragments are appended to in order; resNext is the next
+	// fragment index expected and resCount the first fragment's FragCount.
+	resBuf   []byte
+	resNext  uint16
 	resCount uint16
 	result   []byte
 	err      error
@@ -404,7 +405,7 @@ func getOutCall(k callKey, dst transport.Addr, resBuf []byte) *outCall {
 	oc.key = k
 	oc.dst = dst
 	oc.resBuf = resBuf
-	oc.resFrags = nil
+	oc.resNext = 0
 	oc.resCount = 0
 	oc.result = nil
 	oc.err = nil
@@ -434,7 +435,6 @@ func putOutCall(oc *outCall) {
 	oc.mu.Lock()
 	oc.dst = nil
 	oc.resBuf = nil
-	oc.resFrags = nil
 	oc.result = nil
 	oc.frame = nil
 	oc.trace = nil
@@ -453,16 +453,16 @@ type serverAct struct {
 	lastSeq   uint32
 	phase     int // receiving, executing, done
 	abandoned bool
-	// argBuf is the recycled single-packet argument buffer: each new call
-	// takes it (or allocates if an overlapping execution still owns it) and
-	// the worker returns it when done, so steady-state calls do not
-	// allocate for arguments.
+	// argBuf is the recycled argument buffer. While a call is being
+	// received its fragments are appended to it in order (next is the index
+	// expected, count the call's FragCount); the complete call hands it to
+	// the worker, which returns it when done, so steady-state calls of any
+	// size do not allocate for arguments. If an overlapping execution still
+	// owns it, the new call allocates its own.
 	argBuf []byte
-	// frags holds a multi-packet call under reassembly; nil on the
-	// single-packet fast path.
-	frags map[uint16][]byte
-	count uint16
-	hdr   wire.RPCHeader
+	next   uint16
+	count  uint16
+	hdr    wire.RPCHeader
 	// tc is the current call's trace context, parsed from fragment 0's
 	// FlagTraceCtx prefix; zero for untraced calls and legacy peers.
 	tc    wire.TraceCtx
@@ -699,21 +699,27 @@ func (oc *outCall) finishLocked(k callKey, result []byte, err error) {
 // maxPayload is the per-fragment payload budget.
 func (c *Conn) maxPayload() int { return c.tr.MaxFrame() - wire.RPCHeaderLen }
 
-// fragment splits a message, returning at least one (possibly empty) part.
-func fragment(msg []byte, max int) [][]byte {
-	if len(msg) == 0 {
-		return [][]byte{nil}
+// fragCount is the number of fragments an n-byte message travels in when
+// fragment 0 carries up to first bytes and every later one up to maxP. A
+// sender slices fragment i straight out of the message: every fragment but
+// the last is full.
+func fragCount(n, first, maxP int) int {
+	if n <= first {
+		return 1
 	}
-	var out [][]byte
-	for len(msg) > 0 {
-		n := len(msg)
-		if n > max {
-			n = max
+	return 1 + (n-first+maxP-1)/maxP
+}
+
+// rearm stops t, drains a fire nobody received, and resets it to d, so one
+// timer serves every stop-and-wait fragment of a message.
+func rearm(t *time.Timer, d time.Duration) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
 		}
-		out = append(out, msg[:n])
-		msg = msg[n:]
 	}
-	return out
+	t.Reset(d)
 }
 
 // newFrame assembles header+payload into a pooled frame. Fragment 0 of a

@@ -172,17 +172,20 @@ func TestLossRecovery(t *testing.T) {
 	}
 }
 
+// TestLossyFragmentedCalls runs 21-fragment calls and results — both
+// directions stop-and-wait — across a link that drops, duplicates and
+// reorders frames each way: every call must execute once and come back
+// byte-exact.
 func TestLossyFragmentedCalls(t *testing.T) {
 	ex := transport.NewExchange()
-	prof := faultnet.Profile{
-		Out: faultnet.Impair{Drop: 0.15, Dup: 0.1},
-		In:  faultnet.Impair{Drop: 0.15, Dup: 0.1},
-	}
+	impair := faultnet.Impair{Drop: 0.15, Dup: 0.1, Reorder: 0.1}
+	prof := faultnet.Profile{Out: impair, In: impair}
 	cfg := fastCfg()
+	cfg.RetransInterval = 5 * time.Millisecond
 	cfg.MaxRetries = 12
-	caller, server, sa, _ := faultyPair(t, ex, cfg, echoHandler, prof, 2)
+	caller, server, sa, ft := faultyPair(t, ex, cfg, echoHandler, prof, 2)
 	act := caller.NewActivity()
-	args := make([]byte, 4000)
+	args := make([]byte, 20*wire.MaxSinglePacketPayload+100)
 	for i := range args {
 		args[i] = byte(i * 31)
 	}
@@ -197,6 +200,11 @@ func TestLossyFragmentedCalls(t *testing.T) {
 	}
 	if got := server.Stats().CallsServed; got != 8 {
 		t.Errorf("server executed %d calls, want exactly 8 (duplicate suppression)", got)
+	}
+	for _, dir := range []faultnet.Dir{faultnet.DirOut, faultnet.DirIn} {
+		if fs := ft.Impairer().Stats(dir); fs.Reordered == 0 || fs.Dups == 0 || fs.Drops == 0 {
+			t.Errorf("direction %v impaired too little to test anything: %+v", dir, fs)
+		}
 	}
 }
 
@@ -401,17 +409,6 @@ func TestActivitiesIndependent(t *testing.T) {
 	}
 	if server.Stats().CallsServed != 2 {
 		t.Fatal("activity isolation broken")
-	}
-}
-
-func TestFragmentHelper(t *testing.T) {
-	if got := fragment(nil, 10); len(got) != 1 || got[0] != nil {
-		t.Fatal("empty message must yield one empty fragment")
-	}
-	msg := make([]byte, 25)
-	got := fragment(msg, 10)
-	if len(got) != 3 || len(got[0]) != 10 || len(got[2]) != 5 {
-		t.Fatalf("fragment sizes wrong: %d pieces", len(got))
 	}
 }
 

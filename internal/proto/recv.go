@@ -212,12 +212,7 @@ func (c *Conn) onCallFrag(src transport.Addr, hdr wire.RPCHeader, payload []byte
 			act.lastResultFrame.Release()
 			act.lastResultFrame = nil
 		}
-		if hdr.FragCount > 1 {
-			// Fragment reassembly state is built only off the fast path.
-			act.frags = make(map[uint16][]byte, hdr.FragCount)
-		} else {
-			act.frags = nil
-		}
+		act.next = 0
 		needAck, req, run := c.storeFragLocked(act, hdr, payload)
 		if run {
 			ch.executing.Add(1)
@@ -236,41 +231,43 @@ func (c *Conn) onCallFrag(src transport.Addr, hdr wire.RPCHeader, payload []byte
 	}
 }
 
-// storeFragLocked records a call fragment (the channel's actsMu held) and,
-// when the call is complete, snapshots the argument data into an execReq so
-// the worker never touches shared state. It reports whether the fragment
-// wants an explicit ack and whether the call is ready to execute; the
-// caller performs both actions after releasing the lock (and bumps the
-// channel's executing count under it when run is true).
+// storeFragLocked appends a call fragment to the activity's argument buffer
+// (the channel's actsMu held) and, when the call is complete, hands the
+// buffer to an execReq so the worker never touches shared state. It reports
+// whether the fragment wants an explicit ack and whether the call is ready
+// to execute; the caller performs both actions after releasing the lock
+// (and bumps the channel's executing count under it when run is true).
+//
+// Fragments arrive in order: the caller sends fragment i+1 only after
+// fragment i's ack, which is sent only after i is stored here. Anything
+// below next is therefore a late duplicate, to be re-acked in case the
+// first ack was lost; anything above it cannot come from a conforming
+// caller and is dropped unacked.
 func (c *Conn) storeFragLocked(act *serverAct, hdr wire.RPCHeader, payload []byte) (needAck bool, req execReq, run bool) {
-	if hdr.FragCount != act.count {
-		// Inconsistent fragmentation: treat as garbage.
+	if hdr.FragCount != act.count || hdr.FragIndex > act.next {
 		c.stats.badFrames.Add(1)
 		return false, execReq{}, false
 	}
-	if act.count == 1 {
-		// Single-packet fast path: no fragment map, no ack, and the
-		// argument buffer is recycled from the activity's previous call.
-		// (A duplicate cannot reach here: the first packet moves the
-		// activity to phaseExecuting under this same lock.)
-		buf := act.argBuf
-		act.argBuf = nil // the worker owns it until execution finishes
-		act.phase = phaseExecuting
-		return false, execReq{act: act, hdr: hdr, tc: act.tc, args: append(buf[:0], payload...), budgetNs: callBudgetNs(hdr)}, true
-	}
-	if _, dup := act.frags[hdr.FragIndex]; dup {
-		c.stats.dupFrags.Add(1)
-	} else {
-		act.frags[hdr.FragIndex] = append([]byte(nil), payload...)
-	}
 	needAck = hdr.Flags&wire.FlagPleaseAck != 0 && hdr.Flags&wire.FlagLastFrag == 0
-	if len(act.frags) == int(act.count) {
-		act.phase = phaseExecuting
-		frags := act.frags
-		act.frags = nil
-		return needAck, execReq{act: act, hdr: hdr, tc: act.tc, frags: frags, budgetNs: callBudgetNs(hdr)}, true
+	if hdr.FragIndex < act.next {
+		c.stats.dupFrags.Add(1)
+		return needAck, execReq{}, false
 	}
-	return needAck, execReq{}, false
+	if act.next == 0 {
+		act.argBuf = act.argBuf[:0]
+	}
+	// Plain append, not a buffer presized from FragCount: the buffer is
+	// recycled, so growth happens on an activity's first large call only,
+	// and it stays bounded by the bytes that have actually arrived.
+	act.argBuf = append(act.argBuf, payload...)
+	act.next++
+	if act.next < act.count {
+		return needAck, execReq{}, false
+	}
+	args := act.argBuf
+	act.argBuf = nil // the worker owns it until execution finishes
+	act.phase = phaseExecuting
+	return needAck, execReq{act: act, hdr: hdr, tc: act.tc, args: args, budgetNs: callBudgetNs(hdr)}, true
 }
 
 // callBudgetNs reads the caller's remaining deadline budget from a call
@@ -283,8 +280,8 @@ func callBudgetNs(hdr wire.RPCHeader) int64 {
 }
 
 // execute runs one complete call on a worker goroutine and sends the
-// result. All argument data arrives snapshotted in the request, so the
-// fragment join happens without holding any channel lock.
+// result. The request owns the reassembled arguments, so the handler runs
+// without holding any channel lock.
 func (c *Conn) execute(req execReq) {
 	act, hdr := req.act, req.hdr
 	ch := act.ch
@@ -292,19 +289,8 @@ func (c *Conn) execute(req execReq) {
 	if req.trace != nil {
 		req.trace.stamp(StageSrvDispatch)
 	}
-	args := req.args
-	if req.frags != nil {
-		total := 0
-		for _, f := range req.frags {
-			total += len(f)
-		}
-		args = make([]byte, 0, total)
-		for i := uint16(0); i < hdr.FragCount; i++ {
-			args = append(args, req.frags[i]...)
-		}
-	}
 
-	result, err := c.handler(act.src, req.tc, hdr.Interface, hdr.Proc, args)
+	result, err := c.handler(act.src, req.tc, hdr.Interface, hdr.Proc, req.args)
 	c.stats.callsServed.Add(1)
 	if req.trace != nil {
 		req.trace.stamp(StageSrvDone)
@@ -316,6 +302,7 @@ func (c *Conn) execute(req execReq) {
 	ch.actsMu.Lock()
 	abandoned := act.abandoned && act.lastSeq == hdr.Seq
 	ch.actsMu.Unlock()
+	var final *buffer.Frame // completes the call; sent and retained below
 	switch {
 	case abandoned:
 		// The caller cancelled this call while it executed: nobody is
@@ -332,25 +319,30 @@ func (c *Conn) execute(req execReq) {
 			Type: wire.TypeReject, Activity: hdr.Activity, Seq: hdr.Seq,
 			FragCount: 1, Interface: hdr.Interface, Proc: hdr.Proc,
 		}
-		f := c.newFrame(rej, wire.TraceCtx{}, nil)
-		_ = c.send(act.src, f.Bytes())
-		c.retainResult(act, hdr.Seq, f)
+		final = c.newFrame(rej, wire.TraceCtx{}, nil)
 	default:
-		c.sendResult(act, hdr, result)
-	}
-	if req.trace != nil {
-		req.trace.stamp(StageSrvResultSent)
+		final = c.sendResult(act, hdr, result)
 	}
 
-	// Return the single-packet argument buffer for the next call's reuse.
-	// If a newer call already allocated its own (an overlap only a
-	// timed-out caller can produce), the older buffer is simply dropped.
+	// Return the argument buffer for the next call's reuse before the final
+	// frame goes out: the caller's next call can arrive the moment it does,
+	// and would otherwise find the buffer still out and grow a new one.
+	// Every result byte is in a frame by now, so a result that aliases the
+	// arguments is safe. If a newer call already took another (an overlap
+	// only a timed-out caller can produce), the older buffer is dropped.
 	if req.args != nil {
 		ch.actsMu.Lock()
 		if act.argBuf == nil && !ch.evicted {
 			act.argBuf = req.args[:0]
 		}
 		ch.actsMu.Unlock()
+	}
+	if final != nil {
+		_ = c.send(act.src, final.Bytes())
+		c.retainResult(act, hdr.Seq, final)
+	}
+	if req.trace != nil {
+		req.trace.stamp(StageSrvResultSent)
 	}
 }
 
@@ -377,25 +369,21 @@ func (c *Conn) retainResult(act *serverAct, seq uint32, f *buffer.Frame) {
 	ch.actsMu.Unlock()
 }
 
-// sendResult transmits the result fragments: stop-and-wait acks on all but
-// the last, whose receipt is acknowledged implicitly by the next call. The
-// final frame is retained for retransmission.
-func (c *Conn) sendResult(act *serverAct, call wire.RPCHeader, result []byte) {
+// sendResult transmits all but the last result fragment, stop-and-wait, and
+// returns the last one built but unsent: its receipt is acknowledged
+// implicitly by the next call, so the caller sends it and retains it for
+// retransmission. It returns nil when it gave up or rejected the result.
+func (c *Conn) sendResult(act *serverAct, call wire.RPCHeader, result []byte) *buffer.Frame {
 	ch := act.ch
 	maxP := c.maxPayload()
-	nfrags := 1
-	var frags [][]byte
-	if len(result) > maxP {
-		frags = fragment(result, maxP)
-		if len(frags) > maxFragments {
-			// Result too large to ship: reject so the caller fails cleanly.
-			rej := wire.RPCHeader{
-				Type: wire.TypeReject, Activity: call.Activity, Seq: call.Seq, FragCount: 1,
-			}
-			_ = c.sendFrame(act.src, rej, nil)
-			return
+	nfrags := fragCount(len(result), maxP, maxP)
+	if nfrags > maxFragments {
+		// Result too large to ship: reject so the caller fails cleanly.
+		rej := wire.RPCHeader{
+			Type: wire.TypeReject, Activity: call.Activity, Seq: call.Seq, FragCount: 1,
 		}
-		nfrags = len(frags)
+		_ = c.sendFrame(act.src, rej, nil)
+		return nil
 	}
 	hdr := wire.RPCHeader{
 		Type:      wire.TypeResult,
@@ -421,41 +409,38 @@ func (c *Conn) sendResult(act *serverAct, call wire.RPCHeader, result []byte) {
 			break
 		}
 		ch.actsMu.Unlock()
-		for i := 0; i < nfrags-1; i++ {
+		timer := time.NewTimer(c.cfg.RetransInterval)
+		defer timer.Stop()
+		for i := uint16(0); i < uint16(nfrags-1); i++ {
 			h := hdr
-			h.FragIndex = uint16(i)
+			h.FragIndex = i
 			h.Flags = wire.FlagPleaseAck
-			f := c.newFrame(h, wire.TraceCtx{}, frags[i])
-			ok := c.sendResultFragWithAck(act, call, f, uint16(i))
+			f := c.newFrame(h, wire.TraceCtx{}, result[:maxP])
+			result = result[maxP:]
+			ok := c.sendResultFragWithAck(act, call, f, i, timer)
 			f.Release()
 			if !ok {
-				return // gave up; caller will retransmit and find phaseDone unset
+				return nil // gave up; caller will retransmit and find phaseDone unset
 			}
 		}
 	}
 	last := hdr
 	last.FragIndex = uint16(nfrags - 1)
 	last.Flags = wire.FlagLastFrag
-	lastPayload := result
-	if frags != nil {
-		lastPayload = frags[nfrags-1]
-	}
-	f := c.newFrame(last, wire.TraceCtx{}, lastPayload)
-	_ = c.send(act.src, f.Bytes())
-	c.retainResult(act, call.Seq, f)
+	return c.newFrame(last, wire.TraceCtx{}, result)
 }
 
-// sendResultFragWithAck is the server-side stop-and-wait sender. It gives
-// up early when the caller abandons the call mid-stream.
-func (c *Conn) sendResultFragWithAck(act *serverAct, call wire.RPCHeader, frame *buffer.Frame, idx uint16) bool {
+// sendResultFragWithAck is the server-side stop-and-wait sender, re-arming
+// the result's one timer for this fragment. It gives up early when the
+// caller abandons the call mid-stream.
+func (c *Conn) sendResultFragWithAck(act *serverAct, call wire.RPCHeader, frame *buffer.Frame, idx uint16, timer *time.Timer) bool {
 	if err := c.send(act.src, frame.Bytes()); err != nil {
 		return false
 	}
 	ch := act.ch
 	interval := c.cfg.RetransInterval
 	retries := 0
-	timer := time.NewTimer(interval)
-	defer timer.Stop()
+	rearm(timer, interval)
 	for {
 		select {
 		case got := <-act.ackCh:
@@ -503,38 +488,30 @@ func (c *Conn) onResultFrag(src transport.Addr, hdr wire.RPCHeader, payload []by
 	// No touch here: StartCall stamped the channel when this call left, and
 	// a registered call blocks eviction regardless of the stamp's age.
 
-	var result []byte
 	complete := false
 	oc.mu.Lock()
 	if oc.finished || oc.key != k {
 		oc.mu.Unlock()
 		return
 	}
-	if hdr.FragCount == 1 && hdr.Flags&wire.FlagLastFrag != 0 {
-		// Single-packet result fast path: no reassembly map; the payload
-		// lands directly in the caller-supplied buffer (or an exact-size
-		// allocation when none was given).
-		result = append(oc.resBuf[:0], payload...)
-		complete = true
-	} else {
-		if oc.resCount == 0 {
+	// The result arrives in order, exactly as a call does at the server
+	// (see storeFragLocked): fragments append straight to the
+	// caller-supplied buffer, which core.Client keeps across calls.
+	switch {
+	case hdr.FragCount == 0 || hdr.FragCount > maxFragments ||
+		hdr.FragIndex > oc.resNext || (oc.resNext > 0 && hdr.FragCount != oc.resCount):
+		c.stats.badFrames.Add(1)
+		needAck = false
+	case hdr.FragIndex < oc.resNext:
+		c.stats.dupFrags.Add(1)
+	default:
+		if oc.resNext == 0 {
 			oc.resCount = hdr.FragCount
+			oc.resBuf = oc.resBuf[:0]
 		}
-		if oc.resFrags == nil {
-			oc.resFrags = make(map[uint16][]byte, hdr.FragCount)
-		}
-		if _, dup := oc.resFrags[hdr.FragIndex]; dup {
-			c.stats.dupFrags.Add(1)
-		} else {
-			oc.resFrags[hdr.FragIndex] = append([]byte(nil), payload...)
-		}
-		complete = len(oc.resFrags) == int(oc.resCount) && hdr.FragCount == oc.resCount
-		if complete {
-			result = oc.resBuf[:0]
-			for i := uint16(0); i < oc.resCount; i++ {
-				result = append(result, oc.resFrags[i]...)
-			}
-		}
+		oc.resBuf = append(oc.resBuf, payload...)
+		oc.resNext++
+		complete = oc.resNext == oc.resCount
 	}
 	if complete && oc.trace != nil {
 		oc.trace.stamp(StageResultRecv)
@@ -545,7 +522,7 @@ func (c *Conn) onResultFrag(src transport.Addr, hdr wire.RPCHeader, payload []by
 	// finished check above and rebuild the result buffer while the
 	// awakened caller reads it (and double-count the completion).
 	if complete {
-		oc.finishLocked(k, result, nil)
+		oc.finishLocked(k, oc.resBuf, nil)
 	}
 	oc.mu.Unlock()
 
@@ -640,10 +617,11 @@ func (c *Conn) onCancel(src transport.Addr, hdr wire.RPCHeader) {
 	if act != nil && act.lastSeq == hdr.Seq && act.phase != phaseDone {
 		act.abandoned = true
 		if act.phase == phaseReceiving {
-			// Mid-reassembly: free the partial fragments now; stray
-			// retransmitted fragments of this seq will be dropped because
-			// the activity is parked in phaseDone with nothing retained.
-			act.frags = nil
+			// Mid-reassembly: empty the partial buffer, which stays for the
+			// activity's next call; stray retransmitted fragments of this
+			// seq are dropped because the activity is parked in phaseDone
+			// with nothing retained.
+			act.argBuf = act.argBuf[:0]
 			act.phase = phaseDone
 		}
 	}

@@ -2,6 +2,7 @@ package realbench
 
 import (
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -153,14 +154,12 @@ func BenchmarkStack(b *testing.B) {
 			}
 			// A 100 KiB argument and result: the fragmentation path.
 			b.Run("Reverse100K/t1", func(b *testing.B) {
-				cl := testsvc.NewTestClient(stackPair(b, tr.to, 2).binding)
-				data := make([]byte, 100*1024)
-				var out []byte
-				b.SetBytes(int64(len(data)))
+				call := reverse100K(stackPair(b, tr.to, 2))
+				b.SetBytes(reverseBytes)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if err := cl.Reverse(data, &out); err != nil {
+					if err := call(); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -169,44 +168,92 @@ func BenchmarkStack(b *testing.B) {
 	}
 }
 
+// reverseBytes is Reverse100K's argument and result size: 72 fragments each
+// way over udp.
+const reverseBytes = 100 * 1024
+
+// reverseAllocs is the allocation budget of one blocking Reverse100K over
+// udp. Both sides reassemble straight into recycled buffers, so nothing is
+// allocated per fragment. What is left is the send pump goroutine and its
+// exit channel, the call's done channel, the server's one result-fragment
+// timer (three objects), and the server stub's decoded argument, reversed
+// array and reply.
+const reverseAllocs = 9
+
+// reverse100K returns a blocking Reverse of a reverseBytes array on a
+// fresh client of p.
+func reverse100K(p *benchPair) func() error {
+	cl := testsvc.NewTestClient(p.binding)
+	data := make([]byte, reverseBytes)
+	var out []byte
+	return func() error { return cl.Reverse(data, &out) }
+}
+
 // raceEnabled is set by race_test.go in -race builds.
 var raceEnabled bool
 
 // TestStackAllocBudgets is the machine-independent half of BenchmarkStack:
 // allocation counts do not depend on the machine, so they are gated here,
-// for blocking Null and async fan-outs of 8 and 64, rather than compared
-// across runs. The per-call figure truncates like
-// the benchmark's allocs/op, so a rare runtime allocation amortized over
-// many calls does not trip it, while any new per-call allocation does.
+// for blocking Null and async fan-outs of 8 and 64, and for the udp row's
+// fragmented Reverse100K, rather than compared across runs. The per-call
+// figure truncates like the benchmark's allocs/op, so a rare runtime
+// allocation amortized over many calls does not trip it, while any new
+// per-call allocation does.
 func TestStackAllocBudgets(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on the call path")
 	}
 	const calls = 2000
-	check := func(t *testing.T, what string, budget int64, f func() error) {
-		var err error
-		total := testing.AllocsPerRun(1, func() { err = f() })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := int64(total) / calls; got > budget {
-			t.Errorf("%s: %d allocs/call, budget %d", what, got, budget)
-		} else {
-			t.Logf("%s: %d allocs/call (budget %d)", what, got, budget)
-		}
-	}
 	for _, tr := range stackTransports {
 		t.Run(tr.name, func(t *testing.T) {
 			p := stackPair(t, tr.to, 8)
 			clients := newClients(p, 1)
-			check(t, "blocking Null", tr.blockingAllocs, func() error { return blocking(clients, cases[0].call, calls) })
+			checkAllocs(t, "blocking Null", tr.blockingAllocs, calls, func() error { return blocking(clients, cases[0].call, calls) })
 			cl := p.binding.NewClient()
 			for _, width := range []int{8, 64} {
 				pend := make([]*core.Pending, 0, width)
-				check(t, fmt.Sprintf("async Null o%d", width), tr.asyncAllocs, func() error {
+				checkAllocs(t, fmt.Sprintf("async Null o%d", width), tr.asyncAllocs, calls, func() error {
 					return fanout(cl, testsvc.TestProcNull, calls, width, nil, pend)
 				})
 			}
+			if tr.name != "udp" {
+				return
+			}
+			// Each Reverse100K takes milliseconds; 100 of them after one
+			// warm-up call (which grows the recycled buffers) still amortize
+			// any one-off allocation below one per call. The collector is
+			// off while they run: at 200 KB of garbage per call, refilling
+			// the sync.Pools each GC empties adds 0.7–0.9 allocs/call,
+			// depending on how many GCs a run happens to see.
+			call := reverse100K(p)
+			if err := call(); err != nil {
+				t.Fatal(err)
+			}
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			checkAllocs(t, "blocking Reverse100K", reverseAllocs, 100, func() error {
+				for i := 0; i < 100; i++ {
+					if err := call(); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
 		})
+	}
+}
+
+// checkAllocs runs f, which makes calls calls, and fails t if they allocate
+// more than budget objects per call.
+func checkAllocs(t *testing.T, what string, budget int64, calls int, f func() error) {
+	t.Helper()
+	var err error
+	total := testing.AllocsPerRun(1, func() { err = f() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := int64(total) / int64(calls); got > budget {
+		t.Errorf("%s: %d allocs/call, budget %d", what, got, budget)
+	} else {
+		t.Logf("%s: %d allocs/call (budget %d)", what, got, budget)
 	}
 }
