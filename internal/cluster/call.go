@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"time"
 
 	"fireflyrpc/internal/core"
@@ -20,7 +21,8 @@ var ErrNoQuorum = errors.New("cluster: quorum not reached")
 // so the losing server abandons the work instead of completing it for
 // nobody. Because a hedged call can execute on two servers, Call is for
 // idempotent operations only; non-idempotent writes go through Fanout,
-// which never hedges.
+// which never hedges. Every copy is started with core.Client.Go and
+// awaited on the calling goroutine; Call starts no goroutine.
 //
 // The ctx deadline rides every issued copy as a FlagBudget hint, so each
 // replica's admission policy sees the caller's remaining budget no matter
@@ -35,73 +37,64 @@ func (c *Client) Call(ctx context.Context, proc uint16, argSize int, enc func(*m
 	if primary == nil {
 		return ErrNoReplicas
 	}
-	if !c.cfg.Hedge.Enabled || len(reps) < 2 {
-		c.issued.Add(1)
-		return c.issue(ctx, primary, proc, argSize, enc, dec)
-	}
-	return c.hedged(ctx, reps, primary, proc, argSize, enc, dec)
-}
-
-// issue runs one blocking call on one replica with a pooled client and
-// records the outcome against the replica's histogram and ejection state.
-func (c *Client) issue(ctx context.Context, r *replica, proc uint16, argSize int, enc func(*marshal.Enc), dec func(*marshal.Dec)) error {
-	cl := r.get()
-	start := time.Now()
-	err := cl.CallCtx(ctx, proc, argSize, enc, dec)
-	r.put(cl)
-	c.account(r, start, err)
-	return err
-}
-
-// leg is one copy of a hedged call in flight.
-type leg struct {
-	p      *core.Pending
-	rep    *replica
-	cl     *core.Client
-	start  time.Time
-	ctx    context.Context
-	cancel context.CancelFunc
-}
-
-// settle awaits the leg with ctx, returns its client to the pool, and
-// accounts the outcome.
-func (c *Client) settle(l leg, ctx context.Context, dec func(*marshal.Dec)) error {
-	err := l.p.Await(ctx, dec)
-	l.rep.put(l.cl)
-	c.account(l.rep, l.start, err)
-	return err
-}
-
-// abandon cancels the leg's context and awaits it with that cancelled
-// context, which is what pushes the cancel notification (TypeCancel) onto
-// the wire if the call had not already finished.
-func (c *Client) abandon(l leg) {
-	l.cancel()
-	err := l.p.Await(l.ctx, nil)
-	l.rep.put(l.cl)
-	c.account(l.rep, l.start, err)
-}
-
-// hedged is the backup-request path: primary now, backup after the hedge
-// delay, first result wins, loser cancelled immediately.
-func (c *Client) hedged(ctx context.Context, reps []*replica, primary *replica, proc uint16, argSize int, enc func(*marshal.Enc), dec func(*marshal.Dec)) error {
-	ctx1, cancel1 := context.WithCancel(ctx)
-	defer cancel1()
-	cl1 := primary.get()
-	start1 := time.Now()
-	p1, err := cl1.Go(ctx1, proc, argSize, enc)
+	l1, err := c.issue(ctx, primary, proc, argSize, enc)
 	if err != nil {
-		primary.put(cl1)
-		c.account(primary, start1, err)
 		return err
 	}
 	c.issued.Add(1)
-	l1 := leg{p: p1, rep: primary, cl: cl1, start: start1, ctx: ctx1, cancel: cancel1}
+	if !c.cfg.Hedge.Enabled || len(reps) < 2 {
+		return c.settle(l1, ctx, dec)
+	}
+	return c.hedged(ctx, reps, l1, proc, argSize, enc, dec)
+}
 
-	timer := time.NewTimer(c.hedgeDelay(primary))
+// leg is one copy of a call in flight on one replica.
+type leg struct {
+	p     *core.Pending
+	rep   *replica
+	start time.Time
+}
+
+// issue starts one copy of the call on r with Go. A copy that fails to
+// start is accounted against r and yields no leg.
+func (c *Client) issue(ctx context.Context, r *replica, proc uint16, argSize int, enc func(*marshal.Enc)) (leg, error) {
+	start := time.Now()
+	p, err := r.cl.Go(ctx, proc, argSize, enc)
+	if err != nil {
+		c.account(r, start, err)
+		return leg{}, err
+	}
+	return leg{p: p, rep: r, start: start}, nil
+}
+
+// settle awaits the leg with ctx and accounts the outcome.
+func (c *Client) settle(l leg, ctx context.Context, dec func(*marshal.Dec)) error {
+	err := l.p.Await(ctx, dec)
+	c.account(l.rep, l.start, err)
+	return err
+}
+
+// cancelled is a context that is already cancelled: awaiting a leg with it
+// pushes the cancel notification (TypeCancel) onto the wire if the call
+// had not already finished.
+var cancelled = func() context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return ctx
+}()
+
+// abandon cancels the leg on the wire and reaps it.
+func (c *Client) abandon(l leg) {
+	_ = c.settle(l, cancelled, nil) // the outcome is accounted; nobody reads it
+}
+
+// hedged is the backup-request path: primary already issued, backup after
+// the hedge delay, first result wins, loser cancelled immediately.
+func (c *Client) hedged(ctx context.Context, reps []*replica, l1 leg, proc uint16, argSize int, enc func(*marshal.Enc), dec func(*marshal.Dec)) error {
+	timer := time.NewTimer(c.hedgeDelay(l1.rep))
 	defer timer.Stop()
 	select {
-	case <-p1.Done():
+	case <-l1.p.Done():
 		return c.settle(l1, ctx, dec)
 	case <-ctx.Done():
 		c.abandon(l1)
@@ -109,29 +102,21 @@ func (c *Client) hedged(ctx context.Context, reps []*replica, primary *replica, 
 	case <-timer.C:
 	}
 
-	backup := c.pick(reps, primary)
+	backup := c.pick(reps, l1.rep)
 	if backup == nil {
 		return c.settle(l1, ctx, dec)
 	}
-	ctx2, cancel2 := context.WithCancel(ctx)
-	defer cancel2()
-	cl2 := backup.get()
-	start2 := time.Now()
-	p2, err := cl2.Go(ctx2, proc, argSize, enc)
+	l2, err := c.issue(ctx, backup, proc, argSize, enc)
 	if err != nil {
-		backup.put(cl2)
-		c.account(backup, start2, err)
 		return c.settle(l1, ctx, dec)
 	}
 	c.issued.Add(1)
 	c.hedgesFired.Add(1)
-	l2 := leg{p: p2, rep: backup, cl: cl2, start: start2, ctx: ctx2, cancel: cancel2}
 
-	var win, lose leg
+	win, lose := l1, l2
 	select {
-	case <-p1.Done():
-		win, lose = l1, l2
-	case <-p2.Done():
+	case <-l1.p.Done():
+	case <-l2.p.Done():
 		win, lose = l2, l1
 	case <-ctx.Done():
 		c.abandon(l1)
@@ -141,7 +126,7 @@ func (c *Client) hedged(ctx context.Context, reps []*replica, primary *replica, 
 
 	werr := c.settle(win, ctx, dec)
 	if werr == nil {
-		if win.p == p2 {
+		if win.p == l2.p {
 			c.hedgesWon.Add(1)
 		}
 		// Tell the loser's server the work is moot. The cancel packet only
@@ -153,100 +138,105 @@ func (c *Client) hedged(ctx context.Context, reps []*replica, primary *replica, 
 	}
 	// The winner finished first but with an error; the loser is still in
 	// flight and becomes the fallback.
-	lerr := c.settle(lose, ctx, dec)
-	if lerr == nil && lose.p == p2 {
-		c.hedgesWon.Add(1)
-	}
-	if lerr != nil {
+	if c.settle(lose, ctx, dec) != nil {
 		return werr
+	}
+	if lose.p == l2.p {
+		c.hedgesWon.Add(1)
 	}
 	return nil
 }
 
-// FanoutReply is one replica's outcome in a Fanout.
-type FanoutReply struct {
-	Addr string
-	Err  error
-}
-
-// FanoutResult reports how a Fanout went: Acks counts error-free replies,
-// Replies holds the per-replica outcomes gathered before the quorum was
-// reached (or the set was exhausted).
-type FanoutResult struct {
-	Acks    int
-	Sent    int
-	Replies []FanoutReply
-}
-
-// Fanout issues the call to every replica concurrently and returns as
-// soon as `need` replicas have replied without error (need ≤ 0 means a
-// majority). Stragglers are cancelled — again via the wire's cancel
-// notification — once the quorum is in. Fanout never hedges and never
-// retries, so a non-idempotent operation executes at most once per
-// replica; combined with idempotent apply on the server (the KV store's
-// versioned writes) this is the hedge-never-double-commits discipline.
+// Fanout issues the call to every replica and returns as soon as `need`
+// replicas have replied without error (need ≤ 0 means a majority), with
+// the number of such acks. Every copy is started with Go from the calling
+// goroutine before any is awaited, so each replica's call is on the wire
+// before a cancel can exist. Replies are collected on the caller; once the
+// quorum is in, or ctx ends, the stragglers are cancelled on the wire and
+// reaped before Fanout returns. Fanout starts no goroutine, never hedges
+// and never retries, so a non-idempotent operation executes at most once
+// per replica; combined with idempotent apply on the server (the KV
+// store's versioned writes) this is the hedge-never-double-commits
+// discipline.
 //
-// enc runs once per replica, concurrently; it must be safe to re-run
-// (pure functions over the arguments are — the marshal closures the stubs
-// generate qualify). dec, when non-nil, runs concurrently too, once per
-// successful reply, and is told which replica it is reading.
-func (c *Client) Fanout(ctx context.Context, proc uint16, argSize int, enc func(*marshal.Enc), dec func(addr string, d *marshal.Dec) error, need int) (*FanoutResult, error) {
+// enc runs once per replica, one at a time on the caller; it must be safe
+// to re-run (pure functions over the arguments are — the marshal closures
+// the stubs generate qualify). dec, when non-nil, also runs on the caller,
+// once per successful reply, and is told which replica it is reading. No
+// dec runs after Fanout returns, so dec may update the caller's variables
+// without a lock. An error from dec denies that reply its ack.
+func (c *Client) Fanout(ctx context.Context, proc uint16, argSize int, enc func(*marshal.Enc), dec func(addr string, d *marshal.Dec) error, need int) (acks int, err error) {
 	c.fanouts.Add(1)
 	reps, err := c.resolve(ctx)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	if need <= 0 {
 		need = len(reps)/2 + 1
 	}
 	if need > len(reps) {
-		return nil, fmt.Errorf("%w: need %d acks from %d replicas", ErrNoQuorum, need, len(reps))
+		return 0, fmt.Errorf("%w: need %d acks from %d replicas", ErrNoQuorum, need, len(reps))
 	}
-	fctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	// Buffered to the full set: goroutines outliving the quorum complete
-	// into the buffer and exit without a reader.
-	replies := make(chan FanoutReply, len(reps))
+	lastErr := ErrNoQuorum
+	var buf [8]leg
+	legs := buf[:0]
+	defer func() {
+		for _, l := range legs {
+			c.abandon(l)
+		}
+	}()
 	for _, r := range reps {
-		go func(r *replica) {
-			cl := r.get()
-			start := time.Now()
-			var derr error
-			err := cl.CallCtx(fctx, proc, argSize, enc, func(d *marshal.Dec) {
-				if dec != nil {
-					derr = dec(r.addr, d)
-				}
-			})
-			r.put(cl)
-			if err == nil {
-				err = derr
-			}
-			c.account(r, start, err)
-			replies <- FanoutReply{Addr: r.addr, Err: err}
-		}(r)
+		l, err := c.issue(ctx, r, proc, argSize, enc)
+		if err != nil {
+			lastErr = err
+			continue
+		}
+		legs = append(legs, l)
 	}
 
-	res := &FanoutResult{Sent: len(reps)}
-	var firstErr error
-	for i := 0; i < len(reps); i++ {
-		var rep FanoutReply
-		select {
-		case rep = <-replies:
-		case <-ctx.Done():
-			return res, ctx.Err()
+	for acks < need && len(legs) > 0 {
+		i, err := waitAny(ctx, legs)
+		if err != nil {
+			return acks, err
 		}
-		res.Replies = append(res.Replies, rep)
-		if rep.Err == nil {
-			res.Acks++
-			if res.Acks >= need {
-				return res, nil
+		l := legs[i]
+		legs[i] = legs[len(legs)-1]
+		legs = legs[:len(legs)-1]
+		var derr error
+		err = c.settle(l, ctx, func(d *marshal.Dec) {
+			if dec != nil {
+				derr = dec(l.rep.addr, d)
 			}
-		} else if firstErr == nil && !errors.Is(rep.Err, context.Canceled) {
-			firstErr = rep.Err
+		})
+		if err == nil {
+			err = derr
+		}
+		if err == nil {
+			acks++
+		} else {
+			lastErr = err
 		}
 	}
-	if firstErr == nil {
-		firstErr = ErrNoQuorum
+	if acks >= need {
+		return acks, nil
 	}
-	return res, fmt.Errorf("%w: %d/%d acks (need %d): %v", ErrNoQuorum, res.Acks, len(reps), need, firstErr)
+	if err := ctx.Err(); err != nil {
+		return acks, err
+	}
+	return acks, fmt.Errorf("%w: %d/%d acks (need %d): %v", ErrNoQuorum, acks, len(reps), need, lastErr)
+}
+
+// waitAny blocks until one of legs completes, returning its index, or
+// until ctx ends, returning ctx's error. One reflect.Select serves any
+// number of legs.
+func waitAny(ctx context.Context, legs []leg) (int, error) {
+	var buf [9]reflect.SelectCase
+	cases := append(buf[:0], reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(ctx.Done())})
+	for _, l := range legs {
+		cases = append(cases, reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(l.p.Done())})
+	}
+	if i, _, _ := reflect.Select(cases); i > 0 {
+		return i - 1, nil
+	}
+	return -1, ctx.Err()
 }

@@ -12,12 +12,18 @@
 // The hedging discipline: a call is issued to the replica P2C prefers; if
 // no result arrives within the configured quantile of that replica's own
 // latency distribution (default p95), one backup is issued to a different
-// replica. The first result wins; the loser's context is cancelled
-// immediately, which rides the existing cancellation path (a TypeCancel
-// packet) so the losing server frees the call's retained state instead of
-// finishing work nobody will read. Hedged calls must therefore be
-// idempotent reads — writes take the Fanout path, which never hedges
-// (the hedge-never-double-commits invariant in DESIGN.md).
+// replica. The first result wins; the loser is cancelled immediately,
+// which rides the existing cancellation path (a TypeCancel packet) so the
+// losing server frees the call's retained state instead of finishing work
+// nobody will read. Hedged calls must therefore be idempotent reads —
+// writes take the Fanout path, which never hedges (the
+// hedge-never-double-commits invariant in DESIGN.md).
+//
+// One mechanism issues every copy: core.Client.Go on the caller's
+// goroutine, then Await there (settle), or Await with a cancelled context
+// to cancel and reap a copy nobody needs (abandon). Call, its hedge and
+// Fanout start no goroutines, and each replica needs only one
+// core.Client, whose per-call slots let concurrent callers share it.
 package cluster
 
 import (
@@ -85,17 +91,15 @@ const histWarmup = 16 // samples before a replica's quantiles are trusted
 // still healthy.
 const pickQuantile = 0.90
 
-// replica is the per-server state: a binding, a pool of single-goroutine
-// core.Clients, an always-on latency histogram (proto's per-peer
-// histograms are tracing-gated; the balancer needs its own), and the
-// pick/ejection accounting.
+// replica is the per-server state: one core.Client on a binding (every
+// copy issued to the replica is a Go on it, from whichever goroutine, each
+// in its own per-call slot), an always-on latency histogram (proto's
+// per-peer histograms are tracing-gated; the balancer needs its own), and
+// the pick/ejection accounting.
 type replica struct {
-	addr    string
-	binding *core.Binding
-	hist    *stats.Hist
-
-	mu   sync.Mutex
-	pool []*core.Client
+	addr string
+	cl   *core.Client
+	hist *stats.Hist
 
 	picks        atomic.Int64
 	wins         atomic.Int64
@@ -103,23 +107,6 @@ type replica struct {
 	ejections    atomic.Int64
 	consecFails  atomic.Int32
 	ejectedUntil atomic.Int64 // unix nanos; 0 = live
-}
-
-func (r *replica) get() *core.Client {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if n := len(r.pool); n > 0 {
-		cl := r.pool[n-1]
-		r.pool = r.pool[:n-1]
-		return cl
-	}
-	return r.binding.NewClient()
-}
-
-func (r *replica) put(cl *core.Client) {
-	r.mu.Lock()
-	r.pool = append(r.pool, cl)
-	r.mu.Unlock()
 }
 
 func (r *replica) ejected(now time.Time) bool {
@@ -177,7 +164,7 @@ func New(ctx context.Context, cfg Config) (*Client, error) {
 }
 
 // resolve refreshes the replica set from the resolver, keeping the
-// accumulated state (histogram, counters, client pool) of every address
+// accumulated state (client, histogram, counters) of every address
 // that persists across refreshes.
 func (c *Client) resolve(ctx context.Context) ([]*replica, error) {
 	addrs, err := c.cfg.Resolver.Resolve(ctx)
@@ -226,9 +213,9 @@ func (c *Client) resolve(ctx context.Context) ([]*replica, error) {
 			continue // a malformed entry must not poison the whole set
 		}
 		r := &replica{
-			addr:    a,
-			binding: c.cfg.Node.Bind(ta, c.cfg.Iface, c.cfg.Version),
-			hist:    new(stats.Hist),
+			addr: a,
+			cl:   c.cfg.Node.Bind(ta, c.cfg.Iface, c.cfg.Version).NewClient(),
+			hist: new(stats.Hist),
 		}
 		next = append(next, r)
 		nextBy[a] = r

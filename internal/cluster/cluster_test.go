@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"fireflyrpc/internal/overload"
 	"fireflyrpc/internal/proto"
 	"fireflyrpc/internal/transport"
+	"fireflyrpc/internal/wire"
 )
 
 // echoProc is the one procedure every test replica serves: int32 in,
@@ -344,21 +346,21 @@ func TestFanoutQuorumAndStragglerCancel(t *testing.T) {
 	c := newTestClient(t, caller, addrs, HedgeConfig{})
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	var acked atomic.Int64
-	res, err := c.Fanout(ctx, echoProc, 4,
+	decoded := 0
+	acks, err := c.Fanout(ctx, echoProc, 4,
 		func(e *marshal.Enc) { e.PutInt32(5) },
 		func(addr string, d *marshal.Dec) error {
 			if v := d.Int32(); v != 6 {
 				t.Errorf("replica %s replied %d", addr, v)
 			}
-			acked.Add(1)
+			decoded++
 			return nil
 		}, 2)
 	if err != nil {
 		t.Fatalf("fanout: %v", err)
 	}
-	if res.Acks != 2 || acked.Load() != 2 {
-		t.Fatalf("acks = %d (decoded %d), want 2", res.Acks, acked.Load())
+	if acks != 2 || decoded != 2 {
+		t.Fatalf("acks = %d (decoded %d), want 2", acks, decoded)
 	}
 	// The straggler must be told to stop: its server sees a cancel notice.
 	deadline := time.Now().Add(2 * time.Second)
@@ -371,6 +373,47 @@ func TestFanoutQuorumAndStragglerCancel(t *testing.T) {
 	close(reps[2].block)
 }
 
+// callTap counts the call frames its node sends, per destination.
+type callTap struct {
+	transport.Transport
+	mu    sync.Mutex
+	calls map[string]int
+}
+
+func (c *callTap) Send(dst transport.Addr, frame []byte) error {
+	if h, _, err := wire.UnmarshalRPC(frame); err == nil && h.Type == wire.TypeCall {
+		c.mu.Lock()
+		c.calls[dst.String()]++
+		c.mu.Unlock()
+	}
+	return c.Transport.Send(dst, frame)
+}
+
+// TestFanoutSendsEveryCopy: every copy of a Fanout leaves before any reply
+// is awaited, so even a quorum of one — met by the first reply — finds a
+// call frame sent to every replica by the time Fanout returns.
+func TestFanoutSendsEveryCopy(t *testing.T) {
+	cfg := proto.Config{RetransInterval: 50 * time.Millisecond, MaxRetries: 8, Workers: 4}
+	_, _, addrs, ex := replicaWorldEx(t, 3, cfg)
+	tap := &callTap{Transport: ex.Port("tapped"), calls: make(map[string]int)}
+	caller := core.NewNode(tap, cfg)
+	defer caller.Close()
+
+	c := newTestClient(t, caller, addrs, HedgeConfig{})
+	acks, err := c.Fanout(context.Background(), echoProc, 4,
+		func(e *marshal.Enc) { e.PutInt32(5) }, nil, 1)
+	if err != nil || acks != 1 {
+		t.Fatalf("fanout: acks=%d err=%v", acks, err)
+	}
+	tap.mu.Lock()
+	defer tap.mu.Unlock()
+	for _, a := range addrs {
+		if tap.calls[a] == 0 {
+			t.Fatalf("no call frame to replica %s before Fanout returned: %v", a, tap.calls)
+		}
+	}
+}
+
 func TestFanoutNoQuorum(t *testing.T) {
 	cfg := proto.Config{RetransInterval: 50 * time.Millisecond, MaxRetries: 8, Workers: 4}
 	reps, caller, addrs := replicaWorld(t, 3, cfg)
@@ -380,13 +423,13 @@ func TestFanoutNoQuorum(t *testing.T) {
 	c := newTestClient(t, caller, addrs, HedgeConfig{})
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	res, err := c.Fanout(ctx, echoProc, 4,
+	acks, err := c.Fanout(ctx, echoProc, 4,
 		func(e *marshal.Enc) { e.PutInt32(5) }, nil, 2)
 	if !errors.Is(err, ErrNoQuorum) {
 		t.Fatalf("err = %v, want ErrNoQuorum", err)
 	}
-	if res.Acks != 1 {
-		t.Fatalf("acks = %d, want 1", res.Acks)
+	if acks != 1 {
+		t.Fatalf("acks = %d, want 1", acks)
 	}
 }
 

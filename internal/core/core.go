@@ -163,9 +163,10 @@ func (b *Binding) Probe(timeout time.Duration) error {
 }
 
 // Client is a per-thread handle on a binding: one activity whose calls are
-// sequenced. A Client must not be used from multiple goroutines at once —
-// make one per calling goroutine, as the Firefly made one activity per
-// thread.
+// sequenced. Call and CallCtx must not be used from multiple goroutines at
+// once — make one Client per calling goroutine, as the Firefly made one
+// activity per thread. Go and Await may be called from any goroutine, as
+// long as each Pending is awaited once: every Go takes a slot of its own.
 //
 // Like the Firefly's per-thread call table entry, a Client owns long-lived
 // marshalling state: one argument buffer, one result buffer, and one
@@ -344,8 +345,8 @@ func (c *Client) putSlot(s *slot) {
 // the protocol's retransmission engine drives it, and the result is
 // collected with Await (or awaited after Done fires). A Client may have
 // any number of Gos outstanding; each uses a pooled slot with its own
-// activity. Like Call, Go and Await must be used from the Client's owning
-// goroutine.
+// activity, so unlike Call, Go and Await may be used from several
+// goroutines at once.
 func (c *Client) Go(ctx context.Context, proc uint16, argSize int, enc func(*marshal.Enc)) (*Pending, error) {
 	s := c.getSlot()
 	var args []byte

@@ -171,10 +171,7 @@ func (kv *KV) Cluster() *cluster.Client { return kv.c }
 
 // versionQuorum majority-reads key's version: the max version any quorum
 // member holds. Ordered-after semantics for Put derive from this read.
-// Stragglers may still decode after Fanout returns, so every read of the
-// accumulated state, this one included, holds mu.
 func (kv *KV) versionQuorum(ctx context.Context, key string) (uint64, error) {
-	var mu sync.Mutex
 	var max uint64
 	_, err := kv.c.Fanout(ctx, ProcGet, 4+len(key),
 		func(e *marshal.Enc) { e.PutString(key) },
@@ -185,17 +182,11 @@ func (kv *KV) versionQuorum(ctx context.Context, key string) (uint64, error) {
 			if err := d.Err(); err != nil {
 				return err
 			}
-			if ok {
-				mu.Lock()
-				if ver > max {
-					max = ver
-				}
-				mu.Unlock()
+			if ok && ver > max {
+				max = ver
 			}
 			return nil
 		}, 0)
-	mu.Lock()
-	defer mu.Unlock()
 	return max, err
 }
 
@@ -222,10 +213,8 @@ func (kv *KV) Put(ctx context.Context, key string, val []byte) (uint64, error) {
 }
 
 // Get majority-reads key and returns the highest-versioned value seen —
-// never older than the last majority-acked Put. As in versionQuorum, the
-// result is read under mu because stragglers may still be decoding.
+// never older than the last majority-acked Put.
 func (kv *KV) Get(ctx context.Context, key string) ([]byte, uint64, error) {
-	var mu sync.Mutex
 	var val []byte
 	var ver uint64
 	found := false
@@ -238,22 +227,15 @@ func (kv *KV) Get(ctx context.Context, key string) ([]byte, uint64, error) {
 			if err := d.Err(); err != nil {
 				return err
 			}
-			if ok {
-				cp := make([]byte, len(b))
-				copy(cp, b)
-				mu.Lock()
-				if !found || v > ver {
-					found, ver, val = true, v, cp
-				}
-				mu.Unlock()
+			if ok && (!found || v > ver) {
+				found, ver = true, v
+				val = append(val[:0], b...)
 			}
 			return nil
 		}, 0)
 	if err != nil {
 		return nil, 0, err
 	}
-	mu.Lock()
-	defer mu.Unlock()
 	if !found {
 		return nil, 0, ErrNotFound
 	}

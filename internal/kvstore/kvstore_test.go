@@ -67,8 +67,8 @@ func (g *gate) SetReceiver(r transport.Receiver) {
 // resultOrder makes one replica's results trail another's: each result
 // frame the follower sends waits for one from the leader. The follower's
 // reply then reaches the client right behind the reply that completes a
-// 2-of-3 quorum — a straggler that still succeeds, decoding after the
-// fan-out has returned.
+// 2-of-3 quorum — a straggler that still succeeds, arriving as the
+// fan-out reaps it.
 type resultOrder struct {
 	transport.Transport
 	turn   chan struct{}
@@ -263,10 +263,10 @@ func TestKVPartitionHeal(t *testing.T) {
 	checkGet("final")
 }
 
-// A straggler whose reply lands just after the quorum has formed still
-// decodes into the majority read's result — here with a newer version than
-// the quorum's, so it writes. Get and Put's version read must not race with
-// it (run under -race).
+// A straggler whose reply lands just after the quorum has formed — here
+// with a newer version than the quorum's — is reaped undecoded before
+// Fanout returns, so Get and Put's version read cannot race with it (run
+// under -race).
 func TestKVStragglerAfterQuorum(t *testing.T) {
 	turn := make(chan struct{}, 64)
 	kv, stores, _ := kvWorldWrapped(t, func(i int, g *gate) transport.Transport {

@@ -7,6 +7,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -291,6 +292,76 @@ func TestShedCallRetransmitAnsweredFromRetainedReject(t *testing.T) {
 	release <- struct{}{}
 	<-entered
 	p2.Await(context.Background())
+}
+
+// ackDropper drops every ack its node sends until the deadline in until
+// (unix nanos) passes.
+type ackDropper struct {
+	transport.Transport
+	until atomic.Int64
+}
+
+func (a *ackDropper) Send(dst transport.Addr, frame []byte) error {
+	if h, _, err := wire.UnmarshalRPC(frame); err == nil && h.Type == wire.TypeAck && time.Now().UnixNano() < a.until.Load() {
+		return nil
+	}
+	return a.Transport.Send(dst, frame)
+}
+
+// A server that cannot deliver a result must still complete the call, or
+// every retransmission is answered with an in-progress ack and a caller
+// with no deadline waits forever. Two ways to fail: the server gives up
+// streaming a multi-fragment result (the caller's fragment acks are lost),
+// and the result is too large to ship at all. In both the caller's
+// retransmissions must be answered — from the retained reject, or not at
+// all — so the call ends well inside the context deadline.
+func TestServerThatCannotDeliverCompletesCall(t *testing.T) {
+	const maxP = wire.MaxSinglePacketPayload
+	for _, tc := range []struct {
+		name    string
+		size    int
+		dropFor time.Duration
+		want    error
+	}{
+		{"gives up streaming", 3 * maxP, 300 * time.Millisecond, ErrTimeout},
+		{"too large", maxFragments*maxP + 1, 0, ErrRejected},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ex := transport.NewExchange()
+			tap := &ackDropper{Transport: ex.Port("caller")}
+			tap.until.Store(time.Now().Add(tc.dropFor).UnixNano())
+			cfg := Config{RetransInterval: 5 * time.Millisecond, MaxRetries: 3, Workers: 2}
+			caller := NewConn(tap, cfg, nil)
+			var runs atomic.Int64
+			server := NewConn(ex.Port("server"), cfg, func(transport.Addr, wire.TraceCtx, uint32, uint16, []byte) ([]byte, error) {
+				runs.Add(1)
+				return make([]byte, tc.size), nil
+			})
+			t.Cleanup(func() {
+				caller.Close()
+				server.Close()
+			})
+			sa := transport.AddrOf("server")
+			act := caller.NewActivity()
+			ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+			defer cancel()
+			for attempt := 0; attempt < 2; attempt++ {
+				// The second attempt re-sends the same activity and seq, as a
+				// retransmission would, and must find the call complete.
+				start := time.Now()
+				_, err := caller.Call(ctx, sa, act, 1, 1, 1, nil, nil)
+				if !errors.Is(err, tc.want) {
+					t.Fatalf("attempt %d: err = %v, want %v", attempt, err, tc.want)
+				}
+				if d := time.Since(start); d > time.Second {
+					t.Fatalf("attempt %d took %v: the server left the call in progress", attempt, d)
+				}
+			}
+			if n := runs.Load(); n != 1 {
+				t.Fatalf("handler ran %d times, want 1", n)
+			}
+		})
+	}
 }
 
 // The stage-accounting identity (stage sum == measured end-to-end) must

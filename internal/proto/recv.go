@@ -308,11 +308,6 @@ func (c *Conn) execute(req execReq) {
 		// The caller cancelled this call while it executed: nobody is
 		// waiting, so skip the result send entirely and leave nothing
 		// retained. A new call on the activity resets the state.
-		ch.actsMu.Lock()
-		if act.lastSeq == hdr.Seq && act.phase == phaseExecuting {
-			act.phase = phaseDone
-		}
-		ch.actsMu.Unlock()
 	case err != nil:
 		c.stats.rejects.Add(1)
 		rej := wire.RPCHeader{
@@ -339,31 +334,35 @@ func (c *Conn) execute(req execReq) {
 	}
 	if final != nil {
 		_ = c.send(act.src, final.Bytes())
-		c.retainResult(act, hdr.Seq, final)
 	}
+	c.retainResult(act, hdr.Seq, final)
 	if req.trace != nil {
 		req.trace.stamp(StageSrvResultSent)
 	}
 }
 
-// retainResult parks the final result frame in the activity's call-table
-// slot for retransmission, releasing its predecessor. If a newer call has
-// superseded seq, the caller abandoned the call, or the channel was evicted
-// while the handler ran, the frame is released instead: nobody may (or
-// will) retransmit it.
+// retainResult completes call seq on the activity and parks its final
+// frame in the call-table slot for retransmission, releasing its
+// predecessor. With no frame (the call was abandoned, or the server gave
+// up sending its result) the call completes with nothing to retransmit, so
+// the caller's retransmissions go unanswered until its retry budget runs
+// out. If a newer call has superseded seq, the caller abandoned the call,
+// or the channel was evicted while the handler ran, the frame is released
+// instead: nobody may (or will) retransmit it.
 func (c *Conn) retainResult(act *serverAct, seq uint32, f *buffer.Frame) {
 	ch := act.ch
 	ch.actsMu.Lock()
-	if act.lastSeq == seq && !act.abandoned && !ch.evicted {
+	if act.lastSeq == seq && act.phase == phaseExecuting {
 		act.phase = phaseDone
+	}
+	switch {
+	case f == nil:
+	case act.lastSeq == seq && !act.abandoned && !ch.evicted:
 		if act.lastResultFrame != nil {
 			act.lastResultFrame.Release()
 		}
 		act.lastResultFrame = f
-	} else {
-		if act.lastSeq == seq && act.phase == phaseExecuting {
-			act.phase = phaseDone
-		}
+	default:
 		f.Release()
 	}
 	ch.actsMu.Unlock()
@@ -372,7 +371,8 @@ func (c *Conn) retainResult(act *serverAct, seq uint32, f *buffer.Frame) {
 // sendResult transmits all but the last result fragment, stop-and-wait, and
 // returns the last one built but unsent: its receipt is acknowledged
 // implicitly by the next call, so the caller sends it and retains it for
-// retransmission. It returns nil when it gave up or rejected the result.
+// retransmission. A result too large to ship returns a reject frame in its
+// place, retained the same way. It returns nil when it gave up.
 func (c *Conn) sendResult(act *serverAct, call wire.RPCHeader, result []byte) *buffer.Frame {
 	ch := act.ch
 	maxP := c.maxPayload()
@@ -382,8 +382,7 @@ func (c *Conn) sendResult(act *serverAct, call wire.RPCHeader, result []byte) *b
 		rej := wire.RPCHeader{
 			Type: wire.TypeReject, Activity: call.Activity, Seq: call.Seq, FragCount: 1,
 		}
-		_ = c.sendFrame(act.src, rej, nil)
-		return nil
+		return c.newFrame(rej, wire.TraceCtx{}, nil)
 	}
 	hdr := wire.RPCHeader{
 		Type:      wire.TypeResult,
@@ -420,7 +419,7 @@ func (c *Conn) sendResult(act *serverAct, call wire.RPCHeader, result []byte) *b
 			ok := c.sendResultFragWithAck(act, call, f, i, timer)
 			f.Release()
 			if !ok {
-				return nil // gave up; caller will retransmit and find phaseDone unset
+				return nil // gave up
 			}
 		}
 	}

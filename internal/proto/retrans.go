@@ -140,7 +140,8 @@ func (c *Conn) retransLoop() {
 // own deadline forward (an in-progress ack arrived), time it out if its
 // deadline or retry budget is exhausted, otherwise retransmit the retained
 // frame with the please-ack flag flipped in place and re-arm with
-// exponential backoff.
+// exponential backoff. A timeout records its flight dump before it
+// finishes the call, so the dump is there by the time Await returns.
 func (c *Conn) fireRetrans(oc *outCall) {
 	oc.mu.Lock()
 	if oc.finished || oc.frame == nil {
@@ -153,10 +154,9 @@ func (c *Conn) fireRetrans(oc *outCall) {
 		// Per-call deadline (Config.CallTimeout or the caller's context
 		// deadline) wins over the retry budget, even while retransmissions
 		// are being answered with in-progress acks.
-		retries := oc.retries
+		c.noteTimeout(k, oc.retries)
 		oc.finishLocked(k, nil, ErrTimeout)
 		oc.mu.Unlock()
-		c.noteTimeout(k, retries)
 		return
 	}
 	if oc.nextAt.After(now) {
@@ -169,10 +169,9 @@ func (c *Conn) fireRetrans(oc *outCall) {
 	}
 	oc.retries++
 	if oc.retries > c.cfg.MaxRetries {
-		retries := oc.retries - 1
+		c.noteTimeout(k, oc.retries-1)
 		oc.finishLocked(k, nil, ErrTimeout)
 		oc.mu.Unlock()
-		c.noteTimeout(k, retries)
 		return
 	}
 	c.stats.retransmits.Add(1)

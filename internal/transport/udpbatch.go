@@ -1,20 +1,8 @@
 package transport
 
 import (
-	"fmt"
 	"os"
 	"runtime"
-)
-
-// Receive-loop modes for the batched UDP engine.
-const (
-	// RecvModePark blocks each shard's read loop on the runtime netpoller
-	// between bursts: zero CPU when idle, one wakeup per burst.
-	RecvModePark = "park"
-	// RecvModeSpin polls the socket with nonblocking recvmmsg for a budget
-	// of iterations before parking: burns a core while hot but shaves the
-	// netpoller wakeup off the receive path for latency-sensitive runs.
-	RecvModeSpin = "spin"
 )
 
 // EnvNoBatch, when set to any non-empty value, forces ListenUDPBatch to
@@ -31,40 +19,6 @@ type UDPOptions struct {
 	// disables sharding. The kernel's 4-tuple hash keeps every peer on one
 	// shard, so per-peer delivery order is preserved.
 	Shards int
-	// RecvMode is RecvModePark (default) or RecvModeSpin.
-	RecvMode string
-	// SpinBudget is how many nonblocking polls a spin-mode loop makes
-	// before parking. 0 means a default budget. Ignored in park mode.
-	SpinBudget int
-	// RecvBatch is the recvmmsg vector size per shard. 0 means 32.
-	RecvBatch int
-	// DisableGSO and DisableGRO opt out of kernel segmentation offload even
-	// when the kernel supports it (useful for A/B measurement).
-	DisableGSO bool
-	DisableGRO bool
-}
-
-func (o UDPOptions) withDefaults() (UDPOptions, error) {
-	if o.Shards <= 0 {
-		o.Shards = runtime.NumCPU()
-		if o.Shards > 4 {
-			o.Shards = 4
-		}
-	}
-	if o.RecvBatch <= 0 {
-		o.RecvBatch = 32
-	}
-	if o.SpinBudget <= 0 {
-		o.SpinBudget = 4096
-	}
-	switch o.RecvMode {
-	case "":
-		o.RecvMode = RecvModePark
-	case RecvModePark, RecvModeSpin:
-	default:
-		return o, fmt.Errorf("transport: unknown RecvMode %q", o.RecvMode)
-	}
-	return o, nil
 }
 
 // ListenUDPBatch opens the batched UDP transport on addr. On Linux this is
@@ -77,12 +31,11 @@ func (o UDPOptions) withDefaults() (UDPOptions, error) {
 // ≤ MaxFrame bytes, kernel coalescing and segmentation are invisible, and
 // frames to one peer are never reordered by the transport itself.
 func ListenUDPBatch(addr string, opts UDPOptions) (Transport, error) {
-	opts, err := opts.withDefaults()
-	if err != nil {
-		return nil, err
-	}
 	if os.Getenv(EnvNoBatch) != "" {
 		return ListenUDP(addr)
+	}
+	if opts.Shards <= 0 {
+		opts.Shards = min(runtime.NumCPU(), 4)
 	}
 	return listenUDPBatch(addr, opts)
 }

@@ -43,7 +43,6 @@ type mmsghdr struct {
 // recvmmsg vector in its own loop and splitting GRO-coalesced buffers back
 // into wire-sized frames before delivery.
 type batchUDP struct {
-	opts  UDPOptions
 	conns []*net.UDPConn
 	raws  []syscall.RawConn
 	self  *udpAddr
@@ -95,7 +94,6 @@ func listenUDPBatch(addr string, opts UDPOptions) (Transport, error) {
 	la := conn0.LocalAddr().(*net.UDPAddr)
 
 	b := &batchUDP{
-		opts:  opts,
 		conns: []*net.UDPConn{conn0},
 		self:  newUDPAddr(la.AddrPort()),
 		peers: make(map[netip.AddrPort]*udpAddr),
@@ -135,23 +133,19 @@ func listenUDPBatch(addr string, opts UDPOptions) (Transport, error) {
 
 	// Probe GSO on the send socket: setting UDP_SEGMENT to 0 (disabled) is
 	// a no-op on supporting kernels and ENOPROTOOPT otherwise.
-	if !opts.DisableGSO {
-		_ = b.raws[0].Control(func(fd uintptr) {
-			b.gso = syscall.SetsockoptInt(int(fd), solUDP, udpSegment, 0) == nil
-		})
-	}
+	_ = b.raws[0].Control(func(fd uintptr) {
+		b.gso = syscall.SetsockoptInt(int(fd), solUDP, udpSegment, 0) == nil
+	})
 	// Enable GRO on every receive socket; all must accept for b.gro.
-	if !opts.DisableGRO {
-		b.gro = true
-		for _, raw := range b.raws {
-			ok := false
-			_ = raw.Control(func(fd uintptr) {
-				ok = syscall.SetsockoptInt(int(fd), solUDP, udpGRO, 1) == nil
-			})
-			if !ok {
-				b.gro = false
-				break
-			}
+	b.gro = true
+	for _, raw := range b.raws {
+		ok := false
+		_ = raw.Control(func(fd uintptr) {
+			ok = syscall.SetsockoptInt(int(fd), solUDP, udpGRO, 1) == nil
+		})
+		if !ok {
+			b.gro = false
+			break
 		}
 	}
 
@@ -449,7 +443,7 @@ func sameDest(b *batchUDP, dst Addr, ap netip.AddrPort) bool {
 }
 
 // ---------------------------------------------------------------------------
-// Batched receive: recvmmsg vectors, GRO splitting, spin-then-park
+// Batched receive: recvmmsg vectors, GRO splitting, park when empty
 
 // recvVec owns one shard's receive state: fixed buffers wired into mmsghdrs
 // once, with the kernel-rewritten lengths reset before every call.
@@ -494,6 +488,9 @@ func (v *recvVec) reset() {
 	}
 }
 
+// recvBatch is the recvmmsg vector size per shard.
+const recvBatch = 32
+
 func (b *batchUDP) readLoop(shard int) {
 	defer b.wg.Done()
 	bufSize := UDPMaxFrame + 1
@@ -501,12 +498,8 @@ func (b *batchUDP) readLoop(shard int) {
 		// GRO hands us coalesced buffers up to the UDP payload limit.
 		bufSize = 65535
 	}
-	vec := newRecvVec(b.opts.RecvBatch, bufSize)
+	vec := newRecvVec(recvBatch, bufSize)
 	peers := make(map[netip.AddrPort]*udpAddr) // shard-local, no lock
-	spinBudget := 0
-	if b.opts.RecvMode == RecvModeSpin {
-		spinBudget = b.opts.SpinBudget
-	}
 	raw := b.raws[shard]
 	// The callback and the result slots it writes live outside the loop so
 	// the closure (and its captures) heap-allocate once per shard, not once
@@ -514,29 +507,19 @@ func (b *batchUDP) readLoop(shard int) {
 	var n int
 	var serr syscall.Errno
 	readFn := func(fd uintptr) bool {
-		for spins := 0; ; spins++ {
-			vec.reset()
-			r, _, e := syscall.Syscall6(sysRECVMMSG, fd,
-				uintptr(unsafe.Pointer(&vec.hdrs[0])), uintptr(len(vec.hdrs)),
-				syscall.MSG_DONTWAIT, 0, 0)
-			if e == 0 {
-				n, serr = int(r), 0
-				return true
-			}
-			if e != syscall.EAGAIN {
-				n, serr = 0, e
-				return true
-			}
-			// While spinning the fd can't be torn down under us (Close
-			// blocks on this callback), so poll the closed flag or the
-			// spin would never see an error.
-			if spins >= spinBudget || b.isClosed() {
-				return false
-			}
-			if spins%64 == 63 {
-				runtime.Gosched()
-			}
+		vec.reset()
+		r, _, e := syscall.Syscall6(sysRECVMMSG, fd,
+			uintptr(unsafe.Pointer(&vec.hdrs[0])), uintptr(len(vec.hdrs)),
+			syscall.MSG_DONTWAIT, 0, 0)
+		switch e {
+		case 0:
+			n, serr = int(r), 0
+		case syscall.EAGAIN:
+			return false // park on the netpoller until the socket is readable
+		default:
+			n, serr = 0, e
 		}
+		return true
 	}
 	for {
 		n, serr = 0, 0

@@ -256,32 +256,6 @@ func TestBatchShardedReceive(t *testing.T) {
 	}
 }
 
-// Spin mode: a round trip works and Close terminates the spinning loop
-// (regression guard: the spin must poll the closed flag or Close hangs).
-func TestBatchSpinModeAndClose(t *testing.T) {
-	b := listenBatchT(t, UDPOptions{RecvMode: RecvModeSpin, SpinBudget: 256})
-	var c collector
-	b.SetReceiver(c.receive)
-	a := listenBatchT(t, UDPOptions{})
-	if err := a.Send(b.LocalAddr(), []byte("spin")); err != nil {
-		t.Fatal(err)
-	}
-	waitFrames(t, &c, 1)
-	done := make(chan struct{})
-	go func() { b.Close(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Close hung against a spinning receive loop")
-	}
-}
-
-func TestBatchRejectsBadRecvMode(t *testing.T) {
-	if _, err := ListenUDPBatch("127.0.0.1:0", UDPOptions{RecvMode: "busywait"}); err == nil {
-		t.Fatal("bad RecvMode accepted")
-	}
-}
-
 // FIREFLYRPC_NOBATCH forces the plain per-frame transport: no BatchSender.
 func TestBatchEnvForceDisable(t *testing.T) {
 	t.Setenv(EnvNoBatch, "1")
