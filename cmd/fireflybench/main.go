@@ -9,6 +9,7 @@
 //	fireflybench -list            # list experiments
 //	fireflybench -table tail,overload,hedge -quality 0.4  # real-stack loss, overload and hedging sweeps
 //	fireflybench -breakdown       # traced per-stage latency accounting (Tables VI/VII style)
+//	fireflybench -breakdown -quality 0.25  # the same over 500 instead of 2000 calls
 //	fireflybench -simtrace out.json  # Perfetto timeline + utilization report for a simulated run
 //	fireflybench -batchcompare    # per-frame vs batched UDP fan-out, back to back
 //	fireflybench -traceoverhead   # tracing-on vs tracing-off async Null, gated ≤5%
@@ -29,51 +30,57 @@ import (
 	"fireflyrpc/internal/realbench"
 )
 
+// Fixed parameters of the one-shot modes. Their call counts are given at
+// -quality 1 and scale with it.
+const (
+	batchCompareCalls  = 20000 // calls per side for -batchcompare
+	asyncWidth         = 64    // outstanding calls for -batchcompare and -traceoverhead
+	traceOverheadCalls = 20000 // calls per round for -traceoverhead
+	traceOverheadBound = 1.05  // maximum tracing-on/off ns-per-op ratio
+	breakdownCalls     = 2000  // calls traced by -breakdown
+	breakdownSample    = 64    // sampling stride of -breakdown's overhead measurement
+	simTraceThreads    = 4     // caller threads for -simtrace and -mergedtrace
+	simTraceCalls      = 200   // simulated calls for -simtrace and -mergedtrace
+	mergedChainCalls   = 16    // real two-hop chained calls for -mergedtrace
+)
+
 func main() {
 	tables := flag.String("table", "all", "comma-separated table IDs (I..XII, util, improvements, streaming, ablations, tail, overload, hedge) or 'all'")
-	quality := flag.Float64("quality", 1.0, "fraction of the paper's call counts to run")
+	quality := flag.Float64("quality", 1.0, "fraction of the paper's call counts to run; also scales the call counts of -breakdown, -traceoverhead, -simtrace and -mergedtrace")
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	list := flag.Bool("list", false, "list experiments and exit")
 	trace := flag.Bool("trace", false, "trace one Null() and one MaxResult(b) call through the simulated fast path and exit")
 	batchCompare := flag.Bool("batchcompare", false, "run the per-frame vs batched UDP async fan-out comparison and exit")
-	batchCompareCalls := flag.Int("batchcomparecalls", 20000, "calls per side for -batchcompare")
-	batchCompareWidth := flag.Int("batchcomparewidth", 64, "async fan-out width for -batchcompare")
 	traceOverhead := flag.Bool("traceoverhead", false, "run the tracing-on vs tracing-off async Null comparison and exit non-zero above the bound")
-	traceOverheadCalls := flag.Int("traceoverheadcalls", 20000, "calls per round for -traceoverhead")
-	traceOverheadWidth := flag.Int("traceoverheadwidth", 64, "async fan-out width for -traceoverhead")
-	traceOverheadBound := flag.Float64("traceoverheadbound", 1.05, "maximum tracing-on/off ns-per-op ratio for -traceoverhead")
 	mergedTrace := flag.String("mergedtrace", "", "write one Perfetto JSON combining a simulated run and real chained-call spans to this path and exit")
-	mergedChainCalls := flag.Int("mergedchaincalls", 16, "real two-hop chained calls for -mergedtrace")
 	breakdown := flag.Bool("breakdown", false, "trace Null calls through both endpoints and print the per-stage latency accounting")
-	breakdownCalls := flag.Int("breakdowncalls", 2000, "calls to trace for -breakdown")
-	breakdownSample := flag.Int("breakdownsample", 64, "sampling stride for the -breakdown overhead measurement")
 	simTrace := flag.String("simtrace", "", "write a Chrome trace-event JSON timeline of a simulated run to this path and exit")
-	simTraceThreads := flag.Int("simtracethreads", 4, "caller threads for -simtrace")
-	simTraceCalls := flag.Int("simtracecalls", 200, "total calls for -simtrace")
 	flag.Parse()
 
+	scaled := func(calls int) int { return max(1, int(float64(calls)**quality)) }
+
 	if *breakdown {
-		runBreakdown(*breakdownCalls, *breakdownSample)
+		runBreakdown(scaled(breakdownCalls))
 		return
 	}
 
 	if *batchCompare {
-		runBatchCompare(*batchCompareCalls, *batchCompareWidth)
+		runBatchCompare()
 		return
 	}
 
 	if *traceOverhead {
-		runTraceOverhead(*traceOverheadCalls, *traceOverheadWidth, *traceOverheadBound)
+		runTraceOverhead(scaled(traceOverheadCalls))
 		return
 	}
 
 	if *mergedTrace != "" {
-		runMergedTrace(*mergedTrace, *seed, *simTraceThreads, *simTraceCalls, *mergedChainCalls)
+		runMergedTrace(*mergedTrace, *seed, scaled(simTraceCalls))
 		return
 	}
 
 	if *simTrace != "" {
-		runSimTrace(*simTrace, *seed, *simTraceThreads, *simTraceCalls)
+		runSimTrace(*simTrace, *seed, scaled(simTraceCalls))
 		return
 	}
 
@@ -118,8 +125,8 @@ func main() {
 // comparison back to back in this process and prints both sides plus the
 // self-relative speedup — the measurement behind the EXPERIMENTS.md batched
 // datapath table.
-func runBatchCompare(calls, width int) {
-	res, err := realbench.BatchCompare(calls, width)
+func runBatchCompare() {
+	res, err := realbench.BatchCompare(batchCompareCalls, asyncWidth)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fireflybench: batchcompare: %v\n", err)
 		os.Exit(1)
@@ -139,8 +146,8 @@ func runBatchCompare(calls, width int) {
 // exiting non-zero when the telescoping stage sum fails to explain the
 // measured end-to-end latency within 10% — the same self-check the paper
 // applies to Table VIII's model-vs-measurement comparison.
-func runBreakdown(calls, sample int) {
-	res, err := realbench.Breakdown(calls, sample)
+func runBreakdown(calls int) {
+	res, err := realbench.Breakdown(calls, breakdownSample)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fireflybench: breakdown: %v\n", err)
 		os.Exit(1)

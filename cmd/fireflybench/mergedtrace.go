@@ -15,8 +15,8 @@ import (
 // comparison and exits non-zero when the self-relative ratio crosses the
 // bound — the CI witness for the "tracing costs ≤5% when on, nothing when
 // off" claim.
-func runTraceOverhead(calls, width int, bound float64) {
-	res, err := realbench.TraceOverhead(calls, width)
+func runTraceOverhead(calls int) {
+	res, err := realbench.TraceOverhead(calls, asyncWidth)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fireflybench: traceoverhead: %v\n", err)
 		os.Exit(1)
@@ -25,9 +25,9 @@ func runTraceOverhead(calls, width int, bound float64) {
 		res.Outstanding, res.Off.Calls, res.Rounds)
 	fmt.Printf("  tracing off %8.0f ns/op  %9.0f calls/s\n", res.Off.NsPerOp, res.Off.CallsPerSec)
 	fmt.Printf("  tracing on  %8.0f ns/op  %9.0f calls/s\n", res.On.NsPerOp, res.On.CallsPerSec)
-	fmt.Printf("\nratio: %.3f (bound %.2f)\n", res.Ratio, bound)
-	if res.Exceeds(bound) {
-		fmt.Fprintf(os.Stderr, "fireflybench: tracing-on overhead ratio %.3f exceeds the %.2f bound\n", res.Ratio, bound)
+	fmt.Printf("\nratio: %.3f (bound %.2f)\n", res.Ratio, traceOverheadBound)
+	if res.Exceeds(traceOverheadBound) {
+		fmt.Fprintf(os.Stderr, "fireflybench: tracing-on overhead ratio %.3f exceeds the %.2f bound\n", res.Ratio, traceOverheadBound)
 		os.Exit(1)
 	}
 }
@@ -37,13 +37,13 @@ func runTraceOverhead(calls, width int, bound float64) {
 // the shared span schema is what lets the same viewer show both. The real
 // spans are shifted to the document's origin so the two timelines sit side
 // by side rather than a process-uptime apart.
-func runMergedTrace(outPath string, seed uint64, threads, calls, chainCalls int) {
+func runMergedTrace(outPath string, seed uint64, calls int) {
 	cfg := costmodel.NewConfig()
 	w := simstack.NewWorld(&cfg, seed)
 	b := simtrace.AttachWorld(w)
-	r := w.Run(simstack.MaxResultSpec(&cfg), threads, calls)
+	r := w.Run(simstack.MaxResultSpec(&cfg), simTraceThreads, calls)
 
-	rep, err := realbench.ChainSpans(chainCalls)
+	rep, err := realbench.ChainSpans(mergedChainCalls)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fireflybench: mergedtrace: %v\n", err)
 		os.Exit(1)
@@ -75,7 +75,7 @@ func runMergedTrace(outPath string, seed uint64, threads, calls, chainCalls int)
 		os.Exit(1)
 	}
 	fmt.Printf("simulated %d MaxResult calls over %d threads in %v virtual time\n",
-		r.Calls, threads, r.Elapsed)
+		r.Calls, simTraceThreads, r.Elapsed)
 	fmt.Printf("real chain: %d calls, %d root + %d child spans (linked=%v, unaccounted %+.2f%%)\n",
 		rep.Calls, rep.Roots, rep.Children, rep.Linked(), 100*rep.Unaccounted)
 	fmt.Printf("wrote %s: %d bytes (load in ui.perfetto.dev)\n", outPath, n)

@@ -12,11 +12,11 @@ import (
 // runSimTrace drives a short MaxResult workload on the simulated testbed
 // with the timeline tracer attached, writes Chrome trace-event JSON for
 // Perfetto, and prints the per-resource utilization report.
-func runSimTrace(outPath string, seed uint64, threads, calls int) {
+func runSimTrace(outPath string, seed uint64, calls int) {
 	cfg := costmodel.NewConfig()
 	w := simstack.NewWorld(&cfg, seed)
 	b := simtrace.AttachWorld(w)
-	r := w.Run(simstack.MaxResultSpec(&cfg), threads, calls)
+	r := w.Run(simstack.MaxResultSpec(&cfg), simTraceThreads, calls)
 
 	f, err := os.Create(outPath)
 	if err != nil {
@@ -34,7 +34,7 @@ func runSimTrace(outPath string, seed uint64, threads, calls int) {
 
 	c := b.Counts()
 	fmt.Printf("simulated %d MaxResult calls over %d threads in %v virtual time\n",
-		r.Calls, threads, r.Elapsed)
+		r.Calls, simTraceThreads, r.Elapsed)
 	fmt.Printf("wrote %s: %d trace events, %d bytes (load in ui.perfetto.dev)\n",
 		outPath, c.Events, n)
 	fmt.Printf("kernel events: %d scheduled, %d fired\n\n", c.Scheduled, c.Fired)

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"fireflyrpc/internal/marshal"
@@ -162,53 +161,34 @@ func (b *Binding) Probe(timeout time.Duration) error {
 	return b.node.conn.Ping(b.remote, timeout)
 }
 
-// Client is a per-thread handle on a binding: one activity whose calls are
-// sequenced. Call and CallCtx must not be used from multiple goroutines at
-// once — make one Client per calling goroutine, as the Firefly made one
-// activity per thread. Go and Await may be called from any goroutine, as
-// long as each Pending is awaited once: every Go takes a slot of its own.
-//
-// Like the Firefly's per-thread call table entry, a Client owns long-lived
-// marshalling state: one argument buffer, one result buffer, and one
-// encoder/decoder pair, all reused across calls so the single-packet fast
-// path performs no per-call heap allocation in this layer.
+// Client is a handle on a binding. Every call, blocking or not, takes a
+// slot of its own: an activity (the protocol allows one call in flight per
+// activity, the next seq superseding the previous) with reusable argument
+// and result buffers and an encoder/decoder pair. Slots are recycled
+// through a freelist, so the single-packet fast path performs no per-call
+// heap allocation in this layer — the Firefly's per-thread call table
+// entry, kept per outstanding call instead of per thread. Call, Go and
+// Await may therefore be used from any goroutine, as long as each Pending
+// is awaited once.
 type Client struct {
-	b        *Binding
-	activity uint64
-	seq      atomic.Uint32
+	b *Binding
 
-	argBuf []byte
-	resBuf []byte
-	enc    marshal.Enc
-	dec    marshal.Dec
-
-	// Async-call slots. The packet-exchange protocol permits one call in
-	// flight per activity (the next call's seq supersedes the previous), so
-	// each concurrently outstanding Go needs its own activity; slots bundle
-	// that activity with its own reusable marshalling state and are
-	// recycled through a freelist, so steady-state fan-out allocates
-	// nothing per call.
 	slotMu   sync.Mutex
 	freeSlot *slot
 }
 
-// NewClient allocates an activity on the binding.
-func (b *Binding) NewClient() *Client {
-	return &Client{
-		b:        b,
-		activity: b.node.conn.NewActivity(),
-		resBuf:   make([]byte, 0, wire.MaxSinglePacketPayload),
-	}
-}
+// NewClient returns a calling handle on the binding. Activities are
+// allocated as its calls first need them.
+func (b *Binding) NewClient() *Client { return &Client{b: b} }
 
 // Call performs a remote call. argSize is the exact marshalled size of the
 // arguments; enc fills them; dec (which may be nil) consumes the results.
 // Generated stubs compute argSize from the signature so the call packet
 // buffer is sized exactly, like the Starter's packet buffer — and the buffer
-// itself is the Client's, recycled across calls.
+// itself is the slot's, recycled across calls.
 //
-// The Dec handed to dec reads the Client's reusable result buffer, which
-// the next Call overwrites: dec must copy anything it keeps (the copying
+// The Dec handed to dec reads the slot's reusable result buffer, which a
+// later call overwrites: dec must copy anything it keeps (the copying
 // primitives — FixedBytes, VarBytes, VarBytesInto, String — are safe; the
 // server-side aliasing primitives must not be used here).
 func (c *Client) Call(proc uint16, argSize int, enc func(*marshal.Enc), dec func(*marshal.Dec)) error {
@@ -218,49 +198,18 @@ func (c *Client) Call(proc uint16, argSize int, enc func(*marshal.Enc), dec func
 // CallCtx is Call with cancellation: the ctx deadline bounds the whole
 // exchange (retransmissions included) and cancelling ctx abandons the call
 // immediately, releasing its protocol-level state and notifying the server.
+// It is Go followed by Await.
 func (c *Client) CallCtx(ctx context.Context, proc uint16, argSize int, enc func(*marshal.Enc), dec func(*marshal.Dec)) error {
-	var args []byte
-	if argSize > 0 {
-		if cap(c.argBuf) < argSize {
-			c.argBuf = make([]byte, argSize)
-		}
-		args = c.argBuf[:argSize]
-		c.enc.Reset(args)
-		if enc != nil {
-			enc(&c.enc)
-		}
-		if c.enc.Err() != nil {
-			return fmt.Errorf("%w: %v", ErrMarshal, c.enc.Err())
-		}
-		args = c.enc.Bytes()
-	} else if enc != nil {
-		c.enc.Reset(nil)
-		enc(&c.enc)
-	}
-	seq := c.seq.Add(1)
-	res, err := c.b.node.conn.Call(ctx, c.b.remote, c.activity, seq, c.b.iface, proc, args, c.resBuf)
+	p, err := c.Go(ctx, proc, argSize, enc)
 	if err != nil {
 		return err
 	}
-	// A multi-fragment result can outgrow the preallocated buffer; keep the
-	// grown storage for subsequent calls.
-	if cap(res) > cap(c.resBuf) {
-		c.resBuf = res[:0]
-	}
-	if dec != nil {
-		c.dec.Reset(res)
-		dec(&c.dec)
-		if c.dec.Err() != nil {
-			return c.dec.Err()
-		}
-	}
-	return nil
+	return p.Await(ctx, dec)
 }
 
-// slot is one async call's context: an activity of its own (the protocol
-// allows one outstanding call per activity), reusable argument/result
-// buffers, marshalling state, and the protocol-level pending handle. Slots
-// live on the Client's freelist between calls.
+// slot is one call's context: an activity of its own, reusable
+// argument/result buffers, marshalling state, and the protocol-level
+// pending handle. Slots live on the Client's freelist between calls.
 type slot struct {
 	activity uint64
 	seq      uint32
@@ -344,9 +293,8 @@ func (c *Client) putSlot(s *slot) {
 // and enc are as in Call. The call proceeds without a dedicated goroutine:
 // the protocol's retransmission engine drives it, and the result is
 // collected with Await (or awaited after Done fires). A Client may have
-// any number of Gos outstanding; each uses a pooled slot with its own
-// activity, so unlike Call, Go and Await may be used from several
-// goroutines at once.
+// any number of calls outstanding, each in a pooled slot with its own
+// activity.
 func (c *Client) Go(ctx context.Context, proc uint16, argSize int, enc func(*marshal.Enc)) (*Pending, error) {
 	s := c.getSlot()
 	var args []byte

@@ -1,12 +1,10 @@
-package fireflyrpc
+package exper
 
 import (
 	"testing"
 	"time"
 
 	"fireflyrpc/internal/costmodel"
-	"fireflyrpc/internal/exper"
-	"fireflyrpc/internal/marshal"
 	"fireflyrpc/internal/simstack"
 	"fireflyrpc/internal/wire"
 )
@@ -202,59 +200,6 @@ func BenchmarkImprovement_BusyWait(b *testing.B) {
 // reduced quality, as cmd/fireflybench does.
 func BenchmarkExperimentTableI(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		exper.TableI(exper.Options{Quality: 0.05, Seed: 1})
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Substrate micro-benchmarks.
-// ---------------------------------------------------------------------------
-
-// BenchmarkChecksum1514 measures the real UDP checksum over a maximum frame.
-func BenchmarkChecksum1514(b *testing.B) {
-	frame := make([]byte, 1514)
-	for i := range frame {
-		frame[i] = byte(i)
-	}
-	b.SetBytes(1514)
-	for i := 0; i < b.N; i++ {
-		wire.Checksum(frame)
-	}
-}
-
-// BenchmarkBuildParsePacket measures full frame assembly and validation.
-func BenchmarkBuildParsePacket(b *testing.B) {
-	src := wire.Endpoint{MAC: wire.MACForHost(1), IP: wire.IPForHost(1), Port: wire.RPCPort}
-	dst := wire.Endpoint{MAC: wire.MACForHost(2), IP: wire.IPForHost(2), Port: wire.RPCPort}
-	payload := make([]byte, wire.MaxSinglePacketPayload)
-	buf := make([]byte, wire.PacketLen(len(payload)))
-	h := wire.RPCHeader{Type: wire.TypeResult, FragCount: 1, Flags: wire.FlagLastFrag}
-	b.SetBytes(int64(len(buf)))
-	for i := 0; i < b.N; i++ {
-		if err := wire.BuildPacketInto(buf, src, dst, h, payload, true); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := wire.ParsePacket(buf, true); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMarshalRoundTrip measures the Enc/Dec layer.
-func BenchmarkMarshalRoundTrip(b *testing.B) {
-	buf := make([]byte, 64)
-	for i := 0; i < b.N; i++ {
-		e := marshal.NewEnc(buf)
-		e.PutInt32(1)
-		e.PutUint64(2)
-		e.PutBool(true)
-		e.PutString("hello")
-		d := marshal.NewDec(e.Bytes())
-		d.Int32()
-		d.Uint64()
-		d.Bool()
-		if s := d.String(); s != "hello" || d.Err() != nil {
-			b.Fatal("round trip failed")
-		}
+		TableI(Options{Quality: 0.05, Seed: 1})
 	}
 }

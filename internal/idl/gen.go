@@ -184,13 +184,11 @@ func (g *gen) imports() string {
 func (g *gen) callerStubs() {
 	m := g.m
 	M := m.Name
-	g.p("// %sClient is the caller stub: one activity making sequenced calls", M)
-	g.p("// to a bound remote instance of the interface. Like a Firefly caller")
-	g.p("// thread, a %sClient must not be used concurrently; create one per", M)
-	g.p("// calling goroutine.")
+	g.p("// %sClient is the caller stub for a bound remote instance of the", M)
+	g.p("// interface. Its methods may be called from any goroutine.")
 	g.p("type %sClient struct{ c *core.Client }", M)
 	g.p("")
-	g.p("// New%sClient allocates an activity on the binding.", M)
+	g.p("// New%sClient returns a caller stub on the binding.", M)
 	g.p("func New%sClient(b *core.Binding) *%sClient { return &%sClient{c: b.NewClient()} }", M, M, M)
 	g.p("")
 

@@ -29,13 +29,11 @@ const (
 	KitchenProcRealMath      = uint16(9)
 )
 
-// KitchenClient is the caller stub: one activity making sequenced calls
-// to a bound remote instance of the interface. Like a Firefly caller
-// thread, a KitchenClient must not be used concurrently; create one per
-// calling goroutine.
+// KitchenClient is the caller stub for a bound remote instance of the
+// interface. Its methods may be called from any goroutine.
 type KitchenClient struct{ c *core.Client }
 
-// NewKitchenClient allocates an activity on the binding.
+// NewKitchenClient returns a caller stub on the binding.
 func NewKitchenClient(b *core.Binding) *KitchenClient { return &KitchenClient{c: b.NewClient()} }
 
 // Scalars calls the remote Kitchen.Scalars procedure.

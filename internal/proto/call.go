@@ -151,10 +151,10 @@ func (p *Pending) cancelNotify(cause error) {
 }
 
 // StartCall starts an asynchronous call into the caller-provided handle p,
-// so callers that pool their per-call state (core.Client's slots, Call's
-// stack frame) start a call without allocating. It transmits args to dst
-// (spawning a goroutine only for multi-fragment sends), registers the call
-// with the retransmission engine, and returns immediately; the result is
+// so callers that pool their per-call state (core.Client's slots) start a
+// call without allocating. It transmits args to dst (spawning a goroutine
+// only for multi-fragment sends), registers the call with the
+// retransmission engine, and returns immediately; the result is
 // collected with p.Await, and lands in resBuf[:0] when it fits. seq must
 // increase across calls of the same activity, and an activity may have at
 // most one call in flight — fan-out callers use one activity per
@@ -308,6 +308,9 @@ func (c *Conn) StartCall(ctx context.Context, dst transport.Addr, activity uint6
 	if nfrags == 1 {
 		frame := c.newFrame(last, tc, args)
 		sent := now
+		if rec != nil {
+			rec.stamp(StageSent)
+		}
 		if err := c.send(dst, frame.Bytes()); err != nil {
 			frame.Release()
 			ch.callsMu.Lock()
@@ -317,9 +320,6 @@ func (c *Conn) StartCall(ctx context.Context, dst transport.Addr, activity uint6
 			ch.callsMu.Unlock()
 			putOutCall(oc)
 			return err
-		}
-		if rec != nil {
-			rec.stamp(StageSent)
 		}
 		c.armRetrans(oc, k, frame, sent, iv, deadline)
 		return nil
@@ -387,33 +387,15 @@ func (c *Conn) pumpCall(oc *outCall, ch *channel, k callKey, hdr, last wire.RPCH
 	oc.mu.Unlock()
 	frame := c.newFrame(last, tc, args)
 	sent := time.Now()
+	if rec != nil {
+		rec.stamp(StageSent)
+	}
 	if err := c.send(ch.peer, frame.Bytes()); err != nil {
 		frame.Release()
 		oc.finish(k, nil, err)
 		return
 	}
-	if rec != nil {
-		rec.stamp(StageSent)
-	}
 	c.armRetrans(oc, k, frame, sent, iv, deadline)
-}
-
-// Call performs one remote procedure call, blocking until the result
-// arrives, ctx is cancelled, or the call's deadline expires: StartCall with
-// a stack-allocated handle, then Await, so the call table, retransmission
-// engine, deadlines and cancellation behave identically for blocking and
-// asynchronous callers. The result is appended to resBuf[:0] when capacity
-// allows, so a caller thread that reuses one buffer across calls (as
-// core.Client does) receives results without a per-call allocation; the
-// returned slice then aliases resBuf, and callers that retain results
-// across calls must copy them.
-func (c *Conn) Call(ctx context.Context, dst transport.Addr, activity uint64, seq uint32,
-	iface uint32, proc uint16, args []byte, resBuf []byte) ([]byte, error) {
-	var p Pending
-	if err := c.StartCall(ctx, dst, activity, seq, iface, proc, args, resBuf, &p); err != nil {
-		return nil, err
-	}
-	return p.Await(ctx)
 }
 
 // sendFragWithAck transmits one non-final fragment and waits for its

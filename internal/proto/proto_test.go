@@ -45,6 +45,17 @@ func (c *Conn) goCall(ctx context.Context, dst transport.Addr, activity uint64, 
 	return p, nil
 }
 
+// Call performs one blocking call: StartCall with a stack-allocated
+// handle, then Await. The result lands in resBuf[:0] when it fits.
+func (c *Conn) Call(ctx context.Context, dst transport.Addr, activity uint64, seq uint32,
+	iface uint32, proc uint16, args []byte, resBuf []byte) ([]byte, error) {
+	var p Pending
+	if err := c.StartCall(ctx, dst, activity, seq, iface, proc, args, resBuf, &p); err != nil {
+		return nil, err
+	}
+	return p.Await(ctx)
+}
+
 func fastCfg() Config {
 	return Config{RetransInterval: 20 * time.Millisecond, MaxRetries: 8, Workers: 4}
 }

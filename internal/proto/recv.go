@@ -332,13 +332,13 @@ func (c *Conn) execute(req execReq) {
 		}
 		ch.actsMu.Unlock()
 	}
+	if req.trace != nil {
+		req.trace.stamp(StageSrvResultSent)
+	}
 	if final != nil {
 		_ = c.send(act.src, final.Bytes())
 	}
 	c.retainResult(act, hdr.Seq, final)
-	if req.trace != nil {
-		req.trace.stamp(StageSrvResultSent)
-	}
 }
 
 // retainResult completes call seq on the activity and parks its final

@@ -40,15 +40,14 @@ const (
 // legacyFeatures is the implicit v0 session: before hello existed, budget
 // hints and cancel packets were sent unconditionally, so the legacy
 // fallback (and the pending window before negotiation concludes) keeps
-// exactly that behavior. Batch stays off the wire either way — it only
-// gates future coalesced frames.
+// exactly that behavior.
 const legacyFeatures = wire.FeatBudget | wire.FeatCancel
 
 // defaultFeatures is what a connection advertises unless
 // Config.AdvertiseFeatures narrows it. FeatTrace is safe to advertise
 // unconditionally: the trace-context prefix is only emitted once the peer
 // has agreed to it, and never on the legacy session.
-const defaultFeatures = wire.FeatBudget | wire.FeatCancel | wire.FeatBatch | wire.FeatTrace
+const defaultFeatures = wire.FeatBudget | wire.FeatCancel | wire.FeatTrace
 
 // sessFeatMask bounds the feature bits stored in the packed word. Known
 // bits live far below it, and negotiation intersects with our own

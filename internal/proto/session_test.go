@@ -188,7 +188,7 @@ func TestSessionFeatureDowngrade(t *testing.T) {
 	cfg := fastCfg()
 	cfg.CallTimeout = time.Second // every call has a deadline to advertise
 	srvCfg := cfg
-	srvCfg.AdvertiseFeatures = wire.FeatBatch // no budget, no cancel
+	srvCfg.AdvertiseFeatures = wire.FeatTrace // no budget, no cancel
 	sniff := &sniffTransport{Transport: ex.Port("caller")}
 	caller := NewConn(sniff, cfg, nil)
 	block := make(chan struct{})
@@ -206,8 +206,8 @@ func TestSessionFeatureDowngrade(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitSessionState(t, caller, sa, sessNegotiated)
-	if f := caller.lookupChannel(sa).features(); f != wire.FeatBatch {
-		t.Fatalf("negotiated features = %#x, want %#x", f, wire.FeatBatch)
+	if f := caller.lookupChannel(sa).features(); f != wire.FeatTrace {
+		t.Fatalf("negotiated features = %#x, want %#x", f, wire.FeatTrace)
 	}
 	if _, err := caller.Call(context.Background(), sa, act, 2, 7, 3, []byte("y"), nil); err != nil {
 		t.Fatal(err)

@@ -32,7 +32,10 @@ type Stage uint8
 const (
 	// StageStart: StartCall entry — arguments marshalled, nothing sent.
 	StageStart Stage = iota
-	// StageSent: the final call fragment handed to the transport.
+	// StageSent: the final call fragment is handed to the transport.
+	// Stamped just before the send, because delivery — and the server's
+	// StageSrvRecv — can run before the send returns; stamped after, the
+	// record could go non-monotone and Account would drop it.
 	StageSent
 	// StageRetransmit: the most recent retransmission of the call.
 	StageRetransmit
@@ -45,7 +48,8 @@ const (
 	StageSrvDispatch
 	// StageSrvDone: the handler returned.
 	StageSrvDone
-	// StageSrvResultSent: the final result fragment handed to the transport.
+	// StageSrvResultSent: the final result fragment is handed to the
+	// transport; stamped just before the send, as StageSent is.
 	StageSrvResultSent
 	// StageResultRecv: the completing result fragment arrived at the caller.
 	StageResultRecv

@@ -1,11 +1,6 @@
 package realbench
 
-import (
-	"os"
-	"testing"
-
-	"fireflyrpc/internal/transport"
-)
+import "testing"
 
 // The acceptance gate for the batched datapath: batched UDP async fan-out
 // (64 outstanding) must be at least 2× the per-frame path's calls/s,
@@ -15,9 +10,6 @@ import (
 func TestBatchCompareSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
-	}
-	if os.Getenv(transport.EnvNoBatch) != "" {
-		t.Skipf("%s set: nothing to compare", transport.EnvNoBatch)
 	}
 	// Best of three: the floor gates the datapath, not one scheduler hiccup
 	// on a shared runner. A genuinely broken batch path fails all attempts.

@@ -3,7 +3,6 @@ package realbench
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"fireflyrpc/internal/core"
@@ -102,18 +101,14 @@ func ChainSpans(calls int) (*ChainReport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lookup: %w", err)
 	}
-	downBinding := srvA.Bind(transport.AddrOf(addrB), testsvc.TestName, testsvc.TestVersion)
 
-	// Relay handler: one downstream client per concurrent worker, pooled
-	// (core.Client is single-goroutine). Threading ctx into CallCtx is what
-	// parents the downstream span onto this handler's span.
-	var downPool = sync.Pool{New: func() any { return downBinding.NewClient() }}
+	// Relay handler: every worker shares one downstream client. Threading
+	// ctx into CallCtx is what parents the downstream span onto this
+	// handler's span.
+	down := srvA.Bind(transport.AddrOf(addrB), testsvc.TestName, testsvc.TestVersion).NewClient()
 	srvA.Export(core.NewInterface(ChainName, ChainVersion).
 		ProcCtx(chainProcRelay, func(ctx context.Context, _ transport.Addr, _ *marshal.Dec) ([]byte, error) {
-			down := downPool.Get().(*core.Client)
-			err := down.CallCtx(ctx, testsvc.TestProcNull, 0, nil, nil)
-			downPool.Put(down)
-			return nil, err
+			return nil, down.CallCtx(ctx, testsvc.TestProcNull, 0, nil, nil)
 		}))
 
 	cl := client.Bind(transport.AddrOf("server-a"), ChainName, ChainVersion).NewClient()

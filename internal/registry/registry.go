@@ -262,14 +262,12 @@ func (s *Server) Export() *core.Interface {
 
 // Client is the caller side of the directory.
 type Client struct {
-	b *core.Binding
 	c *core.Client
 }
 
 // NewClient binds to a directory exported at addr through node.
 func NewClient(node *core.Node, addr transport.Addr) *Client {
-	b := node.Bind(addr, Name, Version)
-	return &Client{b: b, c: b.NewClient()}
+	return &Client{c: node.Bind(addr, Name, Version).NewClient()}
 }
 
 // Register advertises a service name at addr with a lease of ttl.
@@ -400,16 +398,13 @@ func (r *Client) Lease(name, addr string, ttl time.Duration) (stop func(), err e
 		defer wg.Done()
 		t := time.NewTicker(interval)
 		defer t.Stop()
-		// The refresher gets its own Client: core.Client is single-
-		// goroutine, and r's owner keeps using it for lookups.
-		rc := &Client{b: r.b, c: r.b.NewClient()}
 		for {
 			select {
 			case <-done:
-				_ = rc.DeregisterAddr(name, addr)
+				_ = r.DeregisterAddr(name, addr)
 				return
 			case <-t.C:
-				_ = rc.Register(name, addr, ttl)
+				_ = r.Register(name, addr, ttl)
 			}
 		}
 	}()

@@ -27,13 +27,11 @@ const (
 	TestProcIncrement = uint16(7)
 )
 
-// TestClient is the caller stub: one activity making sequenced calls
-// to a bound remote instance of the interface. Like a Firefly caller
-// thread, a TestClient must not be used concurrently; create one per
-// calling goroutine.
+// TestClient is the caller stub for a bound remote instance of the
+// interface. Its methods may be called from any goroutine.
 type TestClient struct{ c *core.Client }
 
-// NewTestClient allocates an activity on the binding.
+// NewTestClient returns a caller stub on the binding.
 func NewTestClient(b *core.Binding) *TestClient { return &TestClient{c: b.NewClient()} }
 
 // Null calls the remote Test.Null procedure.

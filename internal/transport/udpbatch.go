@@ -1,15 +1,6 @@
 package transport
 
-import (
-	"os"
-	"runtime"
-)
-
-// EnvNoBatch, when set to any non-empty value, forces ListenUDPBatch to
-// return the plain per-frame UDP transport — the force-disable switch the
-// fallback acceptance tests flip to prove the stack runs without any of the
-// batched machinery.
-const EnvNoBatch = "FIREFLYRPC_NOBATCH"
+import "runtime"
 
 // UDPOptions configures the batched UDP engine. The zero value picks
 // sensible defaults everywhere.
@@ -24,16 +15,12 @@ type UDPOptions struct {
 // ListenUDPBatch opens the batched UDP transport on addr. On Linux this is
 // the sendmmsg/recvmmsg engine with GSO/GRO and SO_REUSEPORT sharding; on
 // other platforms it degrades to the per-frame path wrapped so SendBatch
-// still works (BatchEnabled reports false there). Setting EnvNoBatch forces
-// the plain per-frame transport everywhere.
+// still works (BatchEnabled reports false there).
 //
 // Upper layers see exactly the Transport contract either way: frames are
 // ≤ MaxFrame bytes, kernel coalescing and segmentation are invisible, and
 // frames to one peer are never reordered by the transport itself.
 func ListenUDPBatch(addr string, opts UDPOptions) (Transport, error) {
-	if os.Getenv(EnvNoBatch) != "" {
-		return ListenUDP(addr)
-	}
 	if opts.Shards <= 0 {
 		opts.Shards = min(runtime.NumCPU(), 4)
 	}

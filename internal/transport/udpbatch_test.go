@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"os"
 	"sync"
 	"testing"
 	"time"
@@ -37,11 +36,6 @@ func (c *collector) snapshot() [][]byte {
 
 func listenBatchT(t *testing.T, opts UDPOptions) Transport {
 	t.Helper()
-	if os.Getenv(EnvNoBatch) != "" {
-		// The batch-engine tests are meaningless with the engine forced off;
-		// TestBatchEnvForceDisable covers the NOBATCH contract itself.
-		t.Skipf("%s set: batch engine force-disabled", EnvNoBatch)
-	}
 	tr, err := ListenUDPBatch("127.0.0.1:0", opts)
 	if err != nil {
 		t.Skip("no loopback:", err)
@@ -253,22 +247,6 @@ func TestBatchShardedReceive(t *testing.T) {
 			t.Fatalf("frame %d delivered twice", seq)
 		}
 		seen[seq] = true
-	}
-}
-
-// FIREFLYRPC_NOBATCH forces the plain per-frame transport: no BatchSender.
-func TestBatchEnvForceDisable(t *testing.T) {
-	t.Setenv(EnvNoBatch, "1")
-	tr, err := ListenUDPBatch("127.0.0.1:0", UDPOptions{})
-	if err != nil {
-		t.Skip("no loopback:", err)
-	}
-	defer tr.Close()
-	if _, ok := tr.(*UDP); !ok {
-		t.Fatalf("NOBATCH returned %T, want *UDP", tr)
-	}
-	if SupportsBatch(tr) {
-		t.Fatal("NOBATCH transport claims batch support")
 	}
 }
 

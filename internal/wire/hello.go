@@ -23,23 +23,14 @@ const (
 // intersection. A bit may only be relied on after negotiation; the legacy
 // session implies exactly the v0 behavior (budget hints and cancel packets
 // were sent unconditionally before hello existed, so legacy keeps them on).
+// Bits 2–4 are unassigned: older binaries advertised batch, coalesce and
+// stream there, which nothing read, and they intersect away.
 const (
 	// FeatBudget: call packets may carry a remaining-deadline budget in the
 	// Hint field (FlagBudget), consumed by admission control.
 	FeatBudget uint64 = 1 << 0
 	// FeatCancel: the peer understands TypeCancel abandonment notices.
 	FeatCancel uint64 = 1 << 1
-	// FeatBatch: the peer's receive path accepts bursts from a batched
-	// datapath (sendmmsg/GSO or stream flush coalescing). Informational
-	// today — batching is transport-local and invisible on the wire — but
-	// negotiated now so multi-call coalesced frames can gate on it later.
-	FeatBatch uint64 = 1 << 2
-	// FeatCoalesce is reserved for multi-call frames (ROADMAP item 2a):
-	// several small calls to one peer packed into one datagram.
-	FeatCoalesce uint64 = 1 << 3
-	// FeatStream is reserved for windowed bulk transfer (ROADMAP item 2b):
-	// pipelined multi-frame streams replacing stop-and-wait fragments.
-	FeatStream uint64 = 1 << 4
 	// FeatTrace: sampled calls may carry a TraceCtx message prefix
 	// (FlagTraceCtx) naming the distributed trace and parent span, and the
 	// peer both stamps its stage records under those identifiers and
@@ -56,9 +47,6 @@ var featureNames = []struct {
 }{
 	{FeatBudget, "budget"},
 	{FeatCancel, "cancel"},
-	{FeatBatch, "batch"},
-	{FeatCoalesce, "coalesce"},
-	{FeatStream, "stream"},
 	{FeatTrace, "trace"},
 }
 

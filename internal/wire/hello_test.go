@@ -6,7 +6,7 @@ import (
 )
 
 func TestHelloRoundTrip(t *testing.T) {
-	in := Hello{Version: 7, MinVersion: 2, Features: FeatBudget | FeatBatch | FeatStream}
+	in := Hello{Version: 7, MinVersion: 2, Features: FeatBudget | FeatTrace | 1<<2}
 	var b [HelloLen]byte
 	in.MarshalTo(b[:])
 	out, err := UnmarshalHello(b[:])
@@ -48,8 +48,8 @@ func TestHelloInRPCFrame(t *testing.T) {
 }
 
 func TestFeatureNames(t *testing.T) {
-	got := FeatureNames(FeatBudget | FeatBatch | 1<<40)
-	want := []string{"budget", "batch"}
+	got := FeatureNames(FeatBudget | FeatTrace | 1<<2 | 1<<40)
+	want := []string{"budget", "trace"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("FeatureNames = %v, want %v", got, want)
 	}

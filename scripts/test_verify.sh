@@ -110,13 +110,13 @@ case "$out" in
 *) fail "chaos-smoke failure did not print 'FAIL: chaos smoke' (got: $out)" ;;
 esac
 
-# 6. A failure in the session-negotiation race step must propagate — the
-# hello handshake gate is part of the contract like every other step.
+# 6. A failure in the trace-propagation race step must propagate — the
+# chained-call join gate is part of the contract like every other step.
 cat >"$tmp/go" <<'EOF'
 #!/bin/sh
 for a in "$@"; do
 	case "$a" in
-	*TestSession*) exit 11 ;;
+	*TestChainSpansLinked*) exit 11 ;;
 	esac
 done
 exit 0
@@ -126,10 +126,10 @@ set +e
 out=$(PATH="$tmp:$PATH" sh scripts/verify.sh -q 2>&1)
 status=$?
 set -e
-[ "$status" -ne 0 ] || fail "verify.sh swallowed a session-negotiation failure"
+[ "$status" -ne 0 ] || fail "verify.sh swallowed a trace-propagation failure"
 case "$out" in
-*"FAIL: race: session-negotiation"*) ;;
-*) fail "session-negotiation failure did not print its step (got: $out)" ;;
+*"FAIL: race: trace-propagation"*) ;;
+*) fail "trace-propagation failure did not print its step (got: $out)" ;;
 esac
 
 # 7. A failure in the runbook-validation step must propagate with its own
