@@ -9,29 +9,6 @@ import (
 	"fireflyrpc/internal/wire"
 )
 
-// armTimer readies the call's reusable retransmission timer. The timer is
-// pooled with the outCall so the fragment stop-and-wait path never
-// allocates runtime timers.
-func (oc *outCall) armTimer(d time.Duration) *time.Timer {
-	if oc.timer == nil {
-		oc.timer = time.NewTimer(d)
-	} else {
-		oc.timer.Reset(d)
-	}
-	return oc.timer
-}
-
-// quiesceTimer stops the reusable timer and drains a pending fire so the
-// next armTimer starts clean.
-func (oc *outCall) quiesceTimer() {
-	if oc.timer != nil && !oc.timer.Stop() {
-		select {
-		case <-oc.timer.C:
-		default:
-		}
-	}
-}
-
 // Pending is the handle to one in-flight asynchronous call started with
 // StartCall. Exactly one goroutine must eventually call Await, which
 // collects the result and recycles the call's pooled state; after Await
@@ -118,7 +95,6 @@ func (p *Pending) Await(ctx context.Context) ([]byte, error) {
 			}
 		}
 	}
-	oc.quiesceTimer()
 	putOutCall(oc)
 	p.oc = nil
 	p.res, p.err = res, err
@@ -325,7 +301,7 @@ func (c *Conn) StartCall(ctx context.Context, dst transport.Addr, activity uint6
 		return nil
 	}
 
-	// Multi-fragment calls hand the stop-and-wait send to a pump goroutine
+	// Multi-fragment calls hand the windowed send to a pump goroutine
 	// so StartCall still returns immediately; the args slice stays
 	// referenced until the pump exits, which Await waits for.
 	pump := make(chan struct{})
@@ -359,28 +335,21 @@ func (c *Conn) armRetrans(oc *outCall, k callKey, frame *buffer.Frame, sent time
 	c.scheduleRetrans(oc, k, at)
 }
 
-// pumpCall drives a multi-fragment call's stop-and-wait sends off the
-// caller's goroutine, then arms the retransmission engine for the final
-// fragment, last. Fragment 0 carries the first `first` bytes of args and
-// every later one up to maxPayload. It exits promptly if the call completes
-// or is cancelled mid-stream (sendFragWithAck watches oc.done).
+// pumpCall drives a multi-fragment call's windowed send off the caller's
+// goroutine, then arms the retransmission engine for the final fragment,
+// last. Fragment 0 carries the first `first` bytes of args and every later
+// one up to maxPayload. It exits promptly if the call completes or is
+// cancelled mid-stream (sendWindowed watches oc.done).
 func (c *Conn) pumpCall(oc *outCall, ch *channel, k callKey, hdr, last wire.RPCHeader, tc wire.TraceCtx,
 	args []byte, first int, iv time.Duration, deadline time.Time, pump chan struct{}) {
 	defer close(pump)
-	n, maxP := first, c.maxPayload()
-	for i := uint16(0); i < last.FragIndex; i++ {
-		h := hdr
-		h.FragIndex = i
-		h.Flags |= wire.FlagPleaseAck
-		f := c.newFrame(h, tc, args[:n])
-		args = args[n:]
-		n = maxP
-		err := c.sendFragWithAck(oc, k, f, i, deadline)
-		f.Release()
-		if err != nil {
-			oc.finish(k, nil, err)
-			return
-		}
+	s := fragStream{dst: ch.peer, hdr: hdr, tc: tc, msg: args, first: first, n: last.FragIndex,
+		acks: oc.ackCh, timer: oc.timer, stop: oc.done, deadline: deadline}
+	args, err := c.sendWindowed(&s)
+	oc.timer = s.timer
+	if err != nil {
+		oc.finish(k, nil, err)
+		return
 	}
 	oc.mu.Lock()
 	rec := oc.trace
@@ -398,70 +367,120 @@ func (c *Conn) pumpCall(oc *outCall, ch *channel, k callKey, hdr, last wire.RPCH
 	c.armRetrans(oc, k, frame, sent, iv, deadline)
 }
 
-// sendFragWithAck transmits one non-final fragment and waits for its
-// explicit acknowledgement, retransmitting as needed and honoring the
-// call's absolute deadline.
-func (c *Conn) sendFragWithAck(oc *outCall, k callKey, frame *buffer.Frame, idx uint16, deadline time.Time) error {
-	if err := c.send(oc.dst, frame.Bytes()); err != nil {
-		return err
+// fragWindow is how many non-final fragments sendWindowed puts in flight
+// before it waits for an acknowledgement. 16 × 1440 B is ~23 KB of payload,
+// a tenth of Linux's 212,992 B default socket receive buffer, so even a
+// 256-fragment message cannot overrun a receiver whose reading goroutine is
+// descheduled (as at GOMAXPROCS 1), as sending every fragment back to back
+// could.
+const fragWindow = 16
+
+// fragStream is one message's non-final fragments, for sendWindowed.
+type fragStream struct {
+	dst      transport.Addr
+	hdr      wire.RPCHeader // every fragment's header but FragIndex and FlagPleaseAck
+	tc       wire.TraceCtx  // prefixes fragment 0 when hdr carries FlagTraceCtx
+	msg      []byte         // fragment 0 carries its first `first` bytes, later ones maxPayload
+	first    int
+	n        uint16 // non-final fragments
+	acks     <-chan fragAck
+	timer    *time.Timer     // reused if non-nil; left stopped and drained for the next stream
+	stop     <-chan struct{} // caller: the call's done channel; nil on the server
+	deadline time.Time       // caller: the call's absolute deadline; zero = none
+	act      *serverAct      // server: checked for abandonment on each timeout
+}
+
+// sendWindowed is the go-back-N sender of both directions' multi-fragment
+// messages. It sends up to fragWindow fragments back to back, FlagPleaseAck
+// on the last only, and waits for that fragment's ack — cumulative, since a
+// receiver acks it only once everything before it is stored — before the
+// next window. A window unacknowledged after the retransmission interval is
+// resent whole, the interval doubling up to 8×, at most MaxRetries times.
+// It returns the bytes left for the final fragment, which the caller sends
+// and retains for the retransmission engine. An error means the stream
+// stopped: the call finished or timed out, or the server's result is no
+// longer wanted.
+func (c *Conn) sendWindowed(s *fragStream) ([]byte, error) {
+	if s.timer == nil {
+		s.timer = time.NewTimer(c.cfg.RetransInterval)
 	}
-	interval := c.cfg.RetransInterval
-	wait := func() (time.Duration, bool) {
-		w := interval
-		if !deadline.IsZero() {
-			r := time.Until(deadline)
-			if r <= 0 {
-				return 0, false
+	defer stopTimer(s.timer)
+	k := callKey{s.hdr.Activity, s.hdr.Seq}
+	msg, size := s.msg, s.first
+	for lo := uint16(0); lo < s.n; {
+		hi := min(lo+fragWindow, s.n)
+		interval := c.cfg.RetransInterval
+		for retries := 0; ; {
+			rest, n := msg, size
+			for i := lo; i < hi; i++ {
+				h := s.hdr
+				h.FragIndex = i
+				if i == hi-1 {
+					h.Flags |= wire.FlagPleaseAck
+				}
+				f := c.newFrame(h, s.tc, rest[:n])
+				err := c.send(s.dst, f.Bytes())
+				f.Release()
+				if err != nil {
+					return nil, err
+				}
+				rest, n = rest[n:], c.maxPayload()
 			}
-			if r < w {
-				w = r
+			acked, err := c.awaitAck(s, k, hi-1, interval)
+			if err != nil {
+				return nil, err
 			}
-		}
-		return w, true
-	}
-	w, ok := wait()
-	if !ok {
-		return ErrTimeout
-	}
-	retries := 0
-	timer := oc.armTimer(w)
-	defer oc.quiesceTimer()
-	for {
-		select {
-		case <-oc.done: // rejected or cancelled mid-stream
-			oc.mu.Lock()
-			err := oc.err
-			oc.mu.Unlock()
-			if err == nil {
-				err = ErrClosed
+			if acked {
+				msg, size = rest, n
+				break
 			}
-			return err
-		case got := <-oc.ackCh:
-			if got.activity == k.activity && got.seq == k.seq && got.idx == idx {
-				return nil
-			}
-			// Stale ack of an earlier fragment or call: keep waiting.
-		case <-timer.C:
-			if !deadline.IsZero() && !time.Now().Before(deadline) {
-				return ErrTimeout
-			}
-			retries++
-			if retries > c.cfg.MaxRetries {
-				return ErrTimeout
+			if retries++; retries > c.cfg.MaxRetries {
+				return nil, ErrTimeout
 			}
 			c.stats.retransmits.Add(1)
 			c.noteRetransmit(k, retries, int64(interval), false)
-			if err := c.send(oc.dst, frame.Bytes()); err != nil {
-				return err
-			}
 			if interval < 8*c.cfg.RetransInterval {
 				interval *= 2
 			}
-			w, ok := wait()
-			if !ok {
-				return ErrTimeout
+		}
+		lo = hi
+	}
+	return msg, nil
+}
+
+// awaitAck waits up to interval, clamped to the deadline, for the ack of
+// fragment idx. It reports false with no error when the interval ran out
+// and the window should be resent.
+func (c *Conn) awaitAck(s *fragStream, k callKey, idx uint16, interval time.Duration) (bool, error) {
+	if !s.deadline.IsZero() {
+		interval = min(interval, time.Until(s.deadline)) // past it, the timer fires at once
+	}
+	stopTimer(s.timer)
+	s.timer.Reset(interval)
+	for {
+		select {
+		case <-s.stop:
+			// The call already finished (rejected, cancelled, closed) with
+			// its own error; this one goes nowhere.
+			return false, ErrClosed
+		case got := <-s.acks:
+			if got.activity == k.activity && got.seq == k.seq && got.idx == idx {
+				return true, nil
 			}
-			timer.Reset(w)
+			// Stale ack of an earlier window or call: keep waiting.
+		case <-s.timer.C:
+			if !s.deadline.IsZero() && !time.Now().Before(s.deadline) {
+				return false, ErrTimeout
+			}
+			if act := s.act; act != nil {
+				act.ch.actsMu.Lock()
+				gone := act.abandoned || act.lastSeq != k.seq || act.ch.evicted
+				act.ch.actsMu.Unlock()
+				if gone {
+					return false, ErrClosed
+				}
+			}
+			return false, nil
 		}
 	}
 }

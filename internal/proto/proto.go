@@ -5,8 +5,10 @@
 //   - On the fast path a call is one packet and its result is one packet;
 //     the result implicitly acknowledges the call, and the activity's next
 //     call implicitly acknowledges the result. No extra packets.
-//   - Larger arguments/results travel as fragments with stop-and-wait
-//     explicit acknowledgements on all but the last fragment.
+//   - Larger arguments/results travel as fragments, sent go-back-N in
+//     windows of up to 16 with one cumulative explicit acknowledgement per
+//     window; the last fragment is acknowledged implicitly, as a
+//     single-packet message is.
 //   - Lost packets are recovered by retransmission with exponential
 //     backoff; retransmitted calls ask for an explicit acknowledgement so a
 //     busy server can say "still working" without completing.
@@ -356,7 +358,7 @@ type outCall struct {
 	dst   transport.Addr
 	done  chan struct{} // fresh per call; closed exactly once on finish
 	ackCh chan fragAck  // reused; acks of our call fragments
-	timer *time.Timer   // reused across fragment sends and pings
+	timer *time.Timer   // reused across multi-fragment sends
 
 	// Retransmission engine state.
 	frame    *buffer.Frame // retained final call fragment
@@ -393,7 +395,9 @@ type outCall struct {
 // the per-call setup cost is one done-channel allocation.
 var outCallPool = sync.Pool{New: func() any {
 	return &outCall{
-		ackCh: make(chan fragAck, maxFragments),
+		// One awaited ack per window; stale re-acks that find it full are
+		// dropped, as a lost ack would be.
+		ackCh: make(chan fragAck, maxFragments/fragWindow),
 	}
 }}
 
@@ -467,6 +471,9 @@ type serverAct struct {
 	// FlagTraceCtx prefix; zero for untraced calls and legacy peers.
 	tc    wire.TraceCtx
 	ackCh chan fragAck // acks of our result fragments; lazy, multi-frag only
+	// timer paces multi-fragment result streams; the stream running holds
+	// it, so it is nil while one is (see sendResult).
+	timer *time.Timer
 	// lastResultFrame is the final packet of the last result, retained in
 	// its pooled buffer for retransmission until the activity's next call
 	// recycles it — the call-table retention scheme of §4.2.
@@ -710,16 +717,15 @@ func fragCount(n, first, maxP int) int {
 	return 1 + (n-first+maxP-1)/maxP
 }
 
-// rearm stops t, drains a fire nobody received, and resets it to d, so one
-// timer serves every stop-and-wait fragment of a message.
-func rearm(t *time.Timer, d time.Duration) {
+// stopTimer stops t and drains a fire nobody received, so that one timer
+// can serve every window of a message and the messages after it.
+func stopTimer(t *time.Timer) {
 	if !t.Stop() {
 		select {
 		case <-t.C:
 		default:
 		}
 	}
-	t.Reset(d)
 }
 
 // newFrame assembles header+payload into a pooled frame. Fragment 0 of a

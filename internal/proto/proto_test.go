@@ -184,7 +184,7 @@ func TestLossRecovery(t *testing.T) {
 }
 
 // TestLossyFragmentedCalls runs 21-fragment calls and results — both
-// directions stop-and-wait — across a link that drops, duplicates and
+// directions windowed, go-back-N — across a link that drops, duplicates and
 // reorders frames each way: every call must execute once and come back
 // byte-exact.
 func TestLossyFragmentedCalls(t *testing.T) {

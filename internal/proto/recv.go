@@ -238,11 +238,13 @@ func (c *Conn) onCallFrag(src transport.Addr, hdr wire.RPCHeader, payload []byte
 // to execute; the caller performs both actions after releasing the lock
 // (and bumps the channel's executing count under it when run is true).
 //
-// Fragments arrive in order: the caller sends fragment i+1 only after
-// fragment i's ack, which is sent only after i is stored here. Anything
-// below next is therefore a late duplicate, to be re-acked in case the
-// first ack was lost; anything above it cannot come from a conforming
-// caller and is dropped unacked.
+// Fragments arrive in order: the caller sends each window in index order
+// and the next one only after the ack of this one's last fragment, which
+// is sent only once every fragment up to it is stored here. Anything below
+// next is therefore a late duplicate, to be re-acked in case the first ack
+// was lost. Anything above it follows a gap — ordinary loss inside a
+// window — and is dropped unacked, counted in BadFrames, until the caller
+// resends the window.
 func (c *Conn) storeFragLocked(act *serverAct, hdr wire.RPCHeader, payload []byte) (needAck bool, req execReq, run bool) {
 	if hdr.FragCount != act.count || hdr.FragIndex > act.next {
 		c.stats.badFrames.Add(1)
@@ -368,11 +370,12 @@ func (c *Conn) retainResult(act *serverAct, seq uint32, f *buffer.Frame) {
 	ch.actsMu.Unlock()
 }
 
-// sendResult transmits all but the last result fragment, stop-and-wait, and
-// returns the last one built but unsent: its receipt is acknowledged
-// implicitly by the next call, so the caller sends it and retains it for
-// retransmission. A result too large to ship returns a reject frame in its
-// place, retained the same way. It returns nil when it gave up.
+// sendResult streams all but the last result fragment through the windowed
+// sender and returns the last one built but unsent: its receipt is
+// acknowledged implicitly by the next call, so the caller sends it and
+// retains it for retransmission. A result too large to ship returns a
+// reject frame in its place, retained the same way. It returns nil when it
+// gave up.
 func (c *Conn) sendResult(act *serverAct, call wire.RPCHeader, result []byte) *buffer.Frame {
 	ch := act.ch
 	maxP := c.maxPayload()
@@ -394,10 +397,15 @@ func (c *Conn) sendResult(act *serverAct, call wire.RPCHeader, result []byte) *b
 	}
 	if nfrags > 1 {
 		// Multi-fragment results need the explicit-ack channel; create it
-		// lazily and flush stale entries from a previous call.
+		// lazily and flush stale entries from a previous call. The
+		// activity's timer is taken for the stream and handed back after
+		// it, as argBuf is. An overlapping execution (only a timed-out
+		// caller's next call can cause one) finds it taken and makes its
+		// own: two streams on one timer could each drain the other's fire
+		// and leave a worker blocked forever on a stopped timer.
 		ch.actsMu.Lock()
 		if act.ackCh == nil {
-			act.ackCh = make(chan fragAck, maxFragments)
+			act.ackCh = make(chan fragAck, maxFragments/fragWindow)
 		}
 		for {
 			select {
@@ -407,67 +415,25 @@ func (c *Conn) sendResult(act *serverAct, call wire.RPCHeader, result []byte) *b
 			}
 			break
 		}
+		s := fragStream{dst: act.src, hdr: hdr, msg: result, first: maxP, n: uint16(nfrags - 1),
+			acks: act.ackCh, timer: act.timer, act: act}
+		act.timer = nil
 		ch.actsMu.Unlock()
-		timer := time.NewTimer(c.cfg.RetransInterval)
-		defer timer.Stop()
-		for i := uint16(0); i < uint16(nfrags-1); i++ {
-			h := hdr
-			h.FragIndex = i
-			h.Flags = wire.FlagPleaseAck
-			f := c.newFrame(h, wire.TraceCtx{}, result[:maxP])
-			result = result[maxP:]
-			ok := c.sendResultFragWithAck(act, call, f, i, timer)
-			f.Release()
-			if !ok {
-				return nil // gave up
-			}
+		rest, err := c.sendWindowed(&s)
+		ch.actsMu.Lock()
+		if act.timer == nil {
+			act.timer = s.timer
 		}
+		ch.actsMu.Unlock()
+		if err != nil {
+			return nil // gave up
+		}
+		result = rest
 	}
 	last := hdr
 	last.FragIndex = uint16(nfrags - 1)
 	last.Flags = wire.FlagLastFrag
 	return c.newFrame(last, wire.TraceCtx{}, result)
-}
-
-// sendResultFragWithAck is the server-side stop-and-wait sender, re-arming
-// the result's one timer for this fragment. It gives up early when the
-// caller abandons the call mid-stream.
-func (c *Conn) sendResultFragWithAck(act *serverAct, call wire.RPCHeader, frame *buffer.Frame, idx uint16, timer *time.Timer) bool {
-	if err := c.send(act.src, frame.Bytes()); err != nil {
-		return false
-	}
-	ch := act.ch
-	interval := c.cfg.RetransInterval
-	retries := 0
-	rearm(timer, interval)
-	for {
-		select {
-		case got := <-act.ackCh:
-			if got.activity == call.Activity && got.seq == call.Seq && got.idx == idx {
-				return true
-			}
-		case <-timer.C:
-			ch.actsMu.Lock()
-			gone := act.abandoned || act.lastSeq != call.Seq || ch.evicted
-			ch.actsMu.Unlock()
-			if gone {
-				return false
-			}
-			retries++
-			if retries > c.cfg.MaxRetries {
-				return false
-			}
-			c.stats.retransmits.Add(1)
-			c.noteRetransmit(callKey{call.Activity, call.Seq}, retries, int64(interval), false)
-			if err := c.send(act.src, frame.Bytes()); err != nil {
-				return false
-			}
-			if interval < 8*c.cfg.RetransInterval {
-				interval *= 2
-			}
-			timer.Reset(interval)
-		}
-	}
 }
 
 // onResultFrag handles an arriving result fragment on the caller side.
@@ -476,8 +442,8 @@ func (c *Conn) onResultFrag(src transport.Addr, hdr wire.RPCHeader, payload []by
 	_, oc := c.lookupCall(src, k)
 	needAck := hdr.Flags&wire.FlagPleaseAck != 0 && hdr.Flags&wire.FlagLastFrag == 0
 	if oc == nil {
-		// Late duplicate of a completed call. Re-ack non-final fragments
-		// so a stuck server-side stop-and-wait can finish.
+		// Late duplicate of a completed call. Re-ack a flagged fragment
+		// so a server whose window ack was lost can finish its stream.
 		c.stats.staleDrops.Add(1)
 		if needAck {
 			c.sendAck(src, hdr.Activity, hdr.Seq, hdr.FragIndex, true)
@@ -495,7 +461,9 @@ func (c *Conn) onResultFrag(src transport.Addr, hdr wire.RPCHeader, payload []by
 	}
 	// The result arrives in order, exactly as a call does at the server
 	// (see storeFragLocked): fragments append straight to the
-	// caller-supplied buffer, which core.Client keeps across calls.
+	// caller-supplied buffer, which core.Client keeps across calls, and one
+	// past a gap — a loss inside the server's window — is a bad frame,
+	// dropped unacked until the window is resent.
 	switch {
 	case hdr.FragCount == 0 || hdr.FragCount > maxFragments ||
 		hdr.FragIndex > oc.resNext || (oc.resNext > 0 && hdr.FragCount != oc.resCount):

@@ -94,7 +94,8 @@ func TestBatchedTransportAsyncFanout(t *testing.T) {
 	}
 }
 
-// Fragmented calls (stop-and-wait acks) must work through the queue too.
+// Fragmented calls (windowed, one cumulative ack per window) must work
+// through the queue too.
 func TestBatchedTransportFragmented(t *testing.T) {
 	st, err := transport.ListenUDPBatch("127.0.0.1:0", transport.UDPOptions{})
 	if err != nil {

@@ -173,12 +173,17 @@ func BenchmarkStack(b *testing.B) {
 const reverseBytes = 100 * 1024
 
 // reverseAllocs is the allocation budget of one blocking Reverse100K over
-// udp. Both sides reassemble straight into recycled buffers, so nothing is
-// allocated per fragment. What is left is the send pump goroutine and its
-// exit channel, the call's done channel, the server's one result-fragment
-// timer (three objects), and the server stub's decoded argument, reversed
-// array and reply.
-const reverseAllocs = 9
+// udp. Both sides reassemble straight into recycled buffers, and the
+// windowed senders reuse the call's and the server activity's timers, so
+// nothing is allocated per fragment or per window. What is left is the send
+// pump goroutine and its exit channel, the call's done channel, and the
+// server stub's decoded argument, reversed array and reply.
+const reverseAllocs = 6
+
+// reverseAcks is the explicit acks each side of one Reverse100K sends: its
+// 71 non-final fragments each way travel in ⌈71/16⌉ windows of one
+// cumulative ack each.
+const reverseAcks = 5
 
 // reverse100K returns a blocking Reverse of a reverseBytes array on a
 // fresh client of p.
@@ -195,7 +200,8 @@ var raceEnabled bool
 // TestStackAllocBudgets is the machine-independent half of BenchmarkStack:
 // allocation counts do not depend on the machine, so they are gated here,
 // for blocking Null and async fan-outs of 8 and 64, and for the udp row's
-// fragmented Reverse100K, rather than compared across runs. The per-call
+// fragmented Reverse100K (with its explicit acks per call, a count just as
+// machine-independent), rather than compared across runs. The per-call
 // figure truncates like the benchmark's allocs/op, so a rare runtime
 // allocation amortized over many calls does not trip it, while any new
 // per-call allocation does.
@@ -238,6 +244,25 @@ func TestStackAllocBudgets(t *testing.T) {
 				}
 				return nil
 			})
+			// The windowed sender's ack count, per side, over 100 more
+			// calls; the per-call figure truncates as the alloc rows do.
+			acks := func() [2]int64 {
+				return [2]int64{p.caller.Conn().Stats().AcksSent, p.server.Conn().Stats().AcksSent}
+			}
+			before := acks()
+			for i := 0; i < 100; i++ {
+				if err := call(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			after := acks()
+			for i, side := range []string{"caller", "server"} {
+				if got := (after[i] - before[i]) / 100; got != reverseAcks {
+					t.Errorf("blocking Reverse100K: %s sent %d acks/call, want %d", side, got, reverseAcks)
+				} else {
+					t.Logf("blocking Reverse100K: %s sent %d acks/call", side, got)
+				}
+			}
 		})
 	}
 }
