@@ -20,7 +20,6 @@ type Pending struct {
 	oc     *outCall
 	k      callKey
 	doneCh <-chan struct{}
-	pump   chan struct{} // non-nil for multi-fragment calls; closed when the send pump exits
 	res    []byte
 	err    error
 }
@@ -51,11 +50,6 @@ func (p *Pending) Await(ctx context.Context) ([]byte, error) {
 			p.cancelNotify(ctx.Err())
 			<-oc.done
 		}
-	}
-	// A multi-fragment send pump may still hold the args slice and the
-	// reusable timer; join it before recycling anything.
-	if p.pump != nil {
-		<-p.pump
 	}
 	c.unscheduleRetrans(oc, k)
 	p.ch.callsMu.Lock()
@@ -128,9 +122,9 @@ func (p *Pending) cancelNotify(cause error) {
 
 // StartCall starts an asynchronous call into the caller-provided handle p,
 // so callers that pool their per-call state (core.Client's slots) start a
-// call without allocating. It transmits args to dst (spawning a goroutine
-// only for multi-fragment sends), registers the call with the
-// retransmission engine, and returns immediately; the result is
+// call without allocating. It transmits args to dst (a multi-fragment call
+// its first window of fragments), registers the call with the
+// retransmission engine, and returns without waiting; the result is
 // collected with p.Await, and lands in resBuf[:0] when it fits. seq must
 // increase across calls of the same activity, and an activity may have at
 // most one call in flight — fan-out callers use one activity per
@@ -236,16 +230,13 @@ func (c *Conn) StartCall(ctx context.Context, dst transport.Addr, activity uint6
 	c.stats.callsSent.Add(1)
 	*p = Pending{c: c, ch: ch, oc: oc, k: k, doneCh: oc.done}
 
-	// Start retransmission from the adaptive per-peer estimate
-	// (Jacobson-style), with the configured interval as both the ceiling
-	// and the cold-start value.
-	iv := ch.rttInterval(c.cfg.RetransInterval/8, c.cfg.RetransInterval)
-
 	hdr := wire.RPCHeader{
 		Type:      wire.TypeCall,
 		Activity:  activity,
 		Seq:       seq,
+		FragIndex: uint16(nfrags - 1),
 		FragCount: uint16(nfrags),
+		Flags:     wire.FlagLastFrag,
 		Interface: iface,
 		Proc:      proc,
 	}
@@ -271,218 +262,138 @@ func (c *Conn) StartCall(ctx context.Context, dst transport.Addr, activity uint6
 		// Every fragment advertises the prefix; its bytes ride in fragment 0.
 		hdr.Flags |= wire.FlagTraceCtx
 	}
-
-	last := hdr
-	last.FragIndex = uint16(nfrags - 1)
-	last.Flags |= wire.FlagLastFrag
 	if rec != nil && !inlineTC {
 		// Ask the server to stamp its stages for this call too — the
-		// legacy path for peers without FeatTrace.
-		last.Flags |= wire.FlagTraced
+		// legacy path for peers without FeatTrace. Only the final fragment
+		// carries the flag.
+		hdr.Flags |= wire.FlagTraced
 	}
 
+	// A single-fragment call's retransmissions start from the adaptive
+	// per-peer estimate (Jacobson-style), with the configured interval as
+	// both the ceiling and the cold-start value. A multi-fragment call sends
+	// its first window, and acks send the rest (onAck); its windows are
+	// paced by the configured interval. args stays referenced until the
+	// final fragment is out or the call ends.
+	oc.mu.Lock()
+	oc.out = fragMsg{hdr: hdr, tc: tc, msg: args, first: maxP - extra}
+	var err error
 	if nfrags == 1 {
-		frame := c.newFrame(last, tc, args)
-		sent := now
-		if rec != nil {
-			rec.stamp(StageSent)
-		}
-		if err := c.send(dst, frame.Bytes()); err != nil {
-			frame.Release()
-			ch.callsMu.Lock()
-			if ch.calls[k] == oc {
-				delete(ch.calls, k)
-			}
-			ch.callsMu.Unlock()
-			putOutCall(oc)
-			return err
-		}
-		c.armRetrans(oc, k, frame, sent, iv, deadline)
-		return nil
+		oc.interval = ch.rttInterval(c.cfg.RetransInterval/8, c.cfg.RetransInterval)
+		err = c.sendFinalLocked(oc, now)
+	} else {
+		oc.interval = c.cfg.RetransInterval
+		err = c.sendWindow(dst, &oc.out)
 	}
-
-	// Multi-fragment calls hand the windowed send to a pump goroutine
-	// so StartCall still returns immediately; the args slice stays
-	// referenced until the pump exits, which Await waits for.
-	pump := make(chan struct{})
-	p.pump = pump
-	go c.pumpCall(oc, ch, k, hdr, last, tc, args, maxP-extra, iv, deadline, pump)
+	oc.nextAt = now.Add(oc.interval)
+	at := oc.due()
+	oc.mu.Unlock()
+	if err != nil {
+		ch.callsMu.Lock()
+		if ch.calls[k] == oc {
+			delete(ch.calls, k)
+		}
+		ch.callsMu.Unlock()
+		putOutCall(oc)
+		return err
+	}
+	c.scheduleRetrans(oc, k, at)
 	return nil
 }
 
-// armRetrans retains the final call fragment's frame and schedules the
-// retransmission engine for it, clamping the first check to the deadline.
-func (c *Conn) armRetrans(oc *outCall, k callKey, frame *buffer.Frame, sent time.Time, iv time.Duration, deadline time.Time) {
-	oc.mu.Lock()
-	if oc.finished || oc.key != k {
-		if oc.key == k {
-			// The result beat us here; Await still times the call from sent.
-			oc.sentAt = sent
-		}
-		oc.mu.Unlock()
+// sendFinalLocked sends the call's final fragment and retains it for the
+// retransmission engine (oc.mu held).
+func (c *Conn) sendFinalLocked(oc *outCall, now time.Time) error {
+	frame := c.finalFrame(&oc.out)
+	oc.out = fragMsg{}
+	if oc.trace != nil {
+		oc.trace.stamp(StageSent)
+	}
+	if err := c.send(oc.dst, frame.Bytes()); err != nil {
 		frame.Release()
-		return
+		return err
 	}
-	oc.frame = frame
-	oc.sentAt = sent
-	oc.interval = iv
-	oc.nextAt = sent.Add(iv)
-	at := oc.nextAt
-	if !deadline.IsZero() && deadline.Before(at) {
-		at = deadline
-	}
-	oc.mu.Unlock()
-	c.scheduleRetrans(oc, k, at)
+	oc.frame, oc.sentAt = frame, now
+	return nil
 }
 
-// pumpCall drives a multi-fragment call's windowed send off the caller's
-// goroutine, then arms the retransmission engine for the final fragment,
-// last. Fragment 0 carries the first `first` bytes of args and every later
-// one up to maxPayload. It exits promptly if the call completes or is
-// cancelled mid-stream (sendWindowed watches oc.done).
-func (c *Conn) pumpCall(oc *outCall, ch *channel, k callKey, hdr, last wire.RPCHeader, tc wire.TraceCtx,
-	args []byte, first int, iv time.Duration, deadline time.Time, pump chan struct{}) {
-	defer close(pump)
-	s := fragStream{dst: ch.peer, hdr: hdr, tc: tc, msg: args, first: first, n: last.FragIndex,
-		acks: oc.ackCh, timer: oc.timer, stop: oc.done, deadline: deadline}
-	args, err := c.sendWindowed(&s)
-	oc.timer = s.timer
-	if err != nil {
-		oc.finish(k, nil, err)
-		return
-	}
-	oc.mu.Lock()
-	rec := oc.trace
-	oc.mu.Unlock()
-	frame := c.newFrame(last, tc, args)
-	sent := time.Now()
-	if rec != nil {
-		rec.stamp(StageSent)
-	}
-	if err := c.send(ch.peer, frame.Bytes()); err != nil {
-		frame.Release()
-		oc.finish(k, nil, err)
-		return
-	}
-	c.armRetrans(oc, k, frame, sent, iv, deadline)
-}
-
-// fragWindow is how many non-final fragments sendWindowed puts in flight
-// before it waits for an acknowledgement. 16 × 1440 B is ~23 KB of payload,
-// a tenth of Linux's 212,992 B default socket receive buffer, so even a
+// fragWindow is how many non-final fragments a sender puts in flight before
+// it waits for an acknowledgement. 16 × 1440 B is ~23 KB of payload, a
+// tenth of Linux's 212,992 B default socket receive buffer, so even a
 // 256-fragment message cannot overrun a receiver whose reading goroutine is
 // descheduled (as at GOMAXPROCS 1), as sending every fragment back to back
 // could.
 const fragWindow = 16
 
-// fragStream is one message's non-final fragments, for sendWindowed.
-type fragStream struct {
-	dst      transport.Addr
-	hdr      wire.RPCHeader // every fragment's header but FragIndex and FlagPleaseAck
-	tc       wire.TraceCtx  // prefixes fragment 0 when hdr carries FlagTraceCtx
-	msg      []byte         // fragment 0 carries its first `first` bytes, later ones maxPayload
-	first    int
-	n        uint16 // non-final fragments
-	acks     <-chan fragAck
-	timer    *time.Timer     // reused if non-nil; left stopped and drained for the next stream
-	stop     <-chan struct{} // caller: the call's done channel; nil on the server
-	deadline time.Time       // caller: the call's absolute deadline; zero = none
-	act      *serverAct      // server: checked for abandonment on each timeout
+// fragMsg is the send state of a message, kept by its outCall or
+// serverAct: fragments are sliced out of msg as they are sent, fragment 0
+// its first `first` bytes and every later one up to maxPayload, and every
+// fragment before base is acknowledged. No goroutine or timer belongs to
+// it: acks move it on from the receive path, and the caller's
+// retransmission engine resends a stalled window (see onAck, fireRetrans
+// and onCallFrag).
+type fragMsg struct {
+	hdr   wire.RPCHeader // the final fragment's header but FragIndex
+	tc    wire.TraceCtx  // prefixes fragment 0 when hdr carries FlagTraceCtx
+	msg   []byte         // nil when no message is in flight
+	first int
+	base  uint16
 }
 
-// sendWindowed is the go-back-N sender of both directions' multi-fragment
-// messages. It sends up to fragWindow fragments back to back, FlagPleaseAck
-// on the last only, and waits for that fragment's ack — cumulative, since a
-// receiver acks it only once everything before it is stored — before the
-// next window. A window unacknowledged after the retransmission interval is
-// resent whole, the interval doubling up to 8×, at most MaxRetries times.
-// It returns the bytes left for the final fragment, which the caller sends
-// and retains for the retransmission engine. An error means the stream
-// stopped: the call finished or timed out, or the server's result is no
-// longer wanted.
-func (c *Conn) sendWindowed(s *fragStream) ([]byte, error) {
-	if s.timer == nil {
-		s.timer = time.NewTimer(c.cfg.RetransInterval)
+// end is one past the window's last fragment. The final fragment is never
+// in a window: it leaves alone once all before it are acknowledged.
+func (m *fragMsg) end() uint16 { return min(m.base+fragWindow, m.hdr.FragCount-1) }
+
+// fragment returns fragment i's bytes.
+func (m *fragMsg) fragment(i uint16, maxP int) []byte {
+	if i == 0 {
+		return m.msg[:min(m.first, len(m.msg))]
 	}
-	defer stopTimer(s.timer)
-	k := callKey{s.hdr.Activity, s.hdr.Seq}
-	msg, size := s.msg, s.first
-	for lo := uint16(0); lo < s.n; {
-		hi := min(lo+fragWindow, s.n)
-		interval := c.cfg.RetransInterval
-		for retries := 0; ; {
-			rest, n := msg, size
-			for i := lo; i < hi; i++ {
-				h := s.hdr
-				h.FragIndex = i
-				if i == hi-1 {
-					h.Flags |= wire.FlagPleaseAck
-				}
-				f := c.newFrame(h, s.tc, rest[:n])
-				err := c.send(s.dst, f.Bytes())
-				f.Release()
-				if err != nil {
-					return nil, err
-				}
-				rest, n = rest[n:], c.maxPayload()
-			}
-			acked, err := c.awaitAck(s, k, hi-1, interval)
-			if err != nil {
-				return nil, err
-			}
-			if acked {
-				msg, size = rest, n
-				break
-			}
-			if retries++; retries > c.cfg.MaxRetries {
-				return nil, ErrTimeout
-			}
-			c.stats.retransmits.Add(1)
-			c.noteRetransmit(k, retries, int64(interval), false)
-			if interval < 8*c.cfg.RetransInterval {
-				interval *= 2
-			}
-		}
-		lo = hi
-	}
-	return msg, nil
+	lo := m.first + int(i-1)*maxP
+	return m.msg[lo:min(lo+maxP, len(m.msg))]
 }
 
-// awaitAck waits up to interval, clamped to the deadline, for the ack of
-// fragment idx. It reports false with no error when the interval ran out
-// and the window should be resent.
-func (c *Conn) awaitAck(s *fragStream, k callKey, idx uint16, interval time.Duration) (bool, error) {
-	if !s.deadline.IsZero() {
-		interval = min(interval, time.Until(s.deadline)) // past it, the timer fires at once
+// ack applies a cumulative acknowledgement of fragment idx — the receiver
+// holds every fragment up to it — and reports whether the window moved. An
+// ack below base is stale and one at or past end acknowledges nothing in
+// flight; both are ignored. One inside the window is a receiver's re-ack
+// of a flagged fragment that arrived past a gap, so the window restarts at
+// the gap.
+func (m *fragMsg) ack(idx uint16) bool {
+	if m.msg == nil || idx < m.base || idx >= m.end() {
+		return false
 	}
-	stopTimer(s.timer)
-	s.timer.Reset(interval)
-	for {
-		select {
-		case <-s.stop:
-			// The call already finished (rejected, cancelled, closed) with
-			// its own error; this one goes nowhere.
-			return false, ErrClosed
-		case got := <-s.acks:
-			if got.activity == k.activity && got.seq == k.seq && got.idx == idx {
-				return true, nil
-			}
-			// Stale ack of an earlier window or call: keep waiting.
-		case <-s.timer.C:
-			if !s.deadline.IsZero() && !time.Now().Before(s.deadline) {
-				return false, ErrTimeout
-			}
-			if act := s.act; act != nil {
-				act.ch.actsMu.Lock()
-				gone := act.abandoned || act.lastSeq != k.seq || act.ch.evicted
-				act.ch.actsMu.Unlock()
-				if gone {
-					return false, ErrClosed
-				}
-			}
-			return false, nil
+	m.base = idx + 1
+	return true
+}
+
+// sendWindow sends the window's fragments back to back, with
+// FlagPleaseAck on the last one only.
+func (c *Conn) sendWindow(dst transport.Addr, m *fragMsg) error {
+	maxP, end := c.maxPayload(), m.end()
+	for i := m.base; i < end; i++ {
+		h := m.hdr
+		h.FragIndex = i
+		h.Flags &^= wire.FlagLastFrag | wire.FlagTraced
+		if i == end-1 {
+			h.Flags |= wire.FlagPleaseAck
+		}
+		f := c.newFrame(h, m.tc, m.fragment(i, maxP))
+		err := c.send(dst, f.Bytes())
+		f.Release()
+		if err != nil {
+			return err
 		}
 	}
+	return nil
+}
+
+// finalFrame builds the message's final fragment, for a sender whose every
+// other fragment is acknowledged.
+func (c *Conn) finalFrame(m *fragMsg) *buffer.Frame {
+	h := m.hdr
+	h.FragIndex = m.base
+	return c.newFrame(h, m.tc, m.fragment(m.base, c.maxPayload()))
 }
 
 // Ping probes a peer's liveness.

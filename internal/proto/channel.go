@@ -142,10 +142,10 @@ func (c *Conn) forEachChannel(f func(*channel)) {
 
 // sweepIdle evicts channels that have been idle past the configured
 // timeout: no outstanding calls, no executing handlers, no recent traffic.
-// Eviction releases the retained result frames (the per-peer state the 1989
-// design kept forever) and marks the channel so any straggling reference —
-// a worker that looked a serverAct up just before eviction — releases
-// rather than retains. It is called from the retransmission engine's
+// Eviction releases the retained result frames and result streams (the
+// per-peer state the 1989 design kept forever) and marks the channel so
+// any straggling reference — a worker that looked a serverAct up just
+// before eviction — releases rather than retains. It is called from the retransmission engine's
 // goroutine, so no extra janitor thread exists.
 func (c *Conn) sweepIdle(now time.Time) {
 	idle := c.cfg.PeerIdleTimeout
@@ -185,6 +185,7 @@ func (c *Conn) evictChannel(ch *channel) {
 	ch.actsMu.Lock()
 	ch.evicted = true
 	for _, act := range ch.acts {
+		act.endStreamLocked()
 		if act.lastResultFrame != nil {
 			act.lastResultFrame.Release()
 			act.lastResultFrame = nil

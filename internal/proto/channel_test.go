@@ -477,7 +477,9 @@ func TestIdlePeerEviction(t *testing.T) {
 
 // TestAsyncFanOutOneGoroutine drives 64 concurrent calls from a single
 // goroutine through the async API — the engine, not goroutines, carries
-// the in-flight state — and checks goroutine count stays flat.
+// the in-flight state — and checks goroutine count stays flat. Each call's
+// arguments and result take two fragments, so the windowed sender is in
+// play both ways.
 func TestAsyncFanOutOneGoroutine(t *testing.T) {
 	ex := transport.NewExchange()
 	release := make(chan struct{})
@@ -488,17 +490,22 @@ func TestAsyncFanOutOneGoroutine(t *testing.T) {
 			return append([]byte(nil), args...), nil
 		})
 	const fanout = 64
+	msg := func(i int) []byte {
+		b := make([]byte, wire.MaxSinglePacketPayload+1)
+		b[0], b[len(b)-1] = byte(i), byte(i)
+		return b
+	}
 	before := runtime.NumGoroutine()
 	pendings := make([]*Pending, fanout)
 	for i := range pendings {
-		p, err := caller.goCall(context.Background(), sa, caller.NewActivity(), 1, 1, 1, []byte{byte(i)}, nil)
+		p, err := caller.goCall(context.Background(), sa, caller.NewActivity(), 1, 1, 1, msg(i), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		pendings[i] = p
 	}
 	during := runtime.NumGoroutine()
-	// 64 single-packet calls in flight must not cost 64 goroutines. The
+	// 64 multi-fragment calls in flight must not cost 64 goroutines. The
 	// server side holds workers (capped at cfg.Workers), so allow a small
 	// constant, not O(fanout).
 	if during-before > 10 {
@@ -510,8 +517,8 @@ func TestAsyncFanOutOneGoroutine(t *testing.T) {
 		if err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
-		if len(res) != 1 || res[0] != byte(i) {
-			t.Fatalf("call %d: bad result %v", i, res)
+		if !bytes.Equal(res, msg(i)) {
+			t.Fatalf("call %d: bad result (%d bytes)", i, len(res))
 		}
 	}
 	if n := caller.outstandingCalls(); n != 0 {

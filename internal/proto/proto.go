@@ -5,27 +5,33 @@
 //   - On the fast path a call is one packet and its result is one packet;
 //     the result implicitly acknowledges the call, and the activity's next
 //     call implicitly acknowledges the result. No extra packets.
-//   - Larger arguments/results travel as fragments, sent go-back-N in
-//     windows of up to 16 with one cumulative explicit acknowledgement per
-//     window; the last fragment is acknowledged implicitly, as a
-//     single-packet message is.
-//   - Lost packets are recovered by retransmission with exponential
-//     backoff; retransmitted calls ask for an explicit acknowledgement so a
-//     busy server can say "still working" without completing.
+//   - Larger arguments/results travel as fragments, sent in windows of up
+//     to 16 with one cumulative explicit acknowledgement per window, which
+//     sends the next window from the receive path; a receiver that sees a
+//     flagged fragment past a gap re-acks the last one it holds, and the
+//     sender resends from the gap. The last fragment is acknowledged
+//     implicitly, as a single-packet message is.
+//   - The caller drives recovery: lost packets are recovered by its
+//     retransmissions, with exponential backoff. A retransmitted call asks
+//     for an explicit acknowledgement, so a busy server can say "still
+//     working" without completing, and a server part-way through a
+//     multi-fragment result answers it with the unacknowledged window.
 //   - Servers suppress duplicate calls per activity and retain the last
 //     result packet for retransmission until the activity's next call.
+//     They keep no timer for a call and send only in reply to its packets.
 //
 // Beyond the 1989 single-segment design, the connection state is organized
 // per peer: each remote endpoint gets a channel object holding its own
 // call-table shard, duplicate-suppression state, and Jacobson/Karels
 // round-trip estimator, managed through a sharded peer map that evicts
 // idle peers. A single retransmission-engine goroutine drives every
-// pending call's timer from one heap, which is what makes the asynchronous
-// call API (StartCall/Pending) cost no goroutine per in-flight call. Calls
-// take a context.Context: deadlines bound the whole exchange (winning over
-// the retry budget) and cancellation releases the call-table entry and
-// pooled buffers immediately, notifying the server with a best-effort
-// cancel packet.
+// pending call's timer from one heap. It is the only timer a call uses,
+// which is what makes the asynchronous call API (StartCall/Pending) cost
+// no goroutine, timer or channel per in-flight call, of one packet or of
+// 256. Calls take a context.Context: deadlines bound the whole exchange
+// (winning over the retry budget) and cancellation releases the call-table
+// entry and pooled buffers immediately, notifying the server with a
+// best-effort cancel packet.
 //
 // The fast path is engineered the way §4.2 of the paper prescribes: packet
 // buffers come from a pool and are recycled rather than allocated (the
@@ -75,7 +81,8 @@ type Config struct {
 	// doubles on each retry up to 8× the initial value. The Firefly used
 	// ~600 ms.
 	RetransInterval time.Duration
-	// MaxRetries bounds retransmissions per fragment before ErrTimeout.
+	// MaxRetries bounds a call's retransmissions per unacknowledged window
+	// or final fragment, reset on progress, before ErrTimeout.
 	MaxRetries int
 	// Workers is the server-side concurrency: the number of calls that may
 	// execute simultaneously (the Firefly kept a pool of server threads
@@ -136,7 +143,9 @@ const defaultQueueCapacity = 1024
 // context.Context). args is only valid until the handler returns: the
 // buffer behind it is recycled for the activity's next call, exactly as the
 // Firefly reused call-table packet buffers. Handlers that need the
-// arguments afterwards must copy them.
+// arguments afterwards must copy them. The result belongs to the protocol
+// once returned: a multi-fragment one streams to the caller after the
+// handler returns, so it must not be reused, though it may alias args.
 type Handler func(src transport.Addr, tc wire.TraceCtx, iface uint32, proc uint16, args []byte) ([]byte, error)
 
 // Stats counts protocol events. It is the snapshot type returned by
@@ -145,10 +154,10 @@ type Stats struct {
 	CallsSent      int64
 	CallsCompleted int64
 	CallsServed    int64
-	Retransmits    int64
+	Retransmits    int64 // caller: argument windows and final call fragments resent on a timer
 	DupCalls       int64
 	DupFrags       int64
-	ResultRetrans  int64
+	ResultRetrans  int64 // server: retained results and result windows resent at the caller's request
 	AcksSent       int64
 	InProgressAcks int64
 	Rejects        int64
@@ -334,33 +343,23 @@ type callKey struct {
 	seq      uint32
 }
 
-// fragAck is one explicit fragment acknowledgement. It carries the full
-// call identity so a stale ack — of an earlier fragment, an earlier call,
-// or a previous incarnation of a pooled channel — can never satisfy the
-// wrong wait.
-type fragAck struct {
-	activity uint64
-	seq      uint32
-	idx      uint16
-}
-
 // outCall is an outstanding outgoing call. outCalls are pooled and reused
 // across calls; every completion path re-verifies key under mu so a stale
 // reference from a previous incarnation cannot touch the current call.
 //
-// Retransmission state (frame, interval, nextAt, deadline, retries) is
-// guarded by mu and driven by the Conn's retransmission engine; the heap
+// Retransmission state (out, frame, interval, nextAt, deadline, retries)
+// is guarded by mu and driven by the Conn's retransmission engine; the heap
 // bookkeeping fields (heapAt, heapIdx, inHeap) are guarded by
 // Conn.retransMu.
 type outCall struct {
-	mu    sync.Mutex
-	key   callKey
-	dst   transport.Addr
-	done  chan struct{} // fresh per call; closed exactly once on finish
-	ackCh chan fragAck  // reused; acks of our call fragments
-	timer *time.Timer   // reused across multi-fragment sends
+	mu   sync.Mutex
+	key  callKey
+	dst  transport.Addr
+	done chan struct{} // fresh per call; closed exactly once on finish
 
-	// Retransmission engine state.
+	// Retransmission engine state. A multi-fragment call's arguments are in
+	// out until their final fragment leaves, retained in frame.
+	out      fragMsg
 	frame    *buffer.Frame // retained final call fragment
 	interval time.Duration // current backoff interval
 	nextAt   time.Time     // authoritative next retransmission time
@@ -391,18 +390,11 @@ type outCall struct {
 	trace *traceRec
 }
 
-// outCallPool recycles outCall objects with their channels and timers, so
-// the per-call setup cost is one done-channel allocation.
-var outCallPool = sync.Pool{New: func() any {
-	return &outCall{
-		// One awaited ack per window; stale re-acks that find it full are
-		// dropped, as a lost ack would be.
-		ackCh: make(chan fragAck, maxFragments/fragWindow),
-	}
-}}
+// outCallPool recycles outCall objects, so the per-call setup cost is one
+// done-channel allocation.
+var outCallPool = sync.Pool{New: func() any { return new(outCall) }}
 
-// getOutCall readies a pooled outCall for one call. Stale acks from a
-// previous incarnation are drained.
+// getOutCall readies a pooled outCall for one call.
 func getOutCall(k callKey, dst transport.Addr, resBuf []byte) *outCall {
 	oc := outCallPool.Get().(*outCall)
 	oc.mu.Lock()
@@ -425,13 +417,7 @@ func getOutCall(k callKey, dst transport.Addr, resBuf []byte) *outCall {
 	oc.trace = nil
 	oc.done = make(chan struct{})
 	oc.mu.Unlock()
-	for {
-		select {
-		case <-oc.ackCh:
-		default:
-			return oc
-		}
-	}
+	return oc
 }
 
 // putOutCall returns a finished outCall to the pool.
@@ -440,16 +426,26 @@ func putOutCall(oc *outCall) {
 	oc.dst = nil
 	oc.resBuf = nil
 	oc.result = nil
+	oc.out = fragMsg{}
 	oc.frame = nil
 	oc.trace = nil
 	oc.mu.Unlock()
 	outCallPool.Put(oc)
 }
 
+// due is when the engine should next look at the call: its next
+// retransmission, or its deadline if that comes first.
+func (oc *outCall) due() time.Time {
+	if !oc.deadline.IsZero() && oc.deadline.Before(oc.nextAt) {
+		return oc.deadline
+	}
+	return oc.nextAt
+}
+
 // serverAct is the per-activity server state within a peer's channel:
-// duplicate suppression and the retained result. Mutable fields are
-// guarded by the owning channel's actsMu; activity, src, and ch are
-// immutable after creation.
+// duplicate suppression, the result stream and the retained result.
+// Mutable fields are guarded by the owning channel's actsMu; activity, src,
+// and ch are immutable after creation.
 type serverAct struct {
 	activity  uint64
 	src       transport.Addr
@@ -469,11 +465,16 @@ type serverAct struct {
 	hdr    wire.RPCHeader
 	// tc is the current call's trace context, parsed from fragment 0's
 	// FlagTraceCtx prefix; zero for untraced calls and legacy peers.
-	tc    wire.TraceCtx
-	ackCh chan fragAck // acks of our result fragments; lazy, multi-frag only
-	// timer paces multi-fragment result streams; the stream running holds
-	// it, so it is nil while one is (see sendResult).
-	timer *time.Timer
+	tc wire.TraceCtx
+	// res is a multi-fragment result on its way to the caller, which acks
+	// move on (see streamLocked); it has no timer, as the caller's
+	// retransmissions ask for a window again. resArgs is the argument
+	// buffer, which the result may alias, kept until the stream ends, and
+	// resTrace the call's stage record, stamped when the final fragment
+	// leaves.
+	res      fragMsg
+	resArgs  []byte
+	resTrace *traceRec
 	// lastResultFrame is the final packet of the last result, retained in
 	// its pooled buffer for retransmission until the activity's next call
 	// recycles it — the call-table retention scheme of §4.2.
@@ -715,17 +716,6 @@ func fragCount(n, first, maxP int) int {
 		return 1
 	}
 	return 1 + (n-first+maxP-1)/maxP
-}
-
-// stopTimer stops t and drains a fire nobody received, so that one timer
-// can serve every window of a message and the messages after it.
-func stopTimer(t *time.Timer) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
-	}
 }
 
 // newFrame assembles header+payload into a pooled frame. Fragment 0 of a

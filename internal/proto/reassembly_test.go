@@ -197,15 +197,15 @@ func (r *rawPort) next(t *testing.T, typ wire.PacketType) wire.RPCHeader {
 // and fragment 1 under a disagreeing FragCount before the real one.
 var reassemblyScript = []struct {
 	idx, count uint16
-	ack        bool // the receiver must ack this frame
+	ack        int // the fragment index the receiver acks this frame with; -1 for none
 }{
-	{0, 4, true},
-	{0, 4, true},  // duplicate: re-acked and counted in DupFrags
-	{2, 4, false}, // ahead of fragment 1: BadFrames, dropped unacked
-	{1, 5, false}, // mismatched FragCount: BadFrames, dropped unacked
-	{1, 4, true},
-	{2, 4, true},
-	{3, 4, false}, // last: acknowledged implicitly
+	{0, 4, 0},
+	{0, 4, 0},  // duplicate: re-acked and counted in DupFrags
+	{2, 4, 0},  // ahead of fragment 1: BadFrames, dropped, fragment 0 re-acked
+	{1, 5, -1}, // mismatched FragCount: BadFrames, dropped unacked
+	{1, 4, 1},
+	{2, 4, 2},
+	{3, 4, -1}, // last: acknowledged implicitly
 }
 
 var reassemblyPieces = [][]byte{[]byte("alpha-"), []byte("beta-"), []byte("gamma-"), []byte("delta")}
@@ -226,9 +226,9 @@ func playScript(t *testing.T, ex *transport.Exchange, src, dst string, raw *rawP
 		if err := ex.SendFrom(src, dst, buildFrame(h, reassemblyPieces[step.idx])); err != nil {
 			t.Fatal(err)
 		}
-		if step.ack {
-			if a := raw.next(t, wire.TypeAck); a.FragIndex != step.idx || a.Seq != hdr.Seq {
-				t.Fatalf("step %d: ack of %d/seq %d, want %d/seq %d", i, a.FragIndex, a.Seq, step.idx, hdr.Seq)
+		if step.ack >= 0 {
+			if a := raw.next(t, wire.TypeAck); int(a.FragIndex) != step.ack || a.Seq != hdr.Seq {
+				t.Fatalf("step %d: ack of %d/seq %d, want %d/seq %d", i, a.FragIndex, a.Seq, step.ack, hdr.Seq)
 			}
 			continue
 		}
@@ -246,8 +246,9 @@ func playScript(t *testing.T, ex *transport.Exchange, src, dst string, raw *rawP
 
 // TestReassemblyInOrder feeds a four-fragment call to a server, and a
 // four-fragment result to a caller, by hand: a duplicate of fragment 0 is
-// re-acked and counted, fragment 2 ahead of fragment 1 and a fragment under
-// a disagreeing FragCount are dropped as bad frames without an ack, and the
+// re-acked and counted, fragment 2 ahead of fragment 1 is dropped as a bad
+// frame and answered by a re-ack of fragment 0, a fragment under a
+// disagreeing FragCount is dropped as a bad frame without an ack, and the
 // message still completes — exactly once, with exactly the concatenated
 // bytes — once the right fragments arrive.
 func TestReassemblyInOrder(t *testing.T) {

@@ -164,13 +164,13 @@ func (c *Conn) onCallFrag(src transport.Addr, hdr wire.RPCHeader, payload []byte
 			if tc.Valid() {
 				act.tc = tc
 			}
-			needAck, req, run := c.storeFragLocked(act, hdr, payload)
+			ack, req, run := c.storeFragLocked(act, hdr, payload)
 			if run {
 				ch.executing.Add(1)
 			}
 			ch.actsMu.Unlock()
-			if needAck {
-				c.sendAck(src, hdr.Activity, hdr.Seq, hdr.FragIndex, false)
+			if ack >= 0 {
+				c.sendAck(src, hdr.Activity, hdr.Seq, uint16(ack), false)
 			}
 			if run {
 				if recvNs != 0 {
@@ -185,13 +185,22 @@ func (c *Conn) onCallFrag(src transport.Addr, hdr wire.RPCHeader, payload []byte
 			c.stats.inProgressAcks.Add(1)
 			c.sendAck(src, hdr.Activity, hdr.Seq, ackInProgress, false)
 			return
-		default: // phaseDone: retransmit the retained final result frame.
+		default: // phaseDone: answer from the result stream or the retained frame.
 			// The send happens under actsMu: the retained frame lives in a
-			// pooled buffer that the activity's next call releases, so it
-			// must not be recycled mid-transmission. Duplicates are rare;
+			// pooled buffer that the activity's next call releases, and a
+			// stream's result may alias the argument buffer it holds, so
+			// neither may be recycled mid-transmission. Duplicates are rare;
 			// the fast path never reaches here.
 			c.stats.dupCalls.Add(1)
-			if act.lastResultFrame != nil {
+			switch {
+			case act.res.msg != nil:
+				// Mid-stream, the caller's retransmitted final fragment asks
+				// for the unacknowledged window: the server has no timer.
+				if hdr.Flags&wire.FlagLastFrag != 0 {
+					c.stats.resultRetrans.Add(1)
+					_ = c.sendWindow(act.src, &act.res)
+				}
+			case act.lastResultFrame != nil:
 				c.stats.resultRetrans.Add(1)
 				_ = c.send(src, act.lastResultFrame.Bytes())
 			}
@@ -200,6 +209,7 @@ func (c *Conn) onCallFrag(src transport.Addr, hdr wire.RPCHeader, payload []byte
 		}
 
 	default: // a new call: implicitly acknowledges the previous result
+		act.endStreamLocked()
 		act.lastSeq = hdr.Seq
 		act.phase = phaseReceiving
 		act.abandoned = false
@@ -213,13 +223,13 @@ func (c *Conn) onCallFrag(src transport.Addr, hdr wire.RPCHeader, payload []byte
 			act.lastResultFrame = nil
 		}
 		act.next = 0
-		needAck, req, run := c.storeFragLocked(act, hdr, payload)
+		ack, req, run := c.storeFragLocked(act, hdr, payload)
 		if run {
 			ch.executing.Add(1)
 		}
 		ch.actsMu.Unlock()
-		if needAck {
-			c.sendAck(src, hdr.Activity, hdr.Seq, hdr.FragIndex, false)
+		if ack >= 0 {
+			c.sendAck(src, hdr.Activity, hdr.Seq, uint16(ack), false)
 		}
 		if run {
 			if recvNs != 0 {
@@ -234,26 +244,37 @@ func (c *Conn) onCallFrag(src transport.Addr, hdr wire.RPCHeader, payload []byte
 // storeFragLocked appends a call fragment to the activity's argument buffer
 // (the channel's actsMu held) and, when the call is complete, hands the
 // buffer to an execReq so the worker never touches shared state. It reports
-// whether the fragment wants an explicit ack and whether the call is ready
-// to execute; the caller performs both actions after releasing the lock
-// (and bumps the channel's executing count under it when run is true).
+// the fragment index to acknowledge (-1 for none) and whether the call is
+// ready to execute; the caller performs both actions after releasing the
+// lock (and bumps the channel's executing count under it when run is true).
 //
 // Fragments arrive in order: the caller sends each window in index order
 // and the next one only after the ack of this one's last fragment, which
 // is sent only once every fragment up to it is stored here. Anything below
 // next is therefore a late duplicate, to be re-acked in case the first ack
 // was lost. Anything above it follows a gap — ordinary loss inside a
-// window — and is dropped unacked, counted in BadFrames, until the caller
-// resends the window.
-func (c *Conn) storeFragLocked(act *serverAct, hdr wire.RPCHeader, payload []byte) (needAck bool, req execReq, run bool) {
-	if hdr.FragCount != act.count || hdr.FragIndex > act.next {
+// window — and is dropped, counted in BadFrames; if it asks for an ack,
+// the last fragment stored is re-acked, which tells the caller to resend
+// from the gap at once.
+func (c *Conn) storeFragLocked(act *serverAct, hdr wire.RPCHeader, payload []byte) (ack int, req execReq, run bool) {
+	ack = -1
+	flagged := hdr.Flags&wire.FlagPleaseAck != 0 && hdr.Flags&wire.FlagLastFrag == 0
+	switch {
+	case hdr.FragCount != act.count:
 		c.stats.badFrames.Add(1)
-		return false, execReq{}, false
+		return -1, execReq{}, false
+	case hdr.FragIndex > act.next:
+		c.stats.badFrames.Add(1)
+		if flagged && act.next > 0 {
+			ack = int(act.next) - 1
+		}
+		return ack, execReq{}, false
+	case flagged:
+		ack = int(hdr.FragIndex)
 	}
-	needAck = hdr.Flags&wire.FlagPleaseAck != 0 && hdr.Flags&wire.FlagLastFrag == 0
 	if hdr.FragIndex < act.next {
 		c.stats.dupFrags.Add(1)
-		return needAck, execReq{}, false
+		return ack, execReq{}, false
 	}
 	if act.next == 0 {
 		act.argBuf = act.argBuf[:0]
@@ -264,12 +285,12 @@ func (c *Conn) storeFragLocked(act *serverAct, hdr wire.RPCHeader, payload []byt
 	act.argBuf = append(act.argBuf, payload...)
 	act.next++
 	if act.next < act.count {
-		return needAck, execReq{}, false
+		return ack, execReq{}, false
 	}
 	args := act.argBuf
 	act.argBuf = nil // the worker owns it until execution finishes
 	act.phase = phaseExecuting
-	return needAck, execReq{act: act, hdr: hdr, tc: act.tc, args: args, budgetNs: callBudgetNs(hdr)}, true
+	return ack, execReq{act: act, hdr: hdr, tc: act.tc, args: args, budgetNs: callBudgetNs(hdr)}, true
 }
 
 // callBudgetNs reads the caller's remaining deadline budget from a call
@@ -318,15 +339,16 @@ func (c *Conn) execute(req execReq) {
 		}
 		final = c.newFrame(rej, wire.TraceCtx{}, nil)
 	default:
-		final = c.sendResult(act, hdr, result)
+		final = c.sendResult(&req, result)
 	}
 
 	// Return the argument buffer for the next call's reuse before the final
 	// frame goes out: the caller's next call can arrive the moment it does,
 	// and would otherwise find the buffer still out and grow a new one.
 	// Every result byte is in a frame by now, so a result that aliases the
-	// arguments is safe. If a newer call already took another (an overlap
-	// only a timed-out caller can produce), the older buffer is dropped.
+	// arguments is safe; a result stream took the buffer instead. If a
+	// newer call already took another (an overlap only a timed-out caller
+	// can produce), the older buffer is dropped.
 	if req.args != nil {
 		ch.actsMu.Lock()
 		if act.argBuf == nil && !ch.evicted {
@@ -345,12 +367,13 @@ func (c *Conn) execute(req execReq) {
 
 // retainResult completes call seq on the activity and parks its final
 // frame in the call-table slot for retransmission, releasing its
-// predecessor. With no frame (the call was abandoned, or the server gave
-// up sending its result) the call completes with nothing to retransmit, so
-// the caller's retransmissions go unanswered until its retry budget runs
-// out. If a newer call has superseded seq, the caller abandoned the call,
-// or the channel was evicted while the handler ran, the frame is released
-// instead: nobody may (or will) retransmit it.
+// predecessor. With no frame the call completes with nothing to
+// retransmit: either its result streams, and streamLocked retains the
+// final fragment when the stream ends, or the call was abandoned or
+// superseded, and the caller's retransmissions go unanswered until its
+// retry budget runs out. If a newer call has superseded seq, the caller
+// abandoned the call, or the channel was evicted while the handler ran,
+// the frame is released instead: nobody may (or will) retransmit it.
 func (c *Conn) retainResult(act *serverAct, seq uint32, f *buffer.Frame) {
 	ch := act.ch
 	ch.actsMu.Lock()
@@ -370,14 +393,14 @@ func (c *Conn) retainResult(act *serverAct, seq uint32, f *buffer.Frame) {
 	ch.actsMu.Unlock()
 }
 
-// sendResult streams all but the last result fragment through the windowed
-// sender and returns the last one built but unsent: its receipt is
-// acknowledged implicitly by the next call, so the caller sends it and
-// retains it for retransmission. A result too large to ship returns a
-// reject frame in its place, retained the same way. It returns nil when it
-// gave up.
-func (c *Conn) sendResult(act *serverAct, call wire.RPCHeader, result []byte) *buffer.Frame {
-	ch := act.ch
+// sendResult ships a call's result. One that fits a single packet, or the
+// reject that stands in for one too large to ship, is returned built but
+// unsent, for execute to send and retain. A larger one becomes the
+// activity's result stream, unless the call was abandoned or superseded
+// meanwhile: sendResult sends its first window and returns nil, and the
+// stream takes req's argument buffer and trace record until it ends.
+func (c *Conn) sendResult(req *execReq, result []byte) *buffer.Frame {
+	act, call := req.act, req.hdr
 	maxP := c.maxPayload()
 	nfrags := fragCount(len(result), maxP, maxP)
 	if nfrags > maxFragments {
@@ -391,49 +414,57 @@ func (c *Conn) sendResult(act *serverAct, call wire.RPCHeader, result []byte) *b
 		Type:      wire.TypeResult,
 		Activity:  call.Activity,
 		Seq:       call.Seq,
+		FragIndex: uint16(nfrags - 1),
 		FragCount: uint16(nfrags),
+		Flags:     wire.FlagLastFrag,
 		Interface: call.Interface,
 		Proc:      call.Proc,
 	}
-	if nfrags > 1 {
-		// Multi-fragment results need the explicit-ack channel; create it
-		// lazily and flush stale entries from a previous call. The
-		// activity's timer is taken for the stream and handed back after
-		// it, as argBuf is. An overlapping execution (only a timed-out
-		// caller's next call can cause one) finds it taken and makes its
-		// own: two streams on one timer could each drain the other's fire
-		// and leave a worker blocked forever on a stopped timer.
-		ch.actsMu.Lock()
-		if act.ackCh == nil {
-			act.ackCh = make(chan fragAck, maxFragments/fragWindow)
-		}
-		for {
-			select {
-			case <-act.ackCh:
-				continue
-			default:
-			}
-			break
-		}
-		s := fragStream{dst: act.src, hdr: hdr, msg: result, first: maxP, n: uint16(nfrags - 1),
-			acks: act.ackCh, timer: act.timer, act: act}
-		act.timer = nil
-		ch.actsMu.Unlock()
-		rest, err := c.sendWindowed(&s)
-		ch.actsMu.Lock()
-		if act.timer == nil {
-			act.timer = s.timer
-		}
-		ch.actsMu.Unlock()
-		if err != nil {
-			return nil // gave up
-		}
-		result = rest
+	if nfrags == 1 {
+		return c.newFrame(hdr, wire.TraceCtx{}, result)
 	}
-	last := hdr
-	last.FragIndex = uint16(nfrags - 1)
-	last.Flags = wire.FlagLastFrag
-	return c.newFrame(last, wire.TraceCtx{}, result)
+	ch := act.ch
+	ch.actsMu.Lock()
+	if act.lastSeq == call.Seq && !act.abandoned && !ch.evicted {
+		act.phase = phaseDone // a retransmitted call now asks for a window
+		act.res = fragMsg{hdr: hdr, msg: result, first: maxP}
+		act.resArgs, act.resTrace = req.args, req.trace
+		req.args, req.trace = nil, nil
+		c.streamLocked(act)
+	}
+	ch.actsMu.Unlock()
+	return nil
+}
+
+// streamLocked moves the activity's result stream on (the channel's actsMu
+// held): it sends the window from the first unacknowledged fragment or,
+// once every fragment before the final one is acknowledged, ends the
+// stream, sending the final fragment and retaining it as a single-packet
+// result is retained.
+func (c *Conn) streamLocked(act *serverAct) {
+	if act.res.base < act.res.hdr.FragCount-1 {
+		_ = c.sendWindow(act.src, &act.res)
+		return
+	}
+	f := c.finalFrame(&act.res)
+	rec := act.resTrace
+	act.endStreamLocked()
+	if rec != nil {
+		rec.stamp(StageSrvResultSent)
+	}
+	_ = c.send(act.src, f.Bytes())
+	act.lastResultFrame = f
+}
+
+// endStreamLocked drops the activity's result stream, if it has one (the
+// channel's actsMu held), and returns the argument buffer the stream kept
+// for the next call's reuse, unless a newer call already took another or
+// the channel is evicted.
+func (act *serverAct) endStreamLocked() {
+	if act.resArgs != nil && act.argBuf == nil && !act.ch.evicted {
+		act.argBuf = act.resArgs[:0]
+	}
+	act.res, act.resArgs, act.resTrace = fragMsg{}, nil, nil
 }
 
 // onResultFrag handles an arriving result fragment on the caller side.
@@ -463,12 +494,18 @@ func (c *Conn) onResultFrag(src transport.Addr, hdr wire.RPCHeader, payload []by
 	// (see storeFragLocked): fragments append straight to the
 	// caller-supplied buffer, which core.Client keeps across calls, and one
 	// past a gap — a loss inside the server's window — is a bad frame,
-	// dropped unacked until the window is resent.
+	// dropped; if it asks for an ack, the last fragment stored is re-acked
+	// so the server resends from the gap at once.
+	ackIdx := hdr.FragIndex
 	switch {
 	case hdr.FragCount == 0 || hdr.FragCount > maxFragments ||
-		hdr.FragIndex > oc.resNext || (oc.resNext > 0 && hdr.FragCount != oc.resCount):
+		(oc.resNext > 0 && hdr.FragCount != oc.resCount):
 		c.stats.badFrames.Add(1)
 		needAck = false
+	case hdr.FragIndex > oc.resNext:
+		c.stats.badFrames.Add(1)
+		needAck = needAck && oc.resNext > 0
+		ackIdx = oc.resNext - 1
 	case hdr.FragIndex < oc.resNext:
 		c.stats.dupFrags.Add(1)
 	default:
@@ -479,6 +516,16 @@ func (c *Conn) onResultFrag(src transport.Addr, hdr wire.RPCHeader, payload []by
 		oc.resBuf = append(oc.resBuf, payload...)
 		oc.resNext++
 		complete = oc.resNext == oc.resCount
+		if !complete {
+			// Progress on a multi-fragment result: the retry budget starts
+			// over, and the retransmissions that now ask the server for its
+			// unacknowledged window are paced as windows are, by the
+			// configured interval. The completing fragment leaves the budget
+			// alone: Await reads it to apply Karn's rule.
+			oc.retries = 0
+			oc.interval = c.cfg.RetransInterval
+			oc.nextAt = time.Now().Add(oc.interval)
+		}
 	}
 	if complete && oc.trace != nil {
 		oc.trace.stamp(StageResultRecv)
@@ -494,11 +541,13 @@ func (c *Conn) onResultFrag(src transport.Addr, hdr wire.RPCHeader, payload []by
 	oc.mu.Unlock()
 
 	if needAck {
-		c.sendAck(src, hdr.Activity, hdr.Seq, hdr.FragIndex, true)
+		c.sendAck(src, hdr.Activity, hdr.Seq, ackIdx, true)
 	}
 }
 
-// onAck routes an acknowledgement to the waiting sender.
+// onAck moves a fragment stream on: the caller's acks of a result window on
+// the server, the server's acks of an argument window on the caller. The
+// next window, or the final fragment, leaves from here.
 func (c *Conn) onAck(src transport.Addr, hdr wire.RPCHeader) {
 	if hdr.Flags&flagAckResult != 0 {
 		// Caller acking our result fragment.
@@ -507,18 +556,10 @@ func (c *Conn) onAck(src transport.Addr, hdr wire.RPCHeader) {
 			return
 		}
 		ch.actsMu.Lock()
-		act := ch.acts[hdr.Activity]
-		var ackCh chan fragAck
-		if act != nil && act.lastSeq == hdr.Seq {
-			ackCh = act.ackCh
+		if act := ch.acts[hdr.Activity]; act != nil && act.lastSeq == hdr.Seq && act.res.ack(hdr.FragIndex) {
+			c.streamLocked(act)
 		}
 		ch.actsMu.Unlock()
-		if ackCh != nil {
-			select {
-			case ackCh <- fragAck{hdr.Activity, hdr.Seq, hdr.FragIndex}:
-			default:
-			}
-		}
 		return
 	}
 	// Server acking our call fragment, or telling us it is executing.
@@ -527,24 +568,49 @@ func (c *Conn) onAck(src transport.Addr, hdr wire.RPCHeader) {
 	if oc == nil {
 		return
 	}
+	oc.mu.Lock()
+	if oc.finished || oc.key != k {
+		oc.mu.Unlock()
+		return
+	}
 	if hdr.FragIndex == ackInProgress {
 		// Server says it is still executing: reset patience. The engine
 		// sees the pushed-out nextAt when this entry fires and re-arms
 		// without retransmitting.
-		oc.mu.Lock()
-		if !oc.finished && oc.key == k {
-			oc.retries = 0
-			if oc.interval > 0 {
-				oc.nextAt = time.Now().Add(oc.interval)
-			}
+		oc.retries = 0
+		if oc.interval > 0 {
+			oc.nextAt = time.Now().Add(oc.interval)
 		}
 		oc.mu.Unlock()
 		return
 	}
-	select {
-	case oc.ackCh <- fragAck{hdr.Activity, hdr.Seq, hdr.FragIndex}:
-	default:
+	if !oc.out.ack(hdr.FragIndex) {
+		oc.mu.Unlock()
+		return
 	}
+	// Progress: the retry budget and the window pacing start over, and the
+	// engine's entry moves up if a resend had backed it off.
+	now := time.Now()
+	var err error
+	if oc.out.base < oc.out.hdr.FragCount-1 {
+		// The next window, or the rest of this one past a gap.
+		err = c.sendWindow(oc.dst, &oc.out)
+	} else {
+		// Every fragment before the final one is stored. The final one
+		// keeps the windows' pacing rather than the peer's round-trip
+		// estimate, which small calls set: a retransmission that crossed
+		// a large result's first window would cost the whole window again.
+		err = c.sendFinalLocked(oc, now)
+	}
+	oc.retries = 0
+	oc.interval = c.cfg.RetransInterval
+	oc.nextAt = now.Add(oc.interval)
+	at := oc.due()
+	if err != nil {
+		oc.finishLocked(k, nil, err)
+	}
+	oc.mu.Unlock()
+	c.scheduleRetrans(oc, k, at)
 }
 
 // onReject completes an outstanding call with ErrRejected, or with
@@ -569,9 +635,9 @@ func (c *Conn) onReject(src transport.Addr, hdr wire.RPCHeader) {
 }
 
 // onCancel handles a caller's best-effort abandonment notice: drop any
-// reassembly state for the cancelled call and mark the activity so the
-// executing handler's result is neither sent nor retained. A later call on
-// the activity clears the mark.
+// reassembly state or result stream for the cancelled call and mark the
+// activity so the executing handler's result is neither sent nor retained.
+// A later call on the activity clears the mark.
 func (c *Conn) onCancel(src transport.Addr, hdr wire.RPCHeader) {
 	ch := c.lookupChannel(src)
 	if ch == nil {
@@ -581,15 +647,21 @@ func (c *Conn) onCancel(src transport.Addr, hdr wire.RPCHeader) {
 	c.flight.record(FlightCancelRecv, hdr.Activity, hdr.Seq, 0)
 	ch.actsMu.Lock()
 	act := ch.acts[hdr.Activity]
-	if act != nil && act.lastSeq == hdr.Seq && act.phase != phaseDone {
-		act.abandoned = true
-		if act.phase == phaseReceiving {
+	if act != nil && act.lastSeq == hdr.Seq {
+		switch act.phase {
+		case phaseReceiving:
 			// Mid-reassembly: empty the partial buffer, which stays for the
 			// activity's next call; stray retransmitted fragments of this
 			// seq are dropped because the activity is parked in phaseDone
 			// with nothing retained.
+			act.abandoned = true
 			act.argBuf = act.argBuf[:0]
 			act.phase = phaseDone
+		case phaseExecuting:
+			act.abandoned = true
+		default:
+			// Mid-stream, nobody wants the rest of the result.
+			act.endStreamLocked()
 		}
 	}
 	ch.actsMu.Unlock()

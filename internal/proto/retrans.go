@@ -8,30 +8,41 @@ import (
 
 // The retransmission engine: one goroutine per Conn drives every pending
 // call's retransmission timer off a single min-heap, replacing the old
-// scheme where each blocked caller goroutine ran its own timer loop. This
-// is what makes the async API cheap — a thousand in-flight calls cost one
-// timer goroutine, not a thousand — and it gives cancellation and per-call
-// deadlines one place to be enforced.
+// scheme where each blocked caller goroutine ran its own timer loop. It is
+// the only timer a call uses. The caller drives recovery, as in Birrell and
+// Nelson's design: the engine resends a call's unacknowledged argument
+// window or, once the arguments are in, its retained final fragment, and
+// that retransmission is what asks a server to resend its retained result
+// or the unacknowledged window of a multi-fragment one. The server keeps
+// no timer for a call and sends only in reply to the caller's packets.
+// This is what makes the async API cheap — a thousand in-flight calls cost
+// one timer goroutine, not a thousand, whatever their size — and it gives
+// cancellation and per-call deadlines one place to be enforced.
 //
 // Locking: heap order (heapAt/heapIdx/inHeap) and earliestNs are guarded
-// by retransMu; a call's retransmission state (frame, nextAt, interval,
-// retries, deadline) by its outCall.mu. The only nesting is
+// by retransMu; a call's retransmission state (out, frame, nextAt,
+// interval, retries, deadline) by its outCall.mu. The only nesting is
 // retransMu → outCall.mu, never the reverse.
 
 // maxEngineSleep bounds the engine's nap so config changes and sweeps are
 // never starved behind an empty heap.
 const maxEngineSleep = time.Minute
 
-// scheduleRetrans arms the engine for one call: the retained final-fragment
-// frame will be retransmitted at `at` unless the call completes first. The
-// key re-check makes a stale schedule of a recycled outCall a no-op.
+// scheduleRetrans arms the engine to look at one call at `at` unless the
+// call completes first, moving an entry already in the heap up if `at` is
+// earlier. The key re-check makes a stale schedule of a recycled outCall a
+// no-op.
 func (c *Conn) scheduleRetrans(oc *outCall, k callKey, at time.Time) {
 	c.retransMu.Lock()
 	oc.mu.Lock()
-	if !oc.finished && oc.key == k && !oc.inHeap {
+	if !oc.finished && oc.key == k && (!oc.inHeap || at.Before(oc.heapAt)) {
 		oc.heapAt = at
-		oc.inHeap = true
-		c.heapPush(oc)
+		if oc.inHeap {
+			c.heapUp(oc.heapIdx)
+		} else {
+			oc.inHeap = true
+			c.heapPush(oc)
+		}
 		c.retransSched++
 		if ns := at.UnixNano(); ns < c.earliestNs {
 			c.earliestNs = ns
@@ -137,14 +148,15 @@ func (c *Conn) retransLoop() {
 }
 
 // fireRetrans handles one due call: skip it if it completed or pushed its
-// own deadline forward (an in-progress ack arrived), time it out if its
-// deadline or retry budget is exhausted, otherwise retransmit the retained
-// frame with the please-ack flag flipped in place and re-arm with
-// exponential backoff. A timeout records its flight dump before it
-// finishes the call, so the dump is there by the time Await returns.
+// own deadline forward (progress or an in-progress ack arrived), time it
+// out if its deadline or retry budget is exhausted, otherwise resend its
+// unacknowledged argument window, or its retained final fragment with the
+// please-ack flag flipped in place, and re-arm with exponential backoff. A
+// timeout records its flight dump before it finishes the call, so the dump
+// is there by the time Await returns.
 func (c *Conn) fireRetrans(oc *outCall) {
 	oc.mu.Lock()
-	if oc.finished || oc.frame == nil {
+	if oc.finished || (oc.frame == nil && oc.out.msg == nil) {
 		oc.mu.Unlock()
 		return
 	}
@@ -160,9 +172,10 @@ func (c *Conn) fireRetrans(oc *outCall) {
 		return
 	}
 	if oc.nextAt.After(now) {
-		// Patience was reset (server said "still executing") after this
-		// entry was queued: re-arm without retransmitting.
-		at := oc.nextAt
+		// Patience was reset (progress, or the server said "still
+		// executing") after this entry was queued: re-arm without
+		// retransmitting.
+		at := oc.due()
 		oc.mu.Unlock()
 		c.scheduleRetrans(oc, k, at)
 		return
@@ -175,21 +188,28 @@ func (c *Conn) fireRetrans(oc *outCall) {
 		return
 	}
 	c.stats.retransmits.Add(1)
-	// Retransmissions request an explicit acknowledgement so a busy server
-	// can answer without completing. The flag is flipped in place in the
-	// retained frame (byte 3 of the wire header) rather than rebuilding
-	// the packet.
-	oc.frame.Bytes()[3] |= wire.FlagPleaseAck
-	if err := c.send(oc.dst, oc.frame.Bytes()); err != nil {
+	var err error
+	if oc.out.msg != nil {
+		// Stuck mid-arguments: resend the unacknowledged window.
+		err = c.sendWindow(oc.dst, &oc.out)
+	} else {
+		// Retransmissions request an explicit acknowledgement so a busy
+		// server can answer without completing. The flag is flipped in
+		// place in the retained frame (byte 3 of the wire header) rather
+		// than rebuilding the packet.
+		oc.frame.Bytes()[3] |= wire.FlagPleaseAck
+		if oc.trace != nil {
+			// Stamp the (latest) retransmission so the accounting can flag
+			// calls whose latency includes a retry, and count the retries.
+			oc.trace.stamp(StageRetransmit)
+			oc.trace.retries.Store(int32(oc.retries))
+		}
+		err = c.send(oc.dst, oc.frame.Bytes())
+	}
+	if err != nil {
 		oc.finishLocked(k, nil, err)
 		oc.mu.Unlock()
 		return
-	}
-	if oc.trace != nil {
-		// Stamp the (latest) retransmission so the accounting can flag
-		// calls whose latency includes a retry, and count the retries.
-		oc.trace.stamp(StageRetransmit)
-		oc.trace.retries.Store(int32(oc.retries))
 	}
 	doubled := false
 	if oc.interval < 8*c.cfg.RetransInterval {
@@ -199,10 +219,7 @@ func (c *Conn) fireRetrans(oc *outCall) {
 	retries := oc.retries
 	intervalNs := int64(oc.interval)
 	oc.nextAt = now.Add(oc.interval)
-	at := oc.nextAt
-	if !oc.deadline.IsZero() && oc.deadline.Before(at) {
-		at = oc.deadline // fire the deadline check promptly
-	}
+	at := oc.due()
 	oc.mu.Unlock()
 	c.noteRetransmit(k, retries, intervalNs, doubled)
 	c.scheduleRetrans(oc, k, at)

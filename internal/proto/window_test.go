@@ -59,11 +59,11 @@ func windowedArgs() []byte {
 	return args
 }
 
-// TestWindowedFragments pins the go-back-N sender on both directions of a
+// TestWindowedFragments pins the windowed sender on both directions of a
 // 21-fragment call: where the cumulative acks are asked for, how a window
-// with a lost fragment is recovered, and that result streams of one
-// activity which overlap — a caller gave up mid-result and called again —
-// leave no server worker stranded.
+// with a lost fragment is recovered, that a stalled result stream holds no
+// server worker, and that result streams of one activity which overlap — a
+// caller gave up mid-result and called again — leave no worker stranded.
 func TestWindowedFragments(t *testing.T) {
 	const frags = 21
 	sa := transport.AddrOf("server")
@@ -110,10 +110,12 @@ func TestWindowedFragments(t *testing.T) {
 	})
 
 	// Each direction loses one fragment of its first window. The receiver
-	// stores the fragments before the gap, drops the ones after it as bad
-	// frames, and acks nothing, so the sender's window times out once and is
-	// resent whole: its fragments before the loss arrive again as
-	// duplicates, and the second window goes out once.
+	// stores the fragments before the gap and drops the ones after it as
+	// bad frames; the window's flagged last fragment, past the gap, makes it
+	// re-ack the last fragment stored, and the sender resends from the gap
+	// at once, in a window that runs on into the second. So the fragments
+	// before the gap go out once, those from the gap to the first window's
+	// end twice, and no timer fires on either side.
 	t.Run("recovery", func(t *testing.T) {
 		ex := transport.NewExchange()
 		cfg := fastCfg()
@@ -138,10 +140,11 @@ func TestWindowedFragments(t *testing.T) {
 			what string
 			tap  *tapTransport
 			typ  wire.PacketType
-		}{{"call", callerTap, wire.TypeCall}, {"result", serverTap, wire.TypeResult}} {
+			gap  int
+		}{{"call", callerTap, wire.TypeCall, 5}, {"result", serverTap, wire.TypeResult, 7}} {
 			for i, n := range dir.tap.sends(dir.typ, frags) {
 				want := 1
-				if i < fragWindow {
+				if i >= dir.gap && i < fragWindow {
 					want = 2
 				}
 				if n != want {
@@ -149,15 +152,69 @@ func TestWindowedFragments(t *testing.T) {
 				}
 			}
 		}
-		// The server's Retransmits count only its result window: the
-		// retained final frame's resends are ResultRetrans.
-		if got := server.Stats().Retransmits; got != 1 {
-			t.Errorf("server retransmitted %d result windows, want 1", got)
-		}
+		// The server never retransmits on its own, and the re-acks leave
+		// the caller's timer nothing to do.
 		cs, ss := caller.Stats(), server.Stats()
-		if ss.BadFrames != 10 || ss.DupFrags != 5 || cs.BadFrames != 8 || cs.DupFrags != 7 {
-			t.Errorf("server BadFrames %d DupFrags %d, caller BadFrames %d DupFrags %d; want 10, 5, 8 and 7",
+		if cs.Retransmits != 0 || ss.Retransmits != 0 {
+			t.Errorf("Retransmits caller %d, server %d; want 0", cs.Retransmits, ss.Retransmits)
+		}
+		if ss.BadFrames != 10 || ss.DupFrags != 0 || cs.BadFrames != 8 || cs.DupFrags != 0 {
+			t.Errorf("server BadFrames %d DupFrags %d, caller BadFrames %d DupFrags %d; want 10, 0, 8 and 0",
 				ss.BadFrames, ss.DupFrags, cs.BadFrames, cs.DupFrags)
+		}
+	})
+
+	// One activity's result stream stalls: the caller loses every ack it
+	// sends for it. With one server worker, a call on another activity must
+	// still be served at once, because the worker went back to the queue
+	// once the stream's first window was out. A stream whose sender waited
+	// for its acks would hold the worker until it gave up, ~5.5 s here.
+	t.Run("stall", func(t *testing.T) {
+		ex := transport.NewExchange()
+		cfg := Config{RetransInterval: 100 * time.Millisecond, MaxRetries: 8, Workers: 1}
+		stalled := make(chan struct{}, 1)
+		callerPort := &dropTransport{ex.Port("caller"), func(h wire.RPCHeader) bool {
+			if h.Type == wire.TypeAck && h.Flags&flagAckResult != 0 && h.Seq == 1 {
+				select {
+				case stalled <- struct{}{}:
+				default:
+				}
+				return true
+			}
+			return false
+		}}
+		caller := NewConn(callerPort, cfg, nil)
+		server := NewConn(ex.Port("server"), cfg, func(_ transport.Addr, _ wire.TraceCtx, _ uint32, proc uint16, args []byte) ([]byte, error) {
+			if proc == 1 {
+				return windowedArgs(), nil
+			}
+			return args, nil
+		})
+		t.Cleanup(func() {
+			caller.Close()
+			server.Close()
+		})
+		ctx, cancel := context.WithCancel(context.Background())
+		p, err := caller.goCall(ctx, sa, caller.NewActivity(), 1, 1, 1, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-stalled:
+		case <-time.After(5 * time.Second):
+			t.Fatal("the stalled result never reached its first window ack")
+		}
+		start := time.Now()
+		res, err := caller.Call(context.Background(), sa, caller.NewActivity(), 1, 1, 2, []byte("next"), nil)
+		if err != nil || string(res) != "next" {
+			t.Fatalf("second activity: %q, %v", res, err)
+		}
+		if d := time.Since(start); d > 50*time.Millisecond {
+			t.Errorf("second activity's call took %v behind a stalled result stream", d)
+		}
+		cancel()
+		if _, err := p.Await(ctx); !errors.Is(err, context.Canceled) {
+			t.Fatalf("stalled call: err = %v, want context.Canceled", err)
 		}
 	})
 

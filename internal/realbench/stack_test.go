@@ -174,11 +174,12 @@ const reverseBytes = 100 * 1024
 
 // reverseAllocs is the allocation budget of one blocking Reverse100K over
 // udp. Both sides reassemble straight into recycled buffers, and the
-// windowed senders reuse the call's and the server activity's timers, so
-// nothing is allocated per fragment or per window. What is left is the send
-// pump goroutine and its exit channel, the call's done channel, and the
-// server stub's decoded argument, reversed array and reply.
-const reverseAllocs = 6
+// windowed senders keep their state in the pooled call and the server
+// activity, moved on by acks and by the Conn's one retransmission engine,
+// so nothing is allocated per fragment or per window. What is left is the
+// call's done channel and the server stub's decoded argument, reversed
+// array and reply.
+const reverseAllocs = 4
 
 // reverseAcks is the explicit acks each side of one Reverse100K sends: its
 // 71 non-final fragments each way travel in ⌈71/16⌉ windows of one
