@@ -192,3 +192,22 @@ func TestPoolAccountingQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestMapZeroedAndWritable(t *testing.T) {
+	b := Map(3 * 4096)
+	if len(b) != 3*4096 {
+		t.Fatalf("len = %d, want %d", len(b), 3*4096)
+	}
+	for i, v := range b {
+		if v != 0 {
+			t.Fatalf("byte %d = %d, want 0", i, v)
+		}
+	}
+	for i := range b {
+		b[i] = byte(i)
+	}
+	if i := 4097; b[i] != byte(i) {
+		t.Fatal("mapped memory did not keep a write")
+	}
+	Unmap(b)
+}

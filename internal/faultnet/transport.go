@@ -90,6 +90,9 @@ func (t *Transport) Send(dst transport.Addr, frame []byte) error {
 	if t.closed.Load() {
 		return transport.ErrClosed
 	}
+	if len(frame) > t.inner.MaxFrame() {
+		return transport.ErrFrameTooLarge
+	}
 	v := t.im.Decide(DirOut, t.elapsed(), len(frame))
 	if v.Drop {
 		return nil // lost, as on the wire
@@ -113,31 +116,41 @@ func (t *Transport) Send(dst transport.Addr, frame []byte) error {
 // schedule on either datapath. Contiguous runs of unimpaired frames are
 // forwarded to the inner transport's own SendBatch, keeping the syscall
 // amortization; impaired frames leave the run and take the per-frame
-// drop/dup/delay/corrupt machinery.
+// drop/dup/delay/corrupt machinery. A frame over MaxFrame stops the batch
+// before the engine sees it, as Send refuses it.
 func (t *Transport) SendBatch(frames []transport.Frame) (int, error) {
 	if t.closed.Load() {
 		return 0, transport.ErrClosed
 	}
 	bs, live := t.inner.(transport.BatchSender)
 	runStart := -1 // start of the current unimpaired run, -1 when none
-	flush := func(end int) error {
+	// flush forwards the run ending before end and returns how many frames
+	// of the batch are accepted so far.
+	flush := func(end int) (int, error) {
 		if runStart < 0 {
-			return nil
+			return end, nil
 		}
-		run := frames[runStart:end]
+		start := runStart
 		runStart = -1
 		if live {
-			_, err := bs.SendBatch(run)
-			return err
+			n, err := bs.SendBatch(frames[start:end])
+			return start + n, err
 		}
-		for _, f := range run {
-			if err := t.inner.Send(f.Dst, f.Data); err != nil {
-				return err
+		for i := start; i < end; i++ {
+			if err := t.inner.Send(frames[i].Dst, frames[i].Data); err != nil {
+				return i, err
 			}
 		}
-		return nil
+		return end, nil
 	}
+	max := t.inner.MaxFrame()
 	for i := range frames {
+		if len(frames[i].Data) > max {
+			if n, err := flush(i); err != nil {
+				return n, err
+			}
+			return i, transport.ErrFrameTooLarge
+		}
 		v := t.im.Decide(DirOut, t.elapsed(), len(frames[i].Data))
 		if !v.Drop && !v.Dup && v.Delay == 0 && v.CorruptAt < 0 {
 			if runStart < 0 {
@@ -145,8 +158,8 @@ func (t *Transport) SendBatch(frames []transport.Frame) (int, error) {
 			}
 			continue
 		}
-		if err := flush(i); err != nil {
-			return i, err
+		if n, err := flush(i); err != nil {
+			return n, err
 		}
 		if v.Drop {
 			continue // lost, as on the wire
@@ -162,10 +175,7 @@ func (t *Transport) SendBatch(frames []transport.Frame) (int, error) {
 		}
 		t.schedule(event{dst: frames[i].Dst}, frames[i].Data, v.Delay, v.CorruptAt, v.CorruptXor)
 	}
-	if err := flush(len(frames)); err != nil {
-		return len(frames), err
-	}
-	return len(frames), nil
+	return flush(len(frames))
 }
 
 // BatchEnabled implements transport.BatchSender: the wrapper batches only

@@ -2,6 +2,7 @@ package proto
 
 import (
 	"context"
+	"sync"
 	"time"
 
 	"fireflyrpc/internal/buffer"
@@ -63,6 +64,10 @@ func (p *Pending) Await(ctx context.Context) ([]byte, error) {
 	oc.frame = nil
 	retries := oc.retries
 	sentAt := oc.sentAt
+	// Only an exchange of one packet each way samples the path: a
+	// fragmented call's time includes its windows or its result stream,
+	// which would lift the interval of the small calls after it.
+	onePacket := !oc.fragged && oc.resCount == 1
 	iface, proc := oc.iface, oc.proc
 	rec := oc.trace
 	oc.trace = nil
@@ -77,7 +82,7 @@ func (p *Pending) Await(ctx context.Context) ([]byte, error) {
 		c.stats.callsCompleted.Add(1)
 		if !sentAt.IsZero() {
 			elapsed := time.Since(sentAt)
-			if retries == 0 {
+			if retries == 0 && onePacket {
 				// Karn's rule: only un-retransmitted calls feed the per-peer
 				// round-trip estimator.
 				p.ch.rttObserve(elapsed)
@@ -283,6 +288,7 @@ func (c *Conn) StartCall(ctx context.Context, dst transport.Addr, activity uint6
 		err = c.sendFinalLocked(oc, now)
 	} else {
 		oc.interval = c.cfg.RetransInterval
+		oc.fragged = true
 		err = c.sendWindow(dst, &oc.out)
 	}
 	oc.nextAt = now.Add(oc.interval)
@@ -367,10 +373,51 @@ func (m *fragMsg) ack(idx uint16) bool {
 	return true
 }
 
+// window is the storage a fragment window is built in: its frames sit
+// back to back in data, and frames is the batch naming them.
+type window struct {
+	data   []byte
+	frames [fragWindow]transport.Frame
+}
+
+// windows is the process's free list of window storage. A sync.Pool would
+// not do: a window holds fragWindow frames at once, and refilling a pool
+// the collector emptied would cost that many allocations after every GC.
+// Each window's data is mapped outside the collected heap (buffer.Map) and
+// kept for the life of the process, so the list holds as many windows as
+// were ever being sent at once.
+var windows struct {
+	sync.Mutex
+	free []*window
+}
+
+func getWindow() *window {
+	windows.Lock()
+	defer windows.Unlock()
+	n := len(windows.free)
+	if n == 0 {
+		return &window{data: buffer.Map(fragWindow * wire.MaxPacketLen)}
+	}
+	w := windows.free[n-1]
+	windows.free = windows.free[:n-1]
+	return w
+}
+
+func putWindow(w *window) {
+	windows.Lock()
+	windows.free = append(windows.free, w)
+	windows.Unlock()
+}
+
 // sendWindow sends the window's fragments back to back, with
-// FlagPleaseAck on the last one only.
+// FlagPleaseAck on the last one only: in one SendBatch call where the
+// transport takes batches and the send queue is not engaged (per-frame
+// UDP turns it into one GSO message), one send per fragment otherwise.
 func (c *Conn) sendWindow(dst transport.Addr, m *fragMsg) error {
 	maxP, end := c.maxPayload(), m.end()
+	w := getWindow()
+	defer putWindow(w)
+	batch, off := w.frames[:0], 0
 	for i := m.base; i < end; i++ {
 		h := m.hdr
 		h.FragIndex = i
@@ -378,10 +425,16 @@ func (c *Conn) sendWindow(dst transport.Addr, m *fragMsg) error {
 		if i == end-1 {
 			h.Flags |= wire.FlagPleaseAck
 		}
-		f := c.newFrame(h, m.tc, m.fragment(i, maxP))
-		err := c.send(dst, f.Bytes())
-		f.Release()
-		if err != nil {
+		n := putFrame(w.data[off:], h, m.tc, m.fragment(i, maxP))
+		batch = append(batch, transport.Frame{Dst: dst, Data: w.data[off : off+n]})
+		off += n
+	}
+	if c.bs != nil {
+		_, err := c.bs.SendBatch(batch)
+		return err
+	}
+	for _, f := range batch {
+		if err := c.send(dst, f.Data); err != nil {
 			return err
 		}
 	}

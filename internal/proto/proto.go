@@ -296,6 +296,11 @@ type Conn struct {
 	// outgoing frame goes through c.send, which routes here when engaged.
 	sq *sendQueue
 
+	// bs is the transport's SendBatch when it has one and sq is not
+	// engaged: each fragment window then leaves in one SendBatch call, on
+	// the goroutine that sends it (see sendWindow).
+	bs transport.BatchSender
+
 	stats statCounters
 
 	// trace is the observability switch: per-call stage tracing into a
@@ -366,6 +371,7 @@ type outCall struct {
 	deadline time.Time     // absolute call deadline; zero = none
 	sentAt   time.Time     // when the final fragment was first sent (RTT sample)
 	retries  int
+	fragged  bool // the arguments took more than one fragment
 
 	// Heap bookkeeping (guarded by Conn.retransMu, not mu).
 	heapAt  time.Time
@@ -412,6 +418,7 @@ func getOutCall(k callKey, dst transport.Addr, resBuf []byte) *outCall {
 	oc.nextAt = time.Time{}
 	oc.deadline = time.Time{}
 	oc.sentAt = time.Time{}
+	oc.fragged = false
 	oc.iface = 0
 	oc.proc = 0
 	oc.trace = nil
@@ -533,6 +540,8 @@ func NewConn(tr transport.Transport, cfg Config, handler Handler) *Conn {
 	go c.retransLoop()
 	if transport.SupportsBatch(tr) {
 		c.sq = newSendQueue(c, tr.(transport.BatchSender))
+	} else if bs, ok := tr.(transport.BatchSender); ok {
+		c.bs = bs
 	}
 	tr.SetReceiver(c.onFrame)
 	return c
@@ -718,29 +727,35 @@ func fragCount(n, first, maxP int) int {
 	return 1 + (n-first+maxP-1)/maxP
 }
 
-// newFrame assembles header+payload into a pooled frame. Fragment 0 of a
+// newFrame assembles header+payload into a pooled frame (see putFrame).
+// The caller owns the frame: either Release it after its last transmission
+// or retain it (call/result retransmission) and Release on recycle.
+func (c *Conn) newFrame(h wire.RPCHeader, tc wire.TraceCtx, payload []byte) *buffer.Frame {
+	f := c.frames.Get()
+	f.SetLen(putFrame(f.Cap(), h, tc, payload))
+	return f
+}
+
+// putFrame assembles header+payload at the start of b and returns the
+// frame's length; it panics if b is too short. Fragment 0 of a
 // FlagTraceCtx message also carries tc ahead of the payload — the wire
 // layout is header, 17-byte context, payload; StartCall's fragmentation
 // budget reserves the prefix bytes, so the frame never exceeds the
-// transport's MaxFrame. The caller owns the frame: either Release it after
-// its last transmission or retain it (call/result retransmission) and
-// Release on recycle.
-func (c *Conn) newFrame(h wire.RPCHeader, tc wire.TraceCtx, payload []byte) *buffer.Frame {
+// transport's MaxFrame.
+func putFrame(b []byte, h wire.RPCHeader, tc wire.TraceCtx, payload []byte) int {
 	pre := 0
 	if h.Flags&wire.FlagTraceCtx != 0 && h.FragIndex == 0 {
 		pre = wire.TraceCtxLen
 	}
 	h.Version = wire.RPCVersion
 	h.Length = uint32(pre + len(payload))
-	f := c.frames.Get()
-	f.SetLen(wire.RPCHeaderLen + pre + len(payload))
-	b := f.Cap()
+	b = b[:wire.RPCHeaderLen+pre+len(payload)]
 	h.MarshalTo(b)
 	if pre != 0 {
 		tc.MarshalTo(b[wire.RPCHeaderLen:])
 	}
 	copy(b[wire.RPCHeaderLen+pre:], payload)
-	return f
+	return len(b)
 }
 
 // sendFrame builds, transmits, and immediately recycles a frame — for

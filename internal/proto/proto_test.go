@@ -219,6 +219,57 @@ func TestLossyFragmentedCalls(t *testing.T) {
 	}
 }
 
+// TestLossyWindowsOverUDP runs 21-fragment calls and results over loopback
+// per-frame UDP with both ends wrapped in a seeded drop profile. Each
+// window goes to faultnet's SendBatch, which forwards the runs between the
+// frames it drops to UDP's SendBatch, where each run leaves as one GSO
+// message. Every call must execute once and come back byte-exact.
+func TestLossyWindowsOverUDP(t *testing.T) {
+	cfg := fastCfg()
+	cfg.RetransInterval = 5 * time.Millisecond
+	cfg.MaxRetries = 12
+	var ends [2]*faultnet.Transport
+	for i := range ends {
+		u, err := transport.ListenUDP("127.0.0.1:0")
+		if err != nil {
+			t.Skip("no loopback UDP:", err)
+		}
+		ends[i] = faultnet.Wrap(u, faultnet.Profile{Out: faultnet.Impair{Drop: 0.1}}, uint64(i+3))
+	}
+	server := NewConn(ends[0], cfg, echoHandler)
+	caller := NewConn(ends[1], cfg, nil)
+	t.Cleanup(func() {
+		caller.Close()
+		server.Close()
+	})
+	act := caller.NewActivity()
+	args := make([]byte, 20*wire.MaxSinglePacketPayload+100)
+	for i := range args {
+		args[i] = byte(i * 29)
+	}
+	for seq := uint32(1); seq <= 8; seq++ {
+		res, err := caller.Call(context.Background(), ends[0].LocalAddr(), act, seq, 1, 1, args, nil)
+		if err != nil {
+			t.Fatalf("seq %d: %v", seq, err)
+		}
+		if !bytes.Equal(res[:len(args)], args) {
+			t.Fatalf("seq %d corrupted", seq)
+		}
+	}
+	if got := server.Stats().CallsServed; got != 8 {
+		t.Errorf("server executed %d calls, want exactly 8 (duplicate suppression)", got)
+	}
+	for i, who := range []string{"server", "caller"} {
+		drops := ends[i].Impairer().Stats(faultnet.DirOut).Drops
+		st, _ := ends[i].TransportStats()
+		t.Logf("%s: %d frames dropped; %d sent in %d operations, %d of them GSO messages",
+			who, drops, st.SendFrames, st.SendBatches, st.GSOSends)
+		if drops == 0 {
+			t.Errorf("%s: no frame dropped, so no GSO run was split", who)
+		}
+	}
+}
+
 func TestDuplicateCallAnsweredFromRetainedResult(t *testing.T) {
 	ex := transport.NewExchange()
 	var executions atomic.Int64

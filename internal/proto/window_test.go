@@ -299,3 +299,44 @@ func TestWindowedFragments(t *testing.T) {
 		}
 	})
 }
+
+// TestFragmentedCallLeavesRTT checks that only exchanges of one packet each
+// way feed the per-peer round-trip estimator: a 256-fragment call, whose
+// time includes its windows, a slow handler and its result stream, leaves
+// the peer's adaptive interval exactly where the small calls put it.
+func TestFragmentedCallLeavesRTT(t *testing.T) {
+	ex := transport.NewExchange()
+	caller, _, sa := pair(t, ex, fastCfg(),
+		func(_ transport.Addr, _ wire.TraceCtx, _ uint32, _ uint16, args []byte) ([]byte, error) {
+			if len(args) > wire.MaxSinglePacketPayload {
+				time.Sleep(20 * time.Millisecond)
+			}
+			return append([]byte(nil), args...), nil
+		})
+	act := caller.NewActivity()
+	seq := uint32(0)
+	call := func(args []byte) {
+		t.Helper()
+		seq++
+		res, err := caller.Call(context.Background(), sa, act, seq, 1, 1, args, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(res, args) {
+			t.Fatalf("%d-byte call: round trip mangled", len(args))
+		}
+	}
+	for i := 0; i < 8; i++ {
+		call([]byte("small"))
+	}
+	if _, ok := caller.RTT(sa); !ok {
+		t.Fatal("small calls left no round-trip estimate")
+	}
+	// The raw estimate, unclamped, so that any sample would show.
+	interval := func() time.Duration { return caller.lookupChannel(sa).rttInterval(0, time.Hour) }
+	before := interval()
+	call(make([]byte, maxFragments*wire.MaxSinglePacketPayload))
+	if after := interval(); after != before {
+		t.Fatalf("a 256-fragment call moved the peer's interval from %v to %v", before, after)
+	}
+}

@@ -6,7 +6,11 @@ import "testing"
 // (64 outstanding) must be at least 2× the per-frame path's calls/s,
 // self-relative in one process on one machine. The comparison also checks
 // the mechanism, not just the outcome: the batched side must spend
-// strictly fewer send syscalls than frames.
+// strictly fewer send syscalls than frames. Under the race detector, whose
+// instrumentation slows the protocol's own code until the syscalls saved no
+// longer set the ratio of times (1.05–1.2× on a 2-vCPU VM), the gate is the
+// mechanism alone: the batched side must make at most a quarter of the
+// per-frame side's syscalls per call.
 func TestBatchCompareSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -17,7 +21,7 @@ func TestBatchCompareSpeedup(t *testing.T) {
 	if err != nil {
 		t.Skip("no UDP loopback:", err)
 	}
-	for try := 0; try < 2 && res.Speedup < 2.0; try++ {
+	for try := 0; try < 2 && res.Speedup < 2.0 && !raceEnabled; try++ {
 		next, err := BatchCompare(12000, 64)
 		if err == nil && next.Speedup > res.Speedup {
 			res = next
@@ -36,6 +40,13 @@ func TestBatchCompareSpeedup(t *testing.T) {
 	if res.Batched.SendBatches >= res.Batched.SendFrames {
 		t.Errorf("batched side not amortizing: %d send ops for %d frames",
 			res.Batched.SendBatches, res.Batched.SendFrames)
+	}
+	if raceEnabled {
+		if 4*res.Batched.SyscallsPerCall > res.PerFrame.SyscallsPerCall {
+			t.Errorf("batched side made %.2f syscalls/call, more than a quarter of the per-frame side's %.2f",
+				res.Batched.SyscallsPerCall, res.PerFrame.SyscallsPerCall)
+		}
+		return
 	}
 	if res.Speedup < 2.0 {
 		t.Errorf("batched async fan-out speedup %.2fx < 2.0x acceptance floor "+

@@ -149,7 +149,7 @@ func BenchmarkStack(b *testing.B) {
 					})
 				}
 			}
-			if tr.name != "udp" {
+			if _, ok := reverseSends[tr.name]; !ok {
 				return
 			}
 			// A 100 KiB argument and result: the fragmentation path.
@@ -169,22 +169,31 @@ func BenchmarkStack(b *testing.B) {
 }
 
 // reverseBytes is Reverse100K's argument and result size: 72 fragments each
-// way over udp.
+// way over udp and udpbatch.
 const reverseBytes = 100 * 1024
 
 // reverseAllocs is the allocation budget of one blocking Reverse100K over
-// udp. Both sides reassemble straight into recycled buffers, and the
-// windowed senders keep their state in the pooled call and the server
+// udp and udpbatch. Both sides reassemble straight into recycled buffers,
+// the windowed senders keep their state in the pooled call and the server
 // activity, moved on by acks and by the Conn's one retransmission engine,
-// so nothing is allocated per fragment or per window. What is left is the
-// call's done channel and the server stub's decoded argument, reversed
-// array and reply.
+// and each window is built in storage the Conn recycles, so nothing is
+// allocated per fragment or per window, nor per received GRO burst. What
+// is left is the call's done channel and the server stub's decoded
+// argument, reversed array and reply.
 const reverseAllocs = 4
 
 // reverseAcks is the explicit acks each side of one Reverse100K sends: its
 // 71 non-final fragments each way travel in ⌈71/16⌉ windows of one
 // cumulative ack each.
 const reverseAcks = 5
+
+// reverseSends maps each transport with a Reverse100K row to the send
+// operations (transport.Stats.SendBatches) each side of one call makes:
+// over udp one per window, which leaves in a single SendBatch, one for the
+// final fragment and one per ack, 5 + 1 + 5. Over udpbatch the send
+// queue's flusher takes whatever has queued when it wakes, so the count
+// depends on timing and is not pinned (0).
+var reverseSends = map[string]int64{"udp": 11, "udpbatch": 0}
 
 // reverse100K returns a blocking Reverse of a reverseBytes array on a
 // fresh client of p.
@@ -200,8 +209,9 @@ var raceEnabled bool
 
 // TestStackAllocBudgets is the machine-independent half of BenchmarkStack:
 // allocation counts do not depend on the machine, so they are gated here,
-// for blocking Null and async fan-outs of 8 and 64, and for the udp row's
-// fragmented Reverse100K (with its explicit acks per call, a count just as
+// for blocking Null and async fan-outs of 8 and 64, and for the fragmented
+// Reverse100K over udp and udpbatch (with its explicit acks per call and,
+// over udp, its send operations per call, counts just as
 // machine-independent), rather than compared across runs. The per-call
 // figure truncates like the benchmark's allocs/op, so a rare runtime
 // allocation amortized over many calls does not trip it, while any new
@@ -223,7 +233,8 @@ func TestStackAllocBudgets(t *testing.T) {
 					return fanout(cl, testsvc.TestProcNull, calls, width, nil, pend)
 				})
 			}
-			if tr.name != "udp" {
+			wantSends, ok := reverseSends[tr.name]
+			if !ok {
 				return
 			}
 			// Each Reverse100K takes milliseconds; 100 of them after one
@@ -245,24 +256,35 @@ func TestStackAllocBudgets(t *testing.T) {
 				}
 				return nil
 			})
-			// The windowed sender's ack count, per side, over 100 more
-			// calls; the per-call figure truncates as the alloc rows do.
-			acks := func() [2]int64 {
-				return [2]int64{p.caller.Conn().Stats().AcksSent, p.server.Conn().Stats().AcksSent}
+			// The windowed sender's acks and the transport's send
+			// operations, per side, over 100 more calls; the per-call
+			// figures truncate as the alloc rows do.
+			type counts struct{ acks, sends int64 }
+			snap := func() [2]counts {
+				var c [2]counts
+				for i, n := range []*core.Node{p.caller, p.server} {
+					st, _ := n.Conn().TransportStats()
+					c[i] = counts{n.Conn().Stats().AcksSent, st.SendBatches}
+				}
+				return c
 			}
-			before := acks()
+			before := snap()
 			for i := 0; i < 100; i++ {
 				if err := call(); err != nil {
 					t.Fatal(err)
 				}
 			}
-			after := acks()
+			after := snap()
 			for i, side := range []string{"caller", "server"} {
-				if got := (after[i] - before[i]) / 100; got != reverseAcks {
-					t.Errorf("blocking Reverse100K: %s sent %d acks/call, want %d", side, got, reverseAcks)
-				} else {
-					t.Logf("blocking Reverse100K: %s sent %d acks/call", side, got)
+				acks := (after[i].acks - before[i].acks) / 100
+				sends := (after[i].sends - before[i].sends) / 100
+				if acks != reverseAcks {
+					t.Errorf("blocking Reverse100K: %s sent %d acks/call, want %d", side, acks, reverseAcks)
 				}
+				if wantSends != 0 && sends != wantSends {
+					t.Errorf("blocking Reverse100K: %s made %d send operations/call, want %d", side, sends, wantSends)
+				}
+				t.Logf("blocking Reverse100K: %s sent %d acks in %d send operations/call", side, acks, sends)
 			}
 		})
 	}

@@ -33,6 +33,25 @@ func TestConformance(t *testing.T) {
 		return a, b
 	})
 
+	// The kernel refuses UDP_SEGMENT on these sockets, so SendBatch meets
+	// the refusal on its first GSO message and from then on loops over
+	// Send, the path a kernel without UDP_SEGMENT takes from the start.
+	transporttest.Run(t, "UDPGSORefused", func(t *testing.T) (transport.Transport, transport.Transport) {
+		var trs [2]transport.Transport
+		for i := range trs {
+			u, err := transport.ListenUDP("127.0.0.1:0")
+			if err != nil {
+				t.Fatalf("ListenUDP: %v", err)
+			}
+			t.Cleanup(func() { u.Close() })
+			if err := transport.RefuseGSO(u); err != nil {
+				t.Fatalf("refusing GSO: %v", err)
+			}
+			trs[i] = u
+		}
+		return trs[0], trs[1]
+	})
+
 	transporttest.Run(t, "UDPBatch", func(t *testing.T) (transport.Transport, transport.Transport) {
 		a, err := transport.ListenUDPBatch("127.0.0.1:0", transport.UDPOptions{})
 		if err != nil {

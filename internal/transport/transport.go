@@ -35,9 +35,9 @@ type Frame struct {
 
 // BatchSender is the optional batched datapath a Transport may offer. A
 // transport that implements it can transmit many frames in one operation —
-// the real UDP engine turns a batch into a handful of sendmmsg/GSO
-// syscalls — so upper layers that queue frames (the protocol's send queue)
-// drain whole bursts through one call instead of one syscall per packet.
+// the UDP transports turn a batch into a handful of sendmmsg/GSO syscalls —
+// so a sender holding a burst (the protocol's fragment windows, or its send
+// queue) hands it over in one call instead of one syscall per packet.
 //
 // SendBatch transmits the frames in order. Frames to the same destination
 // are never reordered relative to each other (coalescing and segmentation
@@ -45,16 +45,20 @@ type Frame struct {
 // network itself, as with Send. It returns the number of frames accepted
 // and the first local, permanent error.
 //
-// BatchEnabled reports whether the batched path is actually live: a
-// transport may implement the interface but degrade to per-frame semantics
-// (the non-Linux fallback, or a wrapper whose inner transport is
-// per-frame). Callers should consult it before building batching state.
+// BatchEnabled reports whether it pays to queue independent sends so they
+// leave together: it is true for transports whose single-frame Send costs
+// as much as a batch (the mmsg engine, TCP's flushes), which the protocol
+// then feeds through its send queue. It is false where SendBatch works
+// but independent sends should leave at once: per-frame UDP, whose GSO
+// needs equal frames to one peer, or a wrapper whose inner transport is
+// per-frame.
 type BatchSender interface {
 	SendBatch(frames []Frame) (int, error)
 	BatchEnabled() bool
 }
 
-// SupportsBatch reports whether t offers a live batched datapath.
+// SupportsBatch reports whether t wants independent sends queued into
+// batches (BatchEnabled).
 func SupportsBatch(t Transport) bool {
 	bs, ok := t.(BatchSender)
 	return ok && bs.BatchEnabled()

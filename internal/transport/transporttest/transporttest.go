@@ -38,6 +38,8 @@ func Run(t *testing.T, name string, mk Factory) {
 	t.Run(name+"/Close", func(t *testing.T) { testClose(t, mk) })
 	t.Run(name+"/Stats", func(t *testing.T) { testStats(t, mk) })
 	t.Run(name+"/Batch", func(t *testing.T) { testBatch(t, mk) })
+	t.Run(name+"/BatchRuns", func(t *testing.T) { testBatchRuns(t, mk) })
+	t.Run(name+"/BatchOversize", func(t *testing.T) { testBatchOversize(t, mk) })
 }
 
 // collector is a copying receiver: it honors the no-retain contract by
@@ -244,15 +246,24 @@ func testStats(t *testing.T, mk Factory) {
 	}
 }
 
+// batchSender returns a's SendBatch, skipping the test when it has none.
+// Every BatchSender is checked, whether or not BatchEnabled asks for
+// queued sends: the protocol hands fragment windows to SendBatch either way.
+func batchSender(t *testing.T, a transport.Transport) transport.BatchSender {
+	t.Helper()
+	bs, ok := a.(transport.BatchSender)
+	if !ok {
+		t.Skip("transport has no SendBatch")
+	}
+	return bs
+}
+
 // testBatch checks the optional batched datapath: full acceptance and
 // per-destination ordering (delivered frames must form an in-order
 // subsequence of the submitted batch — drops allowed, reordering not).
 func testBatch(t *testing.T, mk Factory) {
 	a, b := mk(t)
-	if !transport.SupportsBatch(a) {
-		t.Skip("transport has no live batched datapath")
-	}
-	bs := a.(transport.BatchSender)
+	bs := batchSender(t, a)
 	var onB collector
 	b.SetReceiver(onB.receiver())
 
@@ -305,4 +316,124 @@ func batchIndices(t *testing.T, frames [][]byte) []int {
 		}
 	}
 	return idx
+}
+
+// batchFrame is frame i of a batch test: "batch-NNN" padded to size bytes
+// with a pattern that depends on i, so a frame cut at the wrong boundary
+// or joined to its neighbour cannot pass for an intact one.
+func batchFrame(i, size int) []byte {
+	f := make([]byte, size)
+	copy(f, fmt.Sprintf("batch-%03d", i))
+	for j := 9; j < size; j++ {
+		f[j] = byte(i*31 + j)
+	}
+	return f
+}
+
+// settle waits until c holds at least one batch frame, then a little
+// longer for stragglers, and returns the batch frames that arrived.
+func settle(t *testing.T, c *collector) [][]byte {
+	t.Helper()
+	batch := func() [][]byte {
+		all, _ := c.snapshot()
+		var got [][]byte
+		for _, f := range all {
+			if bytes.HasPrefix(f, []byte("batch-")) {
+				got = append(got, f)
+			}
+		}
+		return got
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for len(batch()) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no batch frames delivered")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	time.Sleep(100 * time.Millisecond)
+	return batch()
+}
+
+// checkSubsequence fails t unless got is an in-order subsequence of the
+// frames of want whose indices are listed, each byte-exact.
+func checkSubsequence(t *testing.T, who string, got [][]byte, want []transport.Frame, idx []int) {
+	t.Helper()
+	k := 0
+	for _, f := range got {
+		for k < len(idx) && !bytes.Equal(f, want[idx[k]].Data) {
+			k++
+		}
+		if k == len(idx) {
+			t.Fatalf("%s: frame %.9q (%d bytes) is not an intact, in-order frame of the batch", who, f, len(f))
+		}
+		k++
+	}
+}
+
+// testBatchRuns sends a batch whose runs a segmenting transport must cut
+// correctly: full-size frames ending in a shorter one, then a run to b
+// broken by a frame to a second destination (a itself). Each destination
+// must receive an in-order, byte-exact subsequence of its frames.
+func testBatchRuns(t *testing.T, mk Factory) {
+	a, b := mk(t)
+	bs := batchSender(t, a)
+	var onA, onB collector
+	a.SetReceiver(onA.receiver())
+	b.SetReceiver(onB.receiver())
+	sendUntil(t, a, b.LocalAddr(), []byte("runs-warm"), &onB, 1)
+	sendUntil(t, a, a.LocalAddr(), []byte("runs-warm"), &onA, 1)
+
+	max := a.MaxFrame()
+	var frames []transport.Frame
+	var toA, toB []int
+	add := func(dst transport.Transport, size int) {
+		i := len(frames)
+		frames = append(frames, transport.Frame{Dst: dst.LocalAddr(), Data: batchFrame(i, size)})
+		if dst == a {
+			toA = append(toA, i)
+		} else {
+			toB = append(toB, i)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		add(b, max)
+	}
+	add(b, max/3) // a shorter frame ends the first run
+	for i := 0; i < 3; i++ {
+		add(b, max)
+	}
+	add(a, max) // a second destination breaks the next run
+	for i := 0; i < 3; i++ {
+		add(b, max)
+	}
+	sent, err := bs.SendBatch(frames)
+	if err != nil || sent != len(frames) {
+		t.Fatalf("SendBatch = %d, %v; want %d, nil", sent, err, len(frames))
+	}
+	checkSubsequence(t, "first destination", settle(t, &onB), frames, toB)
+	checkSubsequence(t, "second destination", settle(t, &onA), frames, toA)
+}
+
+// testBatchOversize puts a frame over MaxFrame mid-batch: SendBatch accepts
+// the frames before it, returns ErrFrameTooLarge, and sends nothing after.
+func testBatchOversize(t *testing.T, mk Factory) {
+	a, b := mk(t)
+	bs := batchSender(t, a)
+	var onB collector
+	b.SetReceiver(onB.receiver())
+	sendUntil(t, a, b.LocalAddr(), []byte("oversize-warm"), &onB, 1)
+
+	max := a.MaxFrame()
+	frames := []transport.Frame{
+		{Dst: b.LocalAddr(), Data: batchFrame(0, max)},
+		{Dst: b.LocalAddr(), Data: batchFrame(1, max)},
+		{Dst: b.LocalAddr(), Data: batchFrame(2, max+1)},
+		{Dst: b.LocalAddr(), Data: batchFrame(3, max)},
+	}
+	sent, err := bs.SendBatch(frames)
+	if !errors.Is(err, transport.ErrFrameTooLarge) || sent != 2 {
+		t.Fatalf("SendBatch = %d, %v; want 2, ErrFrameTooLarge", sent, err)
+	}
+	checkSubsequence(t, "receiver", settle(t, &onB), frames, []int{0, 1})
 }

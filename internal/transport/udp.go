@@ -6,6 +6,7 @@ import (
 	"net/netip"
 	"sync"
 
+	"fireflyrpc/internal/buffer"
 	"fireflyrpc/internal/wire"
 )
 
@@ -38,9 +39,14 @@ func (a *udpAddr) String() string  { return a.str }
 func (a *udpAddr) Network() string { return "udp" }
 
 // UDP is a Transport over a real UDP socket: the per-frame datapath, one
-// blocking read or write syscall per packet. The batched engine
-// (ListenUDPBatch) is the high-throughput alternative; this path stays the
-// simple, portable default.
+// write syscall per Send and no goroutine of its own on the send side. On
+// Linux the kernel's segmentation offload batches
+// what the protocol hands over as one burst: SendBatch sends each run of
+// equal frames as one UDP_SEGMENT (GSO) message, and the read loop takes
+// a UDP_GRO-coalesced burst in one read and splits it back into frames.
+// The batched engine (ListenUDPBatch) is the high-throughput alternative
+// for many independent small sends; this path stays the simple, portable
+// default.
 type UDP struct {
 	conn *net.UDPConn
 	self *udpAddr
@@ -50,9 +56,8 @@ type UDP struct {
 	closed bool
 	done   chan struct{}
 
-	peersMu sync.Mutex
-	peers   map[netip.AddrPort]*udpAddr
-
+	peerTable
+	udpOffload // GSO and GRO state, empty where the platform has neither
 	counters
 }
 
@@ -67,11 +72,11 @@ func ListenUDP(addr string) (*UDP, error) {
 		return nil, err
 	}
 	u := &UDP{
-		conn:  conn,
-		self:  newUDPAddr(conn.LocalAddr().(*net.UDPAddr).AddrPort()),
-		done:  make(chan struct{}),
-		peers: make(map[netip.AddrPort]*udpAddr),
+		conn: conn,
+		self: newUDPAddr(conn.LocalAddr().(*net.UDPAddr).AddrPort()),
+		done: make(chan struct{}),
 	}
+	u.initOffload()
 	go u.readLoop()
 	return u, nil
 }
@@ -85,60 +90,121 @@ func ResolveUDPAddr(addr string) (Addr, error) {
 	return newUDPAddr(ua.AddrPort()), nil
 }
 
+// peerTable interns peer addresses, so that the same *udpAddr arrives with
+// every packet from a peer and repeated sends to a foreign Addr type do not
+// re-resolve its string.
+type peerTable struct {
+	peersMu sync.Mutex
+	peers   map[netip.AddrPort]*udpAddr
+}
+
 // peer returns the interned address for ap, creating it on first contact.
-func (u *UDP) peer(ap netip.AddrPort) *udpAddr {
+func (t *peerTable) peer(ap netip.AddrPort) *udpAddr {
 	if ap.Addr().Is4In6() {
 		ap = netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
 	}
-	u.peersMu.Lock()
-	a := u.peers[ap]
+	t.peersMu.Lock()
+	a := t.peers[ap]
 	if a == nil {
+		if t.peers == nil {
+			t.peers = make(map[netip.AddrPort]*udpAddr)
+		}
 		a = &udpAddr{ap: ap, str: ap.String()}
-		u.peers[ap] = a
+		t.peers[ap] = a
 	}
-	u.peersMu.Unlock()
+	t.peersMu.Unlock()
 	return a
+}
+
+// destAddrPort maps an Addr to the wire destination. Foreign Addr types are
+// parsed once and interned through peer, so repeated sends to the same
+// peer never re-resolve the string (names that aren't literal ip:port fall
+// back to the resolver, then intern the result).
+func (t *peerTable) destAddrPort(dst Addr) (netip.AddrPort, error) {
+	switch a := dst.(type) {
+	case *udpAddr:
+		return a.ap, nil
+	case *net.UDPAddr:
+		return a.AddrPort(), nil
+	default:
+		if ap, err := netip.ParseAddrPort(dst.String()); err == nil {
+			return t.peer(ap).ap, nil
+		}
+		ua, err := net.ResolveUDPAddr("udp", dst.String())
+		if err != nil {
+			return netip.AddrPort{}, err
+		}
+		return t.peer(ua.AddrPort()).ap, nil
+	}
+}
+
+func (u *UDP) isClosed() bool {
+	u.mu.RLock()
+	closed := u.closed
+	u.mu.RUnlock()
+	return closed
 }
 
 func (u *UDP) readLoop() {
 	defer close(u.done)
-	buf := make([]byte, UDPMaxFrame+1)
+	buf := buffer.Map(u.recvBufLen())
+	defer buffer.Unmap(buf)
+	oob := make([]byte, 64)
 	for {
-		n, src, err := u.conn.ReadFromUDPAddrPort(buf)
+		n, seg, src, err := u.read(buf, oob)
 		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return
-			}
-			u.mu.RLock()
-			closed := u.closed
-			u.mu.RUnlock()
-			if closed {
+			if errors.Is(err, net.ErrClosed) || u.isClosed() {
 				return
 			}
 			// Transient (ICMP-reflected, buffer pressure): count and go on.
 			u.recvErrors.Add(1)
 			continue
 		}
-		if n > UDPMaxFrame {
-			u.oversizeDrops.Add(1)
-			continue
-		}
-		u.observeRecvBatch(1)
 		u.mu.RLock()
 		recv := u.recv
 		u.mu.RUnlock()
-		if recv != nil {
-			recv(u.peer(src), buf[:n])
+		if got := u.deliverSegments(recv, u.peer(src), buf[:n], seg); got > 0 {
+			u.observeRecvBatch(got)
 		}
 	}
 }
 
+// deliverSegments hands one received buffer to recv as frames: cut every
+// seg bytes when the kernel coalesced a burst into it (UDP_GRO; the last
+// frame may be shorter), whole when seg is 0 or covers the buffer. A frame
+// over UDPMaxFrame is counted and dropped, so nothing above the transport,
+// fault injection included, ever sees a super-packet. It returns the
+// frames delivered.
+func (c *counters) deliverSegments(recv Receiver, src Addr, buf []byte, seg int) int {
+	if seg <= 0 || seg >= len(buf) {
+		if len(buf) > UDPMaxFrame {
+			c.oversizeDrops.Add(1)
+			return 0
+		}
+		if recv != nil {
+			recv(src, buf)
+		}
+		return 1
+	}
+	c.groSplits.Add(int64((len(buf) + seg - 1) / seg))
+	n := 0
+	for off := 0; off < len(buf); off += seg {
+		frame := buf[off:min(off+seg, len(buf))]
+		if len(frame) > UDPMaxFrame {
+			c.oversizeDrops.Add(1)
+			continue
+		}
+		if recv != nil {
+			recv(src, frame)
+		}
+		n++
+	}
+	return n
+}
+
 // Send implements Transport.
 func (u *UDP) Send(dst Addr, frame []byte) error {
-	u.mu.RLock()
-	closed := u.closed
-	u.mu.RUnlock()
-	if closed {
+	if u.isClosed() {
 		return ErrClosed
 	}
 	if len(frame) > UDPMaxFrame {
@@ -156,27 +222,20 @@ func (u *UDP) Send(dst Addr, frame []byte) error {
 	return nil
 }
 
-// destAddrPort maps an Addr to the wire destination. Foreign Addr types are
-// parsed once and interned through u.peer, so repeated Sends to the same
-// peer never re-resolve the string (names that aren't literal ip:port fall
-// back to the resolver, then intern the result).
-func (u *UDP) destAddrPort(dst Addr) (netip.AddrPort, error) {
-	switch a := dst.(type) {
-	case *udpAddr:
-		return a.ap, nil
-	case *net.UDPAddr:
-		return a.AddrPort(), nil
-	default:
-		if ap, err := netip.ParseAddrPort(dst.String()); err == nil {
-			return u.peer(ap).ap, nil
+// sendEach is SendBatch without segmentation offload: one Send per frame.
+func (u *UDP) sendEach(frames []Frame) (int, error) {
+	for i, f := range frames {
+		if err := u.Send(f.Dst, f.Data); err != nil {
+			return i, err
 		}
-		ua, err := net.ResolveUDPAddr("udp", dst.String())
-		if err != nil {
-			return netip.AddrPort{}, err
-		}
-		return u.peer(ua.AddrPort()).ap, nil
 	}
+	return len(frames), nil
 }
+
+// BatchEnabled implements BatchSender. It is false: SendBatch works, and
+// on Linux sends a burst in a few GSO messages, but the per-frame
+// transport has no use for a send queue gathering independent sends.
+func (u *UDP) BatchEnabled() bool { return false }
 
 // TransportStats implements StatsReporter.
 func (u *UDP) TransportStats() (Stats, bool) { return u.snapshot(), true }

@@ -14,8 +14,8 @@ type UDPOptions struct {
 
 // ListenUDPBatch opens the batched UDP transport on addr. On Linux this is
 // the sendmmsg/recvmmsg engine with GSO/GRO and SO_REUSEPORT sharding; on
-// other platforms it degrades to the per-frame path wrapped so SendBatch
-// still works (BatchEnabled reports false there).
+// other platforms it is the per-frame transport, whose SendBatch loops
+// over Send and whose BatchEnabled reports false.
 //
 // Upper layers see exactly the Transport contract either way: frames are
 // ≤ MaxFrame bytes, kernel coalescing and segmentation are invisible, and
@@ -26,22 +26,3 @@ func ListenUDPBatch(addr string, opts UDPOptions) (Transport, error) {
 	}
 	return listenUDPBatch(addr, opts)
 }
-
-// batchFallback is the generic ListenUDPBatch result on platforms without
-// the mmsg engine: the per-frame transport with a loop-over-Send SendBatch.
-// BatchEnabled reports false so upper layers don't build batching state for
-// a path that can't amortize anything.
-type batchFallback struct {
-	*UDP
-}
-
-func (b *batchFallback) SendBatch(frames []Frame) (int, error) {
-	for i, f := range frames {
-		if err := b.Send(f.Dst, f.Data); err != nil {
-			return i, err
-		}
-	}
-	return len(frames), nil
-}
-
-func (b *batchFallback) BatchEnabled() bool { return false }

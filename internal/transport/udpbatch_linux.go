@@ -4,38 +4,13 @@ package transport
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"net"
 	"net/netip"
-	"runtime"
 	"sync"
 	"syscall"
 	"unsafe"
 )
-
-// Kernel constants the stdlib syscall package doesn't export. SOL_UDP-level
-// segmentation offload (UDP_SEGMENT/UDP_GRO) landed in Linux 4.18/5.0; both
-// are probed at socket setup and the engine degrades per-feature.
-const (
-	solUDP      = 17  // IPPROTO_UDP as a setsockopt level
-	udpSegment  = 103 // UDP_SEGMENT: kernel splits one buffer into packets
-	udpGRO      = 104 // UDP_GRO: kernel coalesces packets into one buffer
-	soReusePort = 0xf // SO_REUSEPORT
-
-	// maxGSOSegs is the kernel's UDP_MAX_SEGMENTS; one GSO super-packet may
-	// also not exceed the UDP payload limit, so 1472-byte frames cap at 44.
-	maxGSOSegs    = 64
-	maxUDPPayload = 65507
-)
-
-// mmsghdr mirrors struct mmsghdr: a Msghdr plus the kernel-written byte
-// count, padded to 8-byte alignment (64 bytes total on these arches).
-type mmsghdr struct {
-	hdr syscall.Msghdr
-	len uint32
-	_   [4]byte
-}
 
 // batchUDP is the Linux batched UDP engine. Socket 0 carries all sends
 // (single frames via the netpoller, batches via sendmmsg with per-message
@@ -46,8 +21,6 @@ type batchUDP struct {
 	conns []*net.UDPConn
 	raws  []syscall.RawConn
 	self  *udpAddr
-	v6    bool // socket family is AF_INET6
-	gso   bool
 	gro   bool
 
 	mu     sync.RWMutex
@@ -57,20 +30,11 @@ type batchUDP struct {
 
 	// Send-side address interning for foreign Addr implementations; each
 	// receive shard keeps its own unshared map instead.
-	peersMu sync.Mutex
-	peers   map[netip.AddrPort]*udpAddr
+	peerTable
 
-	// sendMu serializes SendBatch so the pooled vector below is reused
-	// without allocation; batches come from one flusher goroutine anyway.
-	// sendFn is the persistent RawConn.Write callback: it reads sendPos and
-	// writes sendN/sendErrno (all guarded by sendMu) so no closure or capture
-	// is heap-allocated per syscall.
-	sendMu    sync.Mutex
-	sv        sendVec
-	sendFn    func(fd uintptr) bool
-	sendPos   int
-	sendN     int
-	sendErrno syscall.Errno
+	// tx sends batches from socket 0; they come from one flusher
+	// goroutine anyway.
+	tx gsoSender
 
 	counters
 }
@@ -96,22 +60,7 @@ func listenUDPBatch(addr string, opts UDPOptions) (Transport, error) {
 	b := &batchUDP{
 		conns: []*net.UDPConn{conn0},
 		self:  newUDPAddr(la.AddrPort()),
-		peers: make(map[netip.AddrPort]*udpAddr),
 	}
-	ap := la.AddrPort().Addr()
-	b.v6 = !ap.Is4() && !ap.Is4In6()
-	b.sendFn = func(fd uintptr) bool {
-		sv := &b.sv
-		r, _, e := syscall.Syscall6(sysSENDMMSG, fd,
-			uintptr(unsafe.Pointer(&sv.hdrs[b.sendPos])), uintptr(len(sv.hdrs)-b.sendPos),
-			syscall.MSG_DONTWAIT, 0, 0)
-		if e == syscall.EAGAIN {
-			return false
-		}
-		b.sendN, b.sendErrno = int(r), e
-		return true
-	}
-
 	// Remaining shards bind the exact resolved address. If the kernel
 	// refuses (no REUSEPORT), run with fewer shards rather than failing.
 	for i := 1; i < opts.Shards; i++ {
@@ -131,19 +80,12 @@ func listenUDPBatch(addr string, opts UDPOptions) (Transport, error) {
 		b.raws = append(b.raws, raw)
 	}
 
-	// Probe GSO on the send socket: setting UDP_SEGMENT to 0 (disabled) is
-	// a no-op on supporting kernels and ENOPROTOOPT otherwise.
-	_ = b.raws[0].Control(func(fd uintptr) {
-		b.gso = syscall.SetsockoptInt(int(fd), solUDP, udpSegment, 0) == nil
-	})
+	ap := la.AddrPort().Addr()
+	b.tx.init(b.raws[0], !ap.Is4() && !ap.Is4In6(), probeGSO(b.raws[0]))
 	// Enable GRO on every receive socket; all must accept for b.gro.
 	b.gro = true
 	for _, raw := range b.raws {
-		ok := false
-		_ = raw.Control(func(fd uintptr) {
-			ok = syscall.SetsockoptInt(int(fd), solUDP, udpGRO, 1) == nil
-		})
-		if !ok {
+		if !enableGRO(raw) {
 			b.gro = false
 			break
 		}
@@ -207,39 +149,6 @@ func (b *batchUDP) Close() error {
 	return first
 }
 
-// peer interns ap for the send path (shard read loops keep their own maps).
-func (b *batchUDP) peer(ap netip.AddrPort) *udpAddr {
-	if ap.Addr().Is4In6() {
-		ap = netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
-	}
-	b.peersMu.Lock()
-	a := b.peers[ap]
-	if a == nil {
-		a = &udpAddr{ap: ap, str: ap.String()}
-		b.peers[ap] = a
-	}
-	b.peersMu.Unlock()
-	return a
-}
-
-func (b *batchUDP) destAddrPort(dst Addr) (netip.AddrPort, error) {
-	switch a := dst.(type) {
-	case *udpAddr:
-		return a.ap, nil
-	case *net.UDPAddr:
-		return a.AddrPort(), nil
-	default:
-		if ap, err := netip.ParseAddrPort(dst.String()); err == nil {
-			return b.peer(ap).ap, nil
-		}
-		ua, err := net.ResolveUDPAddr("udp", dst.String())
-		if err != nil {
-			return netip.AddrPort{}, err
-		}
-		return b.peer(ua.AddrPort()).ap, nil
-	}
-}
-
 // Send implements Transport: the single-frame path rides the netpoller
 // like the per-frame transport, so mixed workloads need no batching at all.
 func (b *batchUDP) Send(dst Addr, frame []byte) error {
@@ -261,35 +170,9 @@ func (b *batchUDP) Send(dst Addr, frame []byte) error {
 	return nil
 }
 
-// ---------------------------------------------------------------------------
-// Batched send: sendmmsg with per-message UDP_SEGMENT (GSO)
-
-// msgDesc is one wire message to build: frames[start:end] to one
-// destination. nframes > 1 means a GSO super-packet of seg-byte segments
-// (the last frame may be shorter).
-type msgDesc struct {
-	ap         netip.AddrPort
-	start, end int
-	seg        int
-}
-
-// sendVec is the pooled scratch for one SendBatch: every slice is grown to
-// need, pointers are captured only after all growth is done.
-type sendVec struct {
-	msgs  []msgDesc
-	hdrs  []mmsghdr
-	iovs  []syscall.Iovec
-	names []syscall.RawSockaddrInet6
-	ctrls [][]byte
-}
-
-const gsoCtrlLen = 24 // CmsgSpace(2) on 64-bit: 16-byte header + 2 + pad
-
-// SendBatch implements BatchSender. Frames are grouped into maximal runs of
-// consecutive same-destination, same-size frames (one shorter trailing
-// frame allowed — the GSO contract), each run becoming one kernel message;
-// the whole batch then goes out in as few sendmmsg calls as possible.
-// Submission order is preserved exactly, so per-peer ordering holds.
+// SendBatch implements BatchSender through the shared GSO sender. Should
+// the kernel refuse a GSO message, GSO is off from then on and the rest of
+// the batch goes out one frame per message, still through sendmmsg.
 func (b *batchUDP) SendBatch(frames []Frame) (int, error) {
 	if len(frames) == 0 {
 		return 0, nil
@@ -297,149 +180,12 @@ func (b *batchUDP) SendBatch(frames []Frame) (int, error) {
 	if b.isClosed() {
 		return 0, ErrClosed
 	}
-	b.sendMu.Lock()
-	defer b.sendMu.Unlock()
-
-	// Phase 1: resolve destinations and cut the batch into messages.
-	// Stop at the first locally-invalid frame; everything before it sends.
-	accepted := len(frames)
-	var ferr error
-	sv := &b.sv
-	sv.msgs = sv.msgs[:0]
-	for i := 0; i < accepted; {
-		if len(frames[i].Data) > UDPMaxFrame {
-			accepted, ferr = i, ErrFrameTooLarge
-			break
-		}
-		ap, err := b.destAddrPort(frames[i].Dst)
-		if err != nil {
-			accepted, ferr = i, err
-			break
-		}
-		seg := len(frames[i].Data)
-		j := i + 1
-		if b.gso && seg > 0 {
-			lim := maxUDPPayload / seg
-			if lim > maxGSOSegs {
-				lim = maxGSOSegs
-			}
-			for j < accepted && j-i < lim {
-				f := &frames[j]
-				if len(f.Data) > seg || !sameDest(b, f.Dst, ap) {
-					break
-				}
-				j++
-				if len(frames[j-1].Data) < seg {
-					break // shorter frame must end the super-packet
-				}
-			}
-		}
-		sv.msgs = append(sv.msgs, msgDesc{ap: ap, start: i, end: j, seg: seg})
-		i = j
+	n, err := b.tx.sendBatch(frames, b, &b.counters)
+	if err != errGSORefused {
+		return n, err
 	}
-
-	// Phase 2: size the flat arrays, then fill — no growth after this.
-	niov := 0
-	for _, m := range sv.msgs {
-		niov += m.end - m.start
-	}
-	if cap(sv.hdrs) < len(sv.msgs) {
-		sv.hdrs = make([]mmsghdr, len(sv.msgs))
-		sv.names = make([]syscall.RawSockaddrInet6, len(sv.msgs))
-		sv.ctrls = make([][]byte, len(sv.msgs))
-	}
-	sv.hdrs = sv.hdrs[:len(sv.msgs)]
-	sv.names = sv.names[:len(sv.msgs)]
-	sv.ctrls = sv.ctrls[:len(sv.msgs)]
-	if cap(sv.iovs) < niov {
-		sv.iovs = make([]syscall.Iovec, niov)
-	}
-	sv.iovs = sv.iovs[:niov]
-
-	iov := 0
-	for mi := range sv.msgs {
-		m := &sv.msgs[mi]
-		hdr := &sv.hdrs[mi]
-		*hdr = mmsghdr{}
-		namelen := fillName(&sv.names[mi], m.ap, b.v6)
-		hdr.hdr.Name = (*byte)(unsafe.Pointer(&sv.names[mi]))
-		hdr.hdr.Namelen = namelen
-		hdr.hdr.Iov = &sv.iovs[iov]
-		hdr.hdr.Iovlen = uint64(m.end - m.start)
-		for fi := m.start; fi < m.end; fi++ {
-			data := frames[fi].Data
-			if len(data) > 0 {
-				sv.iovs[iov].Base = &data[0]
-			} else {
-				sv.iovs[iov].Base = nil
-			}
-			sv.iovs[iov].SetLen(len(data))
-			iov++
-		}
-		if m.end-m.start > 1 {
-			// GSO super-packet: tell the kernel the segment size.
-			if sv.ctrls[mi] == nil {
-				sv.ctrls[mi] = make([]byte, gsoCtrlLen)
-			}
-			ctrl := sv.ctrls[mi]
-			ch := (*syscall.Cmsghdr)(unsafe.Pointer(&ctrl[0]))
-			ch.Level = solUDP
-			ch.Type = udpSegment
-			ch.SetLen(syscall.CmsgLen(2))
-			*(*uint16)(unsafe.Pointer(&ctrl[syscall.CmsgLen(0)])) = uint16(m.seg)
-			hdr.hdr.Control = &ctrl[0]
-			hdr.hdr.SetControllen(gsoCtrlLen)
-		}
-	}
-
-	// Phase 3: drain the vector through sendmmsg, parking on the netpoller
-	// when the socket buffer is full. Per-message transient errors (ICMP
-	// reflections and the like) drop that message — UDP semantics — and
-	// keep the batch moving.
-	sent := 0
-	for sent < len(sv.hdrs) {
-		b.sendPos, b.sendN, b.sendErrno = sent, 0, 0
-		werr := b.raws[0].Write(b.sendFn)
-		n, serr := b.sendN, b.sendErrno
-		runtime.KeepAlive(frames)
-		if werr != nil {
-			return framesIn(sv.msgs[:sent]), werr
-		}
-		if serr != 0 {
-			b.sendErrors.Add(1)
-			sent++ // skip the refusing message, count its frames as dropped
-			continue
-		}
-		if n <= 0 {
-			b.sendErrors.Add(1)
-			sent++
-			continue
-		}
-		sentFrames := framesIn(sv.msgs[sent : sent+n])
-		b.observeSendBatch(sentFrames)
-		for _, m := range sv.msgs[sent : sent+n] {
-			if m.end-m.start > 1 {
-				b.gsoSends.Add(1)
-			}
-		}
-		sent += n
-	}
-	return accepted, ferr
-}
-
-func framesIn(msgs []msgDesc) int {
-	n := 0
-	for _, m := range msgs {
-		n += m.end - m.start
-	}
-	return n
-}
-
-// sameDest reports whether dst resolves to ap without erroring; used only
-// to extend GSO runs, so a resolution failure just ends the run.
-func sameDest(b *batchUDP, dst Addr, ap netip.AddrPort) bool {
-	got, err := b.destAddrPort(dst)
-	return err == nil && got == ap
+	m, err := b.tx.sendBatch(frames[n:], b, &b.counters)
+	return n + m, err
 }
 
 // ---------------------------------------------------------------------------
@@ -496,7 +242,7 @@ func (b *batchUDP) readLoop(shard int) {
 	bufSize := UDPMaxFrame + 1
 	if b.gro {
 		// GRO hands us coalesced buffers up to the UDP payload limit.
-		bufSize = 65535
+		bufSize = groBufLen
 	}
 	vec := newRecvVec(recvBatch, bufSize)
 	peers := make(map[netip.AddrPort]*udpAddr) // shard-local, no lock
@@ -562,64 +308,20 @@ func (b *batchUDP) deliver(vec *recvVec, peers map[netip.AddrPort]*udpAddr, n in
 			continue
 		}
 		buf := vec.bufs[i][:m.len]
-		seg := len(buf)
+		seg := 0
 		if b.gro && m.hdr.Controllen > 0 {
-			ctl := int(m.hdr.Controllen)
-			if ctl > len(vec.ctrls[i]) {
-				ctl = len(vec.ctrls[i])
-			}
-			if s := groSegSize(vec.ctrls[i][:ctl]); s > 0 {
-				seg = s
-			}
+			seg = groSegSize(vec.ctrls[i][:min(int(m.hdr.Controllen), len(vec.ctrls[i]))])
 		}
 		addr := peers[src]
 		if addr == nil {
 			addr = &udpAddr{ap: src, str: src.String()}
 			peers[src] = addr
 		}
-		if seg > 0 && len(buf) > seg {
-			b.groSplits.Add(int64((len(buf) + seg - 1) / seg))
-		}
-		if len(buf) == 0 {
-			if recv != nil {
-				recv(addr, buf)
-			}
-			total++
-			continue
-		}
-		for off := 0; off < len(buf); off += seg {
-			end := off + seg
-			if end > len(buf) {
-				end = len(buf)
-			}
-			frame := buf[off:end]
-			if len(frame) > UDPMaxFrame {
-				b.oversizeDrops.Add(1)
-				continue
-			}
-			if recv != nil {
-				recv(addr, frame)
-			}
-			total++
-		}
+		total += b.deliverSegments(recv, addr, buf, seg)
 	}
 	if total > 0 {
 		b.observeRecvBatch(total)
 	}
-}
-
-// groSegSize extracts the UDP_GRO segment size from a control buffer, or 0.
-func groSegSize(ctrl []byte) int {
-	msgs, err := syscall.ParseSocketControlMessage(ctrl)
-	if err != nil {
-		return 0
-	}
-	for _, m := range msgs {
-		if m.Header.Level == solUDP && m.Header.Type == udpGRO && len(m.Data) >= 4 {
-			return int(int32(binary.NativeEndian.Uint32(m.Data)))
-		}
-	}
-	return 0
 }
 
 // ---------------------------------------------------------------------------

@@ -2,13 +2,8 @@
 
 package transport
 
-// listenUDPBatch on platforms without the mmsg engine: per-frame transport
-// behind the batchFallback shim, identical semantics, no amortization.
-func listenUDPBatch(addr string, opts UDPOptions) (Transport, error) {
-	_ = opts
-	u, err := ListenUDP(addr)
-	if err != nil {
-		return nil, err
-	}
-	return &batchFallback{UDP: u}, nil
+// listenUDPBatch on platforms without the mmsg engine is the per-frame
+// transport: identical semantics, no amortization.
+func listenUDPBatch(addr string, _ UDPOptions) (Transport, error) {
+	return ListenUDP(addr)
 }

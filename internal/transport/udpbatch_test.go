@@ -250,20 +250,21 @@ func TestBatchShardedReceive(t *testing.T) {
 	}
 }
 
-// The generic fallback shim (what non-Linux platforms get) must keep exact
-// per-frame semantics: SendBatch loops Send, BatchEnabled is false.
+// The fallback without UDP_SEGMENT (and the only path on other platforms)
+// must keep exact per-frame semantics: SendBatch loops Send, one send
+// operation per frame, and BatchEnabled is false.
 func TestBatchFallbackSemantics(t *testing.T) {
 	u, err := ListenUDP("127.0.0.1:0")
 	if err != nil {
 		t.Skip("no loopback:", err)
 	}
-	fb := &batchFallback{UDP: u}
-	defer fb.Close()
-	if fb.BatchEnabled() {
-		t.Fatal("fallback claims a live batch path")
+	defer u.Close()
+	withoutGSO(u)
+	if u.BatchEnabled() {
+		t.Fatal("per-frame UDP claims a live batch path")
 	}
-	if SupportsBatch(fb) {
-		t.Fatal("SupportsBatch(fallback) = true")
+	if SupportsBatch(u) {
+		t.Fatal("SupportsBatch(per-frame UDP) = true")
 	}
 	var c collector
 	recv, err := ListenUDP("127.0.0.1:0")
@@ -276,10 +277,13 @@ func TestBatchFallbackSemantics(t *testing.T) {
 	for i := range frames {
 		frames[i].Dst = recv.LocalAddr()
 	}
-	if sent, err := fb.SendBatch(frames); err != nil || sent != 8 {
+	if sent, err := u.SendBatch(frames); err != nil || sent != 8 {
 		t.Fatalf("fallback SendBatch = %d, %v", sent, err)
 	}
 	waitFrames(t, &c, 8)
+	if st, _ := u.TransportStats(); st.SendBatches != 8 || st.GSOSends != 0 {
+		t.Fatalf("fallback sent 8 frames in %d operations (%d GSO), want 8 (0)", st.SendBatches, st.GSOSends)
+	}
 }
 
 func TestSupportsBatch(t *testing.T) {
@@ -373,11 +377,24 @@ func TestUDPStats(t *testing.T) {
 }
 
 // Concurrency: Send, SendBatch, and Close racing from many goroutines must
-// be safe (run under -race by verify.sh).
+// be safe (run under -race by verify.sh), over the batched engine and over
+// per-frame UDP's GSO sender.
 func TestBatchConcurrentSendClose(t *testing.T) {
-	for round := 0; round < 10; round++ {
-		a := listenBatchT(t, UDPOptions{})
-		b := listenBatchT(t, UDPOptions{})
+	perFrame := func(t *testing.T) Transport {
+		u, err := ListenUDP("127.0.0.1:0")
+		if err != nil {
+			t.Skip("no loopback:", err)
+		}
+		t.Cleanup(func() { u.Close() })
+		return u
+	}
+	for round := 0; round < 20; round++ {
+		listen := func(t *testing.T) Transport { return listenBatchT(t, UDPOptions{}) }
+		if round%2 == 1 {
+			listen = perFrame
+		}
+		a := listen(t)
+		b := listen(t)
 		b.SetReceiver(func(Addr, []byte) {})
 		dst := b.LocalAddr()
 		var wg sync.WaitGroup
@@ -406,5 +423,84 @@ func TestBatchConcurrentSendClose(t *testing.T) {
 		close(stop)
 		wg.Wait()
 		b.Close()
+	}
+}
+
+// Per-frame UDP's SendBatch: a window of equal frames ending in a shorter
+// one leaves in one send operation (one GSO message where the kernel has
+// UDP_SEGMENT) and arrives whole and in order, split back into frames.
+func TestUDPSendBatchGSO(t *testing.T) {
+	a, err := ListenUDP("127.0.0.1:0")
+	if err != nil {
+		t.Skip("no loopback:", err)
+	}
+	defer a.Close()
+	b, err := ListenUDP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	var c collector
+	b.SetReceiver(c.receive)
+
+	frames := numbered(17, UDPMaxFrame)
+	frames[16].Data = frames[16].Data[:300]
+	for i := range frames {
+		frames[i].Dst = b.LocalAddr()
+	}
+	if sent, err := a.SendBatch(frames); err != nil || sent != len(frames) {
+		t.Fatalf("SendBatch = %d, %v", sent, err)
+	}
+	waitFrames(t, &c, len(frames))
+	for i, f := range c.snapshot() {
+		if got := binary.BigEndian.Uint32(f); got != uint32(i) || len(f) != len(frames[i].Data) {
+			t.Fatalf("frame %d: seq %d, len %d; want seq %d, len %d", i, got, len(f), i, len(frames[i].Data))
+		}
+	}
+	st, _ := a.TransportStats()
+	rst, _ := b.TransportStats()
+	t.Logf("send: %d frames in %d ops (gso %d); recv: %d frames in %d ops (gro splits %d)",
+		st.SendFrames, st.SendBatches, st.GSOSends, rst.RecvFrames, rst.RecvBatches, rst.GROSplits)
+	if gsoOn(a) && (st.SendBatches != 1 || st.GSOSends != 1) {
+		t.Fatalf("GSO sender used %d send ops and %d GSO messages, want 1 and 1", st.SendBatches, st.GSOSends)
+	}
+}
+
+// When the kernel refuses UDP_SEGMENT, SendBatch turns GSO off for good and
+// sends the refused run, and every later batch, one frame at a time.
+func TestUDPGSORefusedFallsBack(t *testing.T) {
+	a, err := ListenUDP("127.0.0.1:0")
+	if err != nil {
+		t.Skip("no loopback:", err)
+	}
+	defer a.Close()
+	if !gsoOn(a) {
+		t.Skip("no UDP_SEGMENT on this platform")
+	}
+	if err := refuseGSO(a); err != nil {
+		t.Skip("cannot make the kernel refuse GSO:", err)
+	}
+	b, err := ListenUDP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	var c collector
+	b.SetReceiver(c.receive)
+	for round := 0; round < 2; round++ {
+		frames := numbered(8, 200)
+		for i := range frames {
+			frames[i].Dst = b.LocalAddr()
+		}
+		if sent, err := a.SendBatch(frames); err != nil || sent != len(frames) {
+			t.Fatalf("round %d: SendBatch = %d, %v", round, sent, err)
+		}
+		waitFrames(t, &c, 8*(round+1))
+	}
+	if gsoOn(a) {
+		t.Fatal("GSO still on after the kernel refused it")
+	}
+	if st, _ := a.TransportStats(); st.GSOSends != 0 || st.SendBatches != 16 {
+		t.Fatalf("sent 16 frames in %d ops (%d GSO), want 16 (0)", st.SendBatches, st.GSOSends)
 	}
 }

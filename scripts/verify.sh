@@ -4,7 +4,8 @@
 # lock-sharded concurrent fast paths — proto carries the per-peer channel
 # map, central retransmission engine, session negotiation and the
 # stage-trace ring, so its channel/cancellation/session/trace tests run
-# under -race here. One step pins every allocation budget (the
+# under -race here, the lossy fragment windows over loopback UDP (GSO runs
+# split around dropped frames) among them. One step pins every allocation budget (the
 # observability machinery adds nothing while tracing is disabled, the
 # flight recorder records an anomaly in steady state without allocating,
 # and Null over every real-stack transport — exchange, traced exchange,
