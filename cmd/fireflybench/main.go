@@ -11,7 +11,7 @@
 //	fireflybench -breakdown       # traced per-stage latency accounting (Tables VI/VII style)
 //	fireflybench -breakdown -quality 0.25  # the same over 500 instead of 2000 calls
 //	fireflybench -simtrace out.json  # Perfetto timeline + utilization report for a simulated run
-//	fireflybench -batchcompare    # per-frame vs batched UDP fan-out, back to back
+//	fireflybench -batchcompare    # UDP fan-out with the send queue off vs on, back to back
 //	fireflybench -traceoverhead   # tracing-on vs tracing-off async Null, gated ≤5%
 //	fireflybench -mergedtrace out.json  # one Perfetto doc: simulated run + real chained-call spans
 //
@@ -50,7 +50,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	list := flag.Bool("list", false, "list experiments and exit")
 	trace := flag.Bool("trace", false, "trace one Null() and one MaxResult(b) call through the simulated fast path and exit")
-	batchCompare := flag.Bool("batchcompare", false, "run the per-frame vs batched UDP async fan-out comparison and exit")
+	batchCompare := flag.Bool("batchcompare", false, "run the UDP async fan-out comparison, proto's send queue off vs on over one socket type, and exit")
 	traceOverhead := flag.Bool("traceoverhead", false, "run the tracing-on vs tracing-off async Null comparison and exit non-zero above the bound")
 	mergedTrace := flag.String("mergedtrace", "", "write one Perfetto JSON combining a simulated run and real chained-call spans to this path and exit")
 	breakdown := flag.Bool("breakdown", false, "trace Null calls through both endpoints and print the per-stage latency accounting")
@@ -121,10 +121,10 @@ func main() {
 	}
 }
 
-// runBatchCompare runs the per-frame vs batched UDP async fan-out
-// comparison back to back in this process and prints both sides plus the
-// self-relative speedup — the measurement behind the EXPERIMENTS.md batched
-// datapath table.
+// runBatchCompare runs the UDP async fan-out comparison, the send queue
+// off vs on over one socket type, back to back in this process and prints
+// both sides plus the self-relative speedup — the measurement behind the
+// EXPERIMENTS.md batched datapath table.
 func runBatchCompare() {
 	res, err := realbench.BatchCompare(batchCompareCalls, asyncWidth)
 	if err != nil {
@@ -137,9 +137,9 @@ func runBatchCompare() {
 			name, s.NsPerOp, s.CallsPerSec, s.SyscallsPerCall,
 			s.SendBatches, s.SendFrames, s.RecvBatches, s.RecvFrames, s.GSOSends)
 	}
-	row("per-frame", res.PerFrame)
-	row("batched", res.Batched)
-	fmt.Printf("\nspeedup: %.2fx (batched vs per-frame, self-relative)\n", res.Speedup)
+	row("queue off", res.PerFrame)
+	row("queue on", res.Batched)
+	fmt.Printf("\nspeedup: %.2fx (send queue on vs off, self-relative)\n", res.Speedup)
 }
 
 // runBreakdown prints the stage accounting table and the tracing overhead,

@@ -146,8 +146,8 @@ func TestMetricsConnCounters(t *testing.T) {
 	}
 }
 
-// TestMetricsTransportCounters checks that a Conn over the batched UDP
-// transport surfaces the transport's own counters in both the JSON view
+// TestMetricsTransportCounters checks that a Conn over a ListenUDPBatch
+// socket surfaces the transport's own counters in both the JSON view
 // and the Prometheus rendering.
 func TestMetricsTransportCounters(t *testing.T) {
 	serverTr, err := transport.ListenUDPBatch("127.0.0.1:0", transport.UDPOptions{})

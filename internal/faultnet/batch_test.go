@@ -105,8 +105,9 @@ func TestWrapBatchScheduleParity(t *testing.T) {
 }
 
 // The loopback equivalence witness: under a reorder+loss profile with a
-// fixed seed, the batched UDP engine (GSO, sendmmsg) and the per-frame UDP
-// path deliver the identical frame sequence. The hold-back is coarse
+// fixed seed, one SendBatch over a ListenUDPBatch socket (GSO, sendmmsg)
+// and per-frame Sends over a ListenUDP socket deliver the identical frame
+// sequence. The hold-back is coarse
 // (50 ms ≫ scheduling noise) so the reordering itself is deterministic.
 func TestBatchedPerFrameEquivalenceUnderReorder(t *testing.T) {
 	prof := Profile{Out: Impair{Drop: 0.2, Reorder: 0.3, ReorderDelay: Duration(50 * time.Millisecond)}}

@@ -7,12 +7,13 @@ import (
 	"fireflyrpc/internal/testsvc"
 )
 
-// The batch comparison cell: the acceptance witness for the batched UDP
-// datapath. It runs the same async Null fan-out workload twice in one
-// process — once over per-frame ListenUDP, once over ListenUDPBatch — and
-// reports the self-relative speedup plus syscalls/call derived from the
-// transport's own batch counters. Running both sides back to back on the
-// same machine removes cross-machine noise from the ratio.
+// The batch comparison cell: the acceptance witness for the protocol's send
+// queue. It runs the same async Null fan-out workload twice in one process
+// over the one UDP socket type — once with the send queue off (ListenUDP),
+// once with it on (ListenUDPBatch) — and reports the self-relative speedup
+// plus syscalls/call derived from the transport's own batch counters.
+// Running both sides back to back on the same machine removes
+// cross-machine noise from the ratio.
 
 // BatchSide is one half of a BatchCompareResult.
 type BatchSide struct {
@@ -21,9 +22,9 @@ type BatchSide struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	CallsPerSec float64 `json:"calls_per_sec"`
 
-	// Caller-side transport counters over the measured window. For the
-	// per-frame path SendBatches == SendFrames (one syscall per frame);
-	// for the batched path the gap between them is the amortization.
+	// Caller-side transport counters over the measured window. With the
+	// send queue off SendBatches == SendFrames (one syscall per frame);
+	// with it on the gap between them is the amortization.
 	SendFrames      int64   `json:"send_frames"`
 	SendBatches     int64   `json:"send_batches"`
 	RecvFrames      int64   `json:"recv_frames"`
@@ -42,7 +43,7 @@ type BatchCompareResult struct {
 }
 
 // batchCompareSide runs `calls` async Null calls at the given fan-out width
-// over one transport flavor and captures timing plus the caller transport's
+// with the send queue off or on and captures timing plus the caller transport's
 // counter deltas across the measured window.
 func batchCompareSide(to trOpts, calls, outstanding int) (BatchSide, error) {
 	side := BatchSide{Batch: to.kind == "udpbatch", Calls: calls}
@@ -83,8 +84,9 @@ func batchCompareSide(to trOpts, calls, outstanding int) (BatchSide, error) {
 	return side, nil
 }
 
-// BatchCompare runs the per-frame and batched UDP async Null fan-out back
-// to back and returns the comparison. An error means UDP loopback is
+// BatchCompare runs the UDP async Null fan-out with the send queue off
+// (PerFrame) and on (Batched), back to back over the same socket type, and
+// returns the comparison. An error means UDP loopback is
 // unavailable (sandbox) — callers should skip, not fail.
 func BatchCompare(calls, outstanding int) (*BatchCompareResult, error) {
 	if calls <= 0 {

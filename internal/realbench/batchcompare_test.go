@@ -2,9 +2,10 @@ package realbench
 
 import "testing"
 
-// The acceptance gate for the batched datapath: batched UDP async fan-out
-// (64 outstanding) must be at least 2× the per-frame path's calls/s,
-// self-relative in one process on one machine. The comparison also checks
+// The acceptance gate for the send queue: UDP async fan-out (64
+// outstanding) with the queue on must reach at least 2× the calls/s of the
+// same socket type with it off, self-relative in one process on one
+// machine. The comparison also checks
 // the mechanism, not just the outcome: the batched side must spend
 // strictly fewer send syscalls than frames. Under the race detector, whose
 // instrumentation slows the protocol's own code until the syscalls saved no

@@ -52,7 +52,7 @@ type benchPair struct {
 
 // trOpts selects the caller/server transport flavor for one cell.
 type trOpts struct {
-	kind   string // "" = in-process exchange; "udp", "udpbatch" (batched engine) or "tcp" over loopback
+	kind   string // "" = in-process exchange; "udp", "udpbatch" (ListenUDPBatch: the send queue on) or "tcp" over loopback
 	traced bool   // enable stage tracing on both Conns (production posture)
 }
 

@@ -195,6 +195,12 @@ const reverseAcks = 5
 // depends on timing and is not pinned (0).
 var reverseSends = map[string]int64{"udp": 11, "udpbatch": 0}
 
+// reverseRecvCeiling bounds the receive operations
+// (transport.Stats.RecvBatches) each side of one Reverse100K over udp
+// makes: at most one per send operation of its peer, since a GSO message
+// arrives as one GRO burst and one recvmmsg takes every buffer queued.
+const reverseRecvCeiling = 11
+
 // reverse100K returns a blocking Reverse of a reverseBytes array on a
 // fresh client of p.
 func reverse100K(p *benchPair) func() error {
@@ -211,8 +217,9 @@ var raceEnabled bool
 // allocation counts do not depend on the machine, so they are gated here,
 // for blocking Null and async fan-outs of 8 and 64, and for the fragmented
 // Reverse100K over udp and udpbatch (with its explicit acks per call and,
-// over udp, its send operations per call, counts just as
-// machine-independent), rather than compared across runs. The per-call
+// over udp, its send operations per call and a ceiling on its receive
+// operations, counts just as machine-independent), rather than compared
+// across runs. The per-call
 // figure truncates like the benchmark's allocs/op, so a rare runtime
 // allocation amortized over many calls does not trip it, while any new
 // per-call allocation does.
@@ -259,12 +266,12 @@ func TestStackAllocBudgets(t *testing.T) {
 			// The windowed sender's acks and the transport's send
 			// operations, per side, over 100 more calls; the per-call
 			// figures truncate as the alloc rows do.
-			type counts struct{ acks, sends int64 }
+			type counts struct{ acks, sends, recvs int64 }
 			snap := func() [2]counts {
 				var c [2]counts
 				for i, n := range []*core.Node{p.caller, p.server} {
 					st, _ := n.Conn().TransportStats()
-					c[i] = counts{n.Conn().Stats().AcksSent, st.SendBatches}
+					c[i] = counts{n.Conn().Stats().AcksSent, st.SendBatches, st.RecvBatches}
 				}
 				return c
 			}
@@ -278,13 +285,17 @@ func TestStackAllocBudgets(t *testing.T) {
 			for i, side := range []string{"caller", "server"} {
 				acks := (after[i].acks - before[i].acks) / 100
 				sends := (after[i].sends - before[i].sends) / 100
+				recvs := (after[i].recvs - before[i].recvs) / 100
 				if acks != reverseAcks {
 					t.Errorf("blocking Reverse100K: %s sent %d acks/call, want %d", side, acks, reverseAcks)
 				}
 				if wantSends != 0 && sends != wantSends {
 					t.Errorf("blocking Reverse100K: %s made %d send operations/call, want %d", side, sends, wantSends)
 				}
-				t.Logf("blocking Reverse100K: %s sent %d acks in %d send operations/call", side, acks, sends)
+				if wantSends != 0 && recvs > reverseRecvCeiling {
+					t.Errorf("blocking Reverse100K: %s made %d receive operations/call, want at most %d", side, recvs, reverseRecvCeiling)
+				}
+				t.Logf("blocking Reverse100K: %s sent %d acks in %d send operations and made %d receive operations/call", side, acks, sends, recvs)
 			}
 		})
 	}

@@ -54,6 +54,60 @@ func (a *Auth) Send(dst Addr, frame []byte) error {
 	return a.inner.Send(dst, out)
 }
 
+// SendBatch implements BatchSender: every frame is tagged and the batch
+// goes to the inner transport's SendBatch in one call, so a fragment
+// window over authenticated UDP still leaves in one syscall. An inner
+// transport without SendBatch gets one Send per frame. A frame over
+// MaxFrame stops the batch, as Send refuses it.
+func (a *Auth) SendBatch(frames []Frame) (int, error) {
+	max := a.MaxFrame()
+	n, size := len(frames), 0
+	for i, f := range frames {
+		if len(f.Data) > max {
+			n = i
+			break
+		}
+		size += len(f.Data) + authTagLen
+	}
+	buf := make([]byte, 0, size)
+	tagged := make([]Frame, n)
+	for i, f := range frames[:n] {
+		start := len(buf)
+		buf = append(buf, f.Data...)
+		buf = append(buf, a.tag(f.Data)...)
+		tagged[i] = Frame{Dst: f.Dst, Data: buf[start:len(buf):len(buf)]}
+	}
+	sent, err := a.sendTagged(tagged)
+	if err == nil && n < len(frames) {
+		err = ErrFrameTooLarge
+	}
+	return sent, err
+}
+
+func (a *Auth) sendTagged(frames []Frame) (int, error) {
+	if bs, ok := a.inner.(BatchSender); ok {
+		return bs.SendBatch(frames)
+	}
+	for i, f := range frames {
+		if err := a.inner.Send(f.Dst, f.Data); err != nil {
+			return i, err
+		}
+	}
+	return len(frames), nil
+}
+
+// BatchEnabled implements BatchSender: it is the inner transport's answer.
+func (a *Auth) BatchEnabled() bool { return SupportsBatch(a.inner) }
+
+// TransportStats implements StatsReporter with the inner transport's
+// counters, which count tagged frames.
+func (a *Auth) TransportStats() (Stats, bool) {
+	if sr, ok := a.inner.(StatsReporter); ok {
+		return sr.TransportStats()
+	}
+	return Stats{}, false
+}
+
 // onFrame verifies and strips the tag before delivery.
 func (a *Auth) onFrame(src Addr, frame []byte) {
 	if len(frame) < authTagLen {

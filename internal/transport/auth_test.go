@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"encoding/binary"
 	"testing"
 	"time"
 )
@@ -108,5 +109,35 @@ func TestAuthMaxFrameShrinks(t *testing.T) {
 	}
 	if err := a.Send(AddrOf("q"), make([]byte, a.MaxFrame()+1)); err != ErrFrameTooLarge {
 		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
+	}
+}
+
+// A window handed to an authenticated UDP socket leaves as the socket's
+// own batch: one send operation where SendBatch is a vector send, and the
+// receiver gets every frame verified and stripped of its tag.
+func TestAuthSendBatchKeepsBatching(t *testing.T) {
+	key := []byte("k")
+	a, b := WithAuth(listenT(t), key), WithAuth(listenT(t), key)
+	if got, want := SupportsBatch(a), SupportsBatch(a.inner); got != want {
+		t.Fatalf("SupportsBatch = %v, inner %v", got, want)
+	}
+	var c collector
+	b.SetReceiver(c.receive)
+	frames := numbered(8, a.MaxFrame())
+	for i := range frames {
+		frames[i].Dst = b.LocalAddr()
+	}
+	if sent, err := a.SendBatch(frames); err != nil || sent != len(frames) {
+		t.Fatalf("SendBatch = %d, %v", sent, err)
+	}
+	waitFrames(t, &c, len(frames))
+	for i, f := range c.snapshot() {
+		if len(f) != a.MaxFrame() || binary.BigEndian.Uint32(f) != uint32(i) {
+			t.Fatalf("frame %d: %d bytes, seq %d", i, len(f), binary.BigEndian.Uint32(f))
+		}
+	}
+	st, live := a.TransportStats()
+	if !live || st.SendFrames != 8 || st.SendBatches != sendOps(8) {
+		t.Fatalf("8 frames left in %d send operations (live %v, %d frames), want %d", st.SendBatches, live, st.SendFrames, sendOps(8))
 	}
 }

@@ -34,8 +34,9 @@ func TestConformance(t *testing.T) {
 	})
 
 	// The kernel refuses UDP_SEGMENT on these sockets, so SendBatch meets
-	// the refusal on its first GSO message and from then on loops over
-	// Send, the path a kernel without UDP_SEGMENT takes from the start.
+	// the refusal on its first GSO message and from then on sends every
+	// frame as its own message, the path a kernel without UDP_SEGMENT takes
+	// from the start.
 	transporttest.Run(t, "UDPGSORefused", func(t *testing.T) (transport.Transport, transport.Transport) {
 		var trs [2]transport.Transport
 		for i := range trs {
@@ -52,6 +53,8 @@ func TestConformance(t *testing.T) {
 		return trs[0], trs[1]
 	})
 
+	// The same socket as ListenUDP, with BatchEnabled on where SendBatch is
+	// a vector send.
 	transporttest.Run(t, "UDPBatch", func(t *testing.T) (transport.Transport, transport.Transport) {
 		a, err := transport.ListenUDPBatch("127.0.0.1:0", transport.UDPOptions{})
 		if err != nil {
@@ -64,6 +67,22 @@ func TestConformance(t *testing.T) {
 		}
 		t.Cleanup(func() { b.Close() })
 		return a, b
+	})
+
+	// Authentication over UDP: tags ride every frame, SendBatch still hands
+	// the batch to the socket in one call, and the socket's counters show.
+	transporttest.Run(t, "AuthUDP", func(t *testing.T) (transport.Transport, transport.Transport) {
+		var trs [2]transport.Transport
+		for i := range trs {
+			u, err := transport.ListenUDP("127.0.0.1:0")
+			if err != nil {
+				t.Fatalf("ListenUDP: %v", err)
+			}
+			a := transport.WithAuth(u, []byte("conformance key"))
+			t.Cleanup(func() { a.Close() })
+			trs[i] = a
+		}
+		return trs[0], trs[1]
 	})
 
 	transporttest.Run(t, "TCP", func(t *testing.T) (transport.Transport, transport.Transport) {

@@ -13,19 +13,18 @@ import (
 	"unsafe"
 )
 
-// The segmentation offload both UDP transports share on Linux: the send
-// half cuts a batch into runs and hands each run to the kernel as one
-// UDP_SEGMENT (GSO) message, and the receive half reads the segment size of
-// a UDP_GRO-coalesced buffer so it can be split back into frames.
+// The UDP transport's segmentation offload on Linux: the send half cuts a
+// batch into runs and hands each run to the kernel as one UDP_SEGMENT (GSO)
+// message, and the receive half reads the segment size of a
+// UDP_GRO-coalesced buffer so it can be split back into frames.
 
 // Kernel constants the stdlib syscall package doesn't export. SOL_UDP-level
 // segmentation offload (UDP_SEGMENT/UDP_GRO) landed in Linux 4.18/5.0; both
-// are probed at socket setup and the transports degrade per feature.
+// are probed at socket setup and the transport degrades per feature.
 const (
-	solUDP      = 17  // IPPROTO_UDP as a setsockopt level
-	udpSegment  = 103 // UDP_SEGMENT: kernel splits one buffer into packets
-	udpGRO      = 104 // UDP_GRO: kernel coalesces packets into one buffer
-	soReusePort = 0xf // SO_REUSEPORT
+	solUDP     = 17  // IPPROTO_UDP as a setsockopt level
+	udpSegment = 103 // UDP_SEGMENT: kernel splits one buffer into packets
+	udpGRO     = 104 // UDP_GRO: kernel coalesces packets into one buffer
 
 	// maxGSOSegs is the kernel's UDP_MAX_SEGMENTS; one GSO super-packet may
 	// also not exceed the UDP payload limit, so 1472-byte frames cap at 44.
@@ -87,12 +86,6 @@ func groSegSize(ctrl []byte) int {
 		ctrl = ctrl[next:]
 	}
 	return 0
-}
-
-// destResolver maps an Addr to the wire destination; both UDP transports
-// resolve and intern foreign Addr types their own way.
-type destResolver interface {
-	destAddrPort(dst Addr) (netip.AddrPort, error)
 }
 
 // errGSORefused reports that the kernel refused a GSO message (EIO when the
@@ -166,7 +159,7 @@ const gsoCtrlLen = 24 // CmsgSpace(2) on 64-bit: 16-byte header + 2 + pad
 // returns the frames accepted and the first local, permanent error, or
 // errGSORefused with the count of frames handled before the refused
 // message.
-func (s *gsoSender) sendBatch(frames []Frame, r destResolver, c *counters) (int, error) {
+func (s *gsoSender) sendBatch(frames []Frame, r *peerTable, c *counters) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	accepted, ferr := s.build(frames, r)
@@ -212,7 +205,7 @@ func (s *gsoSender) sendBatch(frames []Frame, r destResolver, c *counters) (int,
 // build resolves destinations, cuts the batch into messages and fills the
 // kernel vector (s.mu held). It stops at the first locally invalid frame:
 // everything before it is built, and its index and error are returned.
-func (s *gsoSender) build(frames []Frame, r destResolver) (int, error) {
+func (s *gsoSender) build(frames []Frame, r *peerTable) (int, error) {
 	accepted := len(frames)
 	var ferr error
 	gso := s.gso.Load()
@@ -309,4 +302,39 @@ func framesIn(msgs []msgDesc) int {
 		n += m.end - m.start
 	}
 	return n
+}
+
+// fillName writes ap into a send slot in the socket's family and returns
+// its length.
+func fillName(sa *syscall.RawSockaddrInet6, ap netip.AddrPort, v6 bool) uint32 {
+	*sa = syscall.RawSockaddrInet6{}
+	a := ap.Addr()
+	if !v6 {
+		sa4 := (*syscall.RawSockaddrInet4)(unsafe.Pointer(sa))
+		sa4.Family = syscall.AF_INET
+		if a.Is4In6() {
+			a = a.Unmap()
+		}
+		sa4.Addr = a.As4()
+		setSockPort(&sa4.Port, ap.Port())
+		return syscall.SizeofSockaddrInet4
+	}
+	sa.Family = syscall.AF_INET6
+	sa.Addr = a.As16() // As16 yields the v4-mapped form for IPv4 addrs
+	setSockPort(&sa.Port, ap.Port())
+	return syscall.SizeofSockaddrInet6
+}
+
+// Ports are big-endian in a sockaddr regardless of host order, so they go
+// through explicit byte views.
+
+func sockPort(p *uint16) uint16 {
+	b := (*[2]byte)(unsafe.Pointer(p))
+	return uint16(b[0])<<8 | uint16(b[1])
+}
+
+func setSockPort(p *uint16, port uint16) {
+	b := (*[2]byte)(unsafe.Pointer(p))
+	b[0] = byte(port >> 8)
+	b[1] = byte(port)
 }

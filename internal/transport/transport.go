@@ -1,7 +1,10 @@
 // Package transport defines the datagram abstraction the real RPC stack
-// runs over, with three implementations mirroring the Firefly's bind-time
-// transport choice: real UDP sockets (inter-machine), an in-process
-// shared-memory exchange (the paper's "local RPC"), and adapters for tests.
+// runs over, with implementations mirroring the Firefly's bind-time
+// transport choice: one UDP socket type (inter-machine; ListenUDP, or
+// ListenUDPBatch to have the protocol queue independent sends), TCP
+// streams multiplexing a peer's frames, an in-process shared-memory
+// exchange (the paper's "local RPC"), and WithAuth, which tags every frame
+// of any of them.
 //
 // A transport carries RPC frames: a 32-byte wire.RPCHeader followed by the
 // payload. Ethernet/IP/UDP framing is the kernel's business here, exactly
@@ -20,10 +23,10 @@ type Addr interface {
 // transport's receive goroutine(s); they must not block for long.
 //
 // The frame slice is only valid for the duration of the call: every bundled
-// transport delivers into a reused receive buffer (the batched UDP engine
-// delivers many frames from one recvmmsg vector, the per-frame path from a
-// single recycled buffer), so a receiver that needs the bytes afterwards
-// must copy them. Retaining the slice corrupts a later frame.
+// transport delivers into a reused receive buffer (UDP on Linux delivers
+// many frames from one recvmmsg vector, elsewhere from a single recycled
+// buffer), so a receiver that needs the bytes afterwards must copy them.
+// Retaining the slice corrupts a later frame.
 type Receiver func(src Addr, frame []byte)
 
 // Frame is one outgoing frame in a batch: a destination and the bytes to
@@ -35,9 +38,10 @@ type Frame struct {
 
 // BatchSender is the optional batched datapath a Transport may offer. A
 // transport that implements it can transmit many frames in one operation —
-// the UDP transports turn a batch into a handful of sendmmsg/GSO syscalls —
-// so a sender holding a burst (the protocol's fragment windows, or its send
-// queue) hands it over in one call instead of one syscall per packet.
+// UDP on Linux turns a batch into one sendmmsg, with each run of equal
+// frames to one peer a GSO message — so a sender holding a burst (the
+// protocol's fragment windows, or its send queue) hands it over in one
+// call instead of one syscall per packet.
 //
 // SendBatch transmits the frames in order. Frames to the same destination
 // are never reordered relative to each other (coalescing and segmentation
@@ -45,13 +49,12 @@ type Frame struct {
 // network itself, as with Send. It returns the number of frames accepted
 // and the first local, permanent error.
 //
-// BatchEnabled reports whether it pays to queue independent sends so they
-// leave together: it is true for transports whose single-frame Send costs
-// as much as a batch (the mmsg engine, TCP's flushes), which the protocol
-// then feeds through its send queue. It is false where SendBatch works
-// but independent sends should leave at once: per-frame UDP, whose GSO
-// needs equal frames to one peer, or a wrapper whose inner transport is
-// per-frame.
+// BatchEnabled reports whether the protocol should queue independent
+// sends so they leave together through SendBatch: it is true for a
+// ListenUDPBatch socket where SendBatch is a vector send, and for TCP,
+// whose flushes cost as much for one frame as for many. It is false where
+// SendBatch works but independent sends should leave at once: a ListenUDP
+// socket, or a wrapper whose inner transport says false.
 type BatchSender interface {
 	SendBatch(frames []Frame) (int, error)
 	BatchEnabled() bool

@@ -1,8 +1,8 @@
 // Package transporttest is the conformance suite for the one transport
 // contract: every implementation of transport.Transport in the repo — the
-// shared-memory exchange, the UDP sockets, the batched UDP engine, the
-// multiplexed TCP streams, the fault-injection wrapper, and the simulator
-// stack — must pass the same behavioral checks, because the protocol layer
+// shared-memory exchange, the UDP socket, the multiplexed TCP streams, the
+// authentication and fault-injection wrappers, and the simulator stack —
+// must pass the same behavioral checks, because the protocol layer
 // is written against the contract, not any one transport.
 //
 // The suite assumes only what the contract promises: frames may be dropped

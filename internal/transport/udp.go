@@ -1,12 +1,10 @@
 package transport
 
 import (
-	"errors"
 	"net"
 	"net/netip"
 	"sync"
 
-	"fireflyrpc/internal/buffer"
 	"fireflyrpc/internal/wire"
 )
 
@@ -38,18 +36,18 @@ func newUDPAddr(ap netip.AddrPort) *udpAddr {
 func (a *udpAddr) String() string  { return a.str }
 func (a *udpAddr) Network() string { return "udp" }
 
-// UDP is a Transport over a real UDP socket: the per-frame datapath, one
-// write syscall per Send and no goroutine of its own on the send side. On
-// Linux the kernel's segmentation offload batches
-// what the protocol hands over as one burst: SendBatch sends each run of
-// equal frames as one UDP_SEGMENT (GSO) message, and the read loop takes
-// a UDP_GRO-coalesced burst in one read and splits it back into frames.
-// The batched engine (ListenUDPBatch) is the high-throughput alternative
-// for many independent small sends; this path stays the simple, portable
-// default.
+// UDP is a Transport over a real UDP socket, the one UDP socket type: one
+// write syscall per Send, no goroutine of its own on the send side, and
+// one read loop. On Linux the read loop drains a recvmmsg vector of
+// buffers mapped outside the heap, splitting each UDP_GRO-coalesced burst
+// back into frames, and SendBatch hands a burst to the kernel in sendmmsg
+// calls, each run of equal frames to one peer as one UDP_SEGMENT (GSO)
+// message where the kernel accepts it. Elsewhere the read loop takes one
+// datagram per read and SendBatch is a loop over Send.
 type UDP struct {
-	conn *net.UDPConn
-	self *udpAddr
+	conn  *net.UDPConn
+	self  *udpAddr
+	batch bool // BatchEnabled: ListenUDPBatch where sendmmsg exists
 
 	mu     sync.RWMutex
 	recv   Receiver
@@ -57,12 +55,27 @@ type UDP struct {
 	done   chan struct{}
 
 	peerTable
-	udpOffload // GSO and GRO state, empty where the platform has neither
+	udpOffload // the platform's vector I/O state, empty where it has none
 	counters
 }
 
+// UDPOptions configures ListenUDPBatch. It has no fields; the socket needs
+// no tuning.
+type UDPOptions struct{}
+
 // ListenUDP opens a UDP transport on addr ("host:port"; ":0" picks a port).
-func ListenUDP(addr string) (*UDP, error) {
+// Its BatchEnabled is false, so the protocol sends independent frames at
+// once and hands only its fragment windows to SendBatch.
+func ListenUDP(addr string) (*UDP, error) { return listenUDP(addr, false) }
+
+// ListenUDPBatch is ListenUDP with one difference: where SendBatch is a
+// vector send (Linux), BatchEnabled reports true, so the protocol gathers
+// independent sends in its send queue and hands each gathering to
+// SendBatch. Where SendBatch is a loop over Send, BatchEnabled stays false
+// and the two are the same.
+func ListenUDPBatch(addr string, _ UDPOptions) (*UDP, error) { return listenUDP(addr, vectorIO) }
+
+func listenUDP(addr string, batch bool) (*UDP, error) {
 	ua, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
 		return nil, err
@@ -72,11 +85,15 @@ func ListenUDP(addr string) (*UDP, error) {
 		return nil, err
 	}
 	u := &UDP{
-		conn: conn,
-		self: newUDPAddr(conn.LocalAddr().(*net.UDPAddr).AddrPort()),
-		done: make(chan struct{}),
+		conn:  conn,
+		self:  newUDPAddr(conn.LocalAddr().(*net.UDPAddr).AddrPort()),
+		batch: batch,
+		done:  make(chan struct{}),
 	}
-	u.initOffload()
+	if err := u.initOffload(); err != nil {
+		conn.Close()
+		return nil, err
+	}
 	go u.readLoop()
 	return u, nil
 }
@@ -145,40 +162,16 @@ func (u *UDP) isClosed() bool {
 	return closed
 }
 
-func (u *UDP) readLoop() {
-	defer close(u.done)
-	buf := buffer.Map(u.recvBufLen())
-	defer buffer.Unmap(buf)
-	oob := make([]byte, 64)
-	for {
-		n, seg, src, err := u.read(buf, oob)
-		if err != nil {
-			if errors.Is(err, net.ErrClosed) || u.isClosed() {
-				return
-			}
-			// Transient (ICMP-reflected, buffer pressure): count and go on.
-			u.recvErrors.Add(1)
-			continue
-		}
-		u.mu.RLock()
-		recv := u.recv
-		u.mu.RUnlock()
-		if got := u.deliverSegments(recv, u.peer(src), buf[:n], seg); got > 0 {
-			u.observeRecvBatch(got)
-		}
-	}
-}
-
 // deliverSegments hands one received buffer to recv as frames: cut every
 // seg bytes when the kernel coalesced a burst into it (UDP_GRO; the last
 // frame may be shorter), whole when seg is 0 or covers the buffer. A frame
 // over UDPMaxFrame is counted and dropped, so nothing above the transport,
 // fault injection included, ever sees a super-packet. It returns the
 // frames delivered.
-func (c *counters) deliverSegments(recv Receiver, src Addr, buf []byte, seg int) int {
+func (u *UDP) deliverSegments(recv Receiver, src Addr, buf []byte, seg int) int {
 	if seg <= 0 || seg >= len(buf) {
 		if len(buf) > UDPMaxFrame {
-			c.oversizeDrops.Add(1)
+			u.oversizeDrops.Add(1)
 			return 0
 		}
 		if recv != nil {
@@ -186,12 +179,12 @@ func (c *counters) deliverSegments(recv Receiver, src Addr, buf []byte, seg int)
 		}
 		return 1
 	}
-	c.groSplits.Add(int64((len(buf) + seg - 1) / seg))
+	u.groSplits.Add(int64((len(buf) + seg - 1) / seg))
 	n := 0
 	for off := 0; off < len(buf); off += seg {
 		frame := buf[off:min(off+seg, len(buf))]
 		if len(frame) > UDPMaxFrame {
-			c.oversizeDrops.Add(1)
+			u.oversizeDrops.Add(1)
 			continue
 		}
 		if recv != nil {
@@ -222,20 +215,9 @@ func (u *UDP) Send(dst Addr, frame []byte) error {
 	return nil
 }
 
-// sendEach is SendBatch without segmentation offload: one Send per frame.
-func (u *UDP) sendEach(frames []Frame) (int, error) {
-	for i, f := range frames {
-		if err := u.Send(f.Dst, f.Data); err != nil {
-			return i, err
-		}
-	}
-	return len(frames), nil
-}
-
-// BatchEnabled implements BatchSender. It is false: SendBatch works, and
-// on Linux sends a burst in a few GSO messages, but the per-frame
-// transport has no use for a send queue gathering independent sends.
-func (u *UDP) BatchEnabled() bool { return false }
+// BatchEnabled implements BatchSender: true only for a ListenUDPBatch
+// socket where SendBatch is a vector send.
+func (u *UDP) BatchEnabled() bool { return u.batch }
 
 // TransportStats implements StatsReporter.
 func (u *UDP) TransportStats() (Stats, bool) { return u.snapshot(), true }

@@ -2,20 +2,51 @@
 
 package transport
 
-import "net/netip"
+import (
+	"errors"
+	"net"
+)
 
-// udpOffload is empty where the transport has no segmentation offload.
+// vectorIO reports whether the socket's I/O is vectored: not here, where
+// the read loop takes one datagram per read and SendBatch is a loop over
+// Send.
+const vectorIO = false
+
+// udpOffload is empty where the transport has no vector I/O.
 type udpOffload struct{}
 
-func (u *UDP) initOffload() {}
+func (u *UDP) initOffload() error { return nil }
 
-func (u *UDP) recvBufLen() int { return UDPMaxFrame + 1 }
-
-// read receives one datagram; without GRO there are no segments.
-func (u *UDP) read(buf, _ []byte) (int, int, netip.AddrPort, error) {
-	n, src, err := u.conn.ReadFromUDPAddrPort(buf)
-	return n, 0, src, err
+// readLoop receives one datagram per read; without GRO there are no
+// segments to split.
+func (u *UDP) readLoop() {
+	defer close(u.done)
+	buf := make([]byte, UDPMaxFrame+1)
+	for {
+		n, src, err := u.conn.ReadFromUDPAddrPort(buf)
+		if err != nil {
+			if errors.Is(err, net.ErrClosed) || u.isClosed() {
+				return
+			}
+			// Transient (ICMP-reflected, buffer pressure): count and go on.
+			u.recvErrors.Add(1)
+			continue
+		}
+		u.mu.RLock()
+		recv := u.recv
+		u.mu.RUnlock()
+		if got := u.deliverSegments(recv, u.peer(src), buf[:n], 0); got > 0 {
+			u.observeRecvBatch(got)
+		}
+	}
 }
 
 // SendBatch implements BatchSender as a loop over Send.
-func (u *UDP) SendBatch(frames []Frame) (int, error) { return u.sendEach(frames) }
+func (u *UDP) SendBatch(frames []Frame) (int, error) {
+	for i, f := range frames {
+		if err := u.Send(f.Dst, f.Data); err != nil {
+			return i, err
+		}
+	}
+	return len(frames), nil
+}

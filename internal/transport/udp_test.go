@@ -34,14 +34,15 @@ func (c *collector) snapshot() [][]byte {
 	return append([][]byte(nil), c.frames...)
 }
 
-func listenBatchT(t *testing.T, opts UDPOptions) Transport {
+// listenT opens a UDP transport on loopback, closed when t ends.
+func listenT(t *testing.T) *UDP {
 	t.Helper()
-	tr, err := ListenUDPBatch("127.0.0.1:0", opts)
+	u, err := ListenUDP("127.0.0.1:0")
 	if err != nil {
 		t.Skip("no loopback:", err)
 	}
-	t.Cleanup(func() { tr.Close() })
-	return tr
+	t.Cleanup(func() { u.Close() })
+	return u
 }
 
 // numbered builds n frames of size bytes whose first 4 bytes carry their
@@ -66,11 +67,11 @@ func waitFrames(t *testing.T, c *collector, want int) {
 	})
 }
 
-// Batched sender to batched receiver: the full GSO→GRO loop. Every frame
+// SendBatch to a receiving socket: the full GSO→GRO loop. Every frame
 // must arrive intact and in submission order (one peer, one queue).
 func TestBatchRoundTripOrdered(t *testing.T) {
-	a := listenBatchT(t, UDPOptions{})
-	b := listenBatchT(t, UDPOptions{})
+	a := listenT(t)
+	b := listenT(t)
 	var c collector
 	b.SetReceiver(c.receive)
 
@@ -79,11 +80,7 @@ func TestBatchRoundTripOrdered(t *testing.T) {
 	for i := range frames {
 		frames[i].Dst = b.LocalAddr()
 	}
-	bs, ok := a.(BatchSender)
-	if !ok {
-		t.Fatal("ListenUDPBatch result does not implement BatchSender")
-	}
-	sent, err := bs.SendBatch(frames)
+	sent, err := a.SendBatch(frames)
 	if err != nil || sent != n {
 		t.Fatalf("SendBatch = %d, %v", sent, err)
 	}
@@ -98,62 +95,56 @@ func TestBatchRoundTripOrdered(t *testing.T) {
 	}
 }
 
-// GSO must be invisible to a plain per-frame receiver: a batched sender's
-// super-packets arrive at an ordinary UDP socket as individual datagrams.
-func TestBatchSendToPerFrameReceiver(t *testing.T) {
-	a := listenBatchT(t, UDPOptions{})
-	b, err := ListenUDP("127.0.0.1:0")
-	if err != nil {
-		t.Skip("no loopback:", err)
+// The read loop takes every datagram queued behind a busy callback in one
+// receive operation, from however many peers: one recvmmsg. A loop reading
+// one datagram at a time needs a read for each, since GRO never coalesces
+// datagrams from different peers.
+func TestUDPVectorRead(t *testing.T) {
+	if !vectorIO {
+		t.Skip("no vector read on this platform")
 	}
-	defer b.Close()
+	r := listenT(t)
+	a, b := listenT(t), listenT(t)
+	held, release := make(chan struct{}), make(chan struct{})
+	var first sync.Once
 	var c collector
-	b.SetReceiver(c.receive)
-
-	const n = 50
-	frames := numbered(n, 300)
-	for i := range frames {
-		frames[i].Dst = b.LocalAddr()
+	r.SetReceiver(func(src Addr, frame []byte) {
+		first.Do(func() {
+			close(held)
+			<-release
+		})
+		c.receive(src, frame)
+	})
+	if err := a.Send(r.LocalAddr(), []byte("first")); err != nil {
+		t.Fatal(err)
 	}
-	if sent, err := a.(BatchSender).SendBatch(frames); err != nil || sent != n {
-		t.Fatalf("SendBatch = %d, %v", sent, err)
+	select {
+	case <-held:
+	case <-time.After(5 * time.Second):
+		t.Fatal("first frame never delivered")
 	}
-	waitFrames(t, &c, n)
-	for i, f := range c.snapshot() {
-		if seq := binary.BigEndian.Uint32(f); seq != uint32(i) {
-			t.Fatalf("frame %d carries seq %d", i, seq)
+	const per = 3
+	for i := 0; i < per; i++ {
+		for _, s := range []*UDP{a, b} {
+			if err := s.Send(r.LocalAddr(), []byte{byte(i)}); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-}
-
-// GRO must be invisible to the sender side too: per-frame sends into a
-// batched receiver come out as the original frames.
-func TestPerFrameSendToBatchReceiver(t *testing.T) {
-	a, err := ListenUDP("127.0.0.1:0")
-	if err != nil {
-		t.Skip("no loopback:", err)
+	time.Sleep(50 * time.Millisecond) // let loopback queue them all
+	close(release)
+	waitFrames(t, &c, 1+2*per)
+	if st, _ := r.TransportStats(); st.RecvBatches != 2 {
+		t.Fatalf("%d frames from two peers took %d receive operations after the first, want 1",
+			2*per, st.RecvBatches-1)
 	}
-	defer a.Close()
-	b := listenBatchT(t, UDPOptions{})
-	var c collector
-	b.SetReceiver(c.receive)
-
-	const n = 32
-	for i := 0; i < n; i++ {
-		data := make([]byte, 256)
-		binary.BigEndian.PutUint32(data, uint32(i))
-		if err := a.Send(b.LocalAddr(), data); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitFrames(t, &c, n)
 }
 
 // Mixed frame sizes exercise the GSO grouping cut points: equal-size runs,
 // a shorter trailing frame, singletons.
 func TestBatchMixedSizes(t *testing.T) {
-	a := listenBatchT(t, UDPOptions{})
-	b := listenBatchT(t, UDPOptions{})
+	a := listenT(t)
+	b := listenT(t)
 	var c collector
 	b.SetReceiver(c.receive)
 
@@ -164,7 +155,7 @@ func TestBatchMixedSizes(t *testing.T) {
 		binary.BigEndian.PutUint32(data, uint32(i))
 		frames[i] = Frame{Dst: b.LocalAddr(), Data: data}
 	}
-	if sent, err := a.(BatchSender).SendBatch(frames); err != nil || sent != len(frames) {
+	if sent, err := a.SendBatch(frames); err != nil || sent != len(frames) {
 		t.Fatalf("SendBatch = %d, %v", sent, err)
 	}
 	waitFrames(t, &c, len(frames))
@@ -181,8 +172,8 @@ func TestBatchMixedSizes(t *testing.T) {
 // An oversize frame mid-batch sends everything before it and reports
 // ErrFrameTooLarge with the accepted count.
 func TestBatchOversizeFramePartial(t *testing.T) {
-	a := listenBatchT(t, UDPOptions{})
-	b := listenBatchT(t, UDPOptions{})
+	a := listenT(t)
+	b := listenT(t)
 	var c collector
 	b.SetReceiver(c.receive)
 
@@ -191,7 +182,7 @@ func TestBatchOversizeFramePartial(t *testing.T) {
 		frames[i].Dst = b.LocalAddr()
 	}
 	frames[3].Data = make([]byte, UDPMaxFrame+1)
-	sent, err := a.(BatchSender).SendBatch(frames)
+	sent, err := a.SendBatch(frames)
 	if err != ErrFrameTooLarge {
 		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
 	}
@@ -202,14 +193,14 @@ func TestBatchOversizeFramePartial(t *testing.T) {
 }
 
 func TestBatchSendAfterClose(t *testing.T) {
-	a := listenBatchT(t, UDPOptions{})
+	a := listenT(t)
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Send(a.LocalAddr(), []byte("x")); err != ErrClosed {
 		t.Fatalf("Send after close: %v", err)
 	}
-	if _, err := a.(BatchSender).SendBatch([]Frame{{Dst: a.LocalAddr(), Data: []byte("x")}}); err != ErrClosed {
+	if _, err := a.SendBatch([]Frame{{Dst: a.LocalAddr(), Data: []byte("x")}}); err != ErrClosed {
 		t.Fatalf("SendBatch after close: %v", err)
 	}
 	if err := a.Close(); err != nil {
@@ -217,42 +208,9 @@ func TestBatchSendAfterClose(t *testing.T) {
 	}
 }
 
-// Explicit sharding: multiple SO_REUSEPORT sockets on one port, traffic
-// from several sources all lands somewhere and nothing is duplicated.
-func TestBatchShardedReceive(t *testing.T) {
-	b := listenBatchT(t, UDPOptions{Shards: 2})
-	var c collector
-	b.SetReceiver(c.receive)
-
-	const senders, per = 4, 25
-	for s := 0; s < senders; s++ {
-		a, err := ListenUDP("127.0.0.1:0")
-		if err != nil {
-			t.Skip("no loopback:", err)
-		}
-		defer a.Close()
-		for i := 0; i < per; i++ {
-			data := make([]byte, 64)
-			binary.BigEndian.PutUint32(data, uint32(s*per+i))
-			if err := a.Send(b.LocalAddr(), data); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	waitFrames(t, &c, senders*per)
-	seen := make(map[uint32]bool)
-	for _, f := range c.snapshot() {
-		seq := binary.BigEndian.Uint32(f)
-		if seen[seq] {
-			t.Fatalf("frame %d delivered twice", seq)
-		}
-		seen[seq] = true
-	}
-}
-
-// The fallback without UDP_SEGMENT (and the only path on other platforms)
-// must keep exact per-frame semantics: SendBatch loops Send, one send
-// operation per frame, and BatchEnabled is false.
+// Without UDP_SEGMENT SendBatch keeps per-frame semantics: no GSO message,
+// every frame its own datagram, in one sendmmsg on Linux and one Send each
+// elsewhere, and BatchEnabled stays false.
 func TestBatchFallbackSemantics(t *testing.T) {
 	u, err := ListenUDP("127.0.0.1:0")
 	if err != nil {
@@ -261,10 +219,10 @@ func TestBatchFallbackSemantics(t *testing.T) {
 	defer u.Close()
 	withoutGSO(u)
 	if u.BatchEnabled() {
-		t.Fatal("per-frame UDP claims a live batch path")
+		t.Fatal("ListenUDP claims a live batch path")
 	}
 	if SupportsBatch(u) {
-		t.Fatal("SupportsBatch(per-frame UDP) = true")
+		t.Fatal("SupportsBatch(ListenUDP) = true")
 	}
 	var c collector
 	recv, err := ListenUDP("127.0.0.1:0")
@@ -281,8 +239,8 @@ func TestBatchFallbackSemantics(t *testing.T) {
 		t.Fatalf("fallback SendBatch = %d, %v", sent, err)
 	}
 	waitFrames(t, &c, 8)
-	if st, _ := u.TransportStats(); st.SendBatches != 8 || st.GSOSends != 0 {
-		t.Fatalf("fallback sent 8 frames in %d operations (%d GSO), want 8 (0)", st.SendBatches, st.GSOSends)
+	if st, _ := u.TransportStats(); st.SendBatches != sendOps(8) || st.GSOSends != 0 {
+		t.Fatalf("fallback sent 8 frames in %d operations (%d GSO), want %d (0)", st.SendBatches, st.GSOSends, sendOps(8))
 	}
 }
 
@@ -293,7 +251,15 @@ func TestSupportsBatch(t *testing.T) {
 	}
 	defer u.Close()
 	if SupportsBatch(u) {
-		t.Fatal("plain UDP claims batch support")
+		t.Fatal("ListenUDP claims batch support")
+	}
+	ub, err := ListenUDPBatch("127.0.0.1:0", UDPOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ub.Close()
+	if SupportsBatch(ub) != vectorIO {
+		t.Fatalf("SupportsBatch(ListenUDPBatch) = %v, want %v: true exactly where SendBatch is a vector send", SupportsBatch(ub), vectorIO)
 	}
 	ex := NewExchange()
 	p := ex.Port("p")
@@ -306,8 +272,8 @@ func TestSupportsBatch(t *testing.T) {
 // Stats: the batched path must amortize — strictly fewer send operations
 // than frames — and account every frame on both sides.
 func TestBatchStatsAmortization(t *testing.T) {
-	a := listenBatchT(t, UDPOptions{})
-	b := listenBatchT(t, UDPOptions{})
+	a := listenT(t)
+	b := listenT(t)
 	var c collector
 	b.SetReceiver(c.receive)
 
@@ -316,16 +282,12 @@ func TestBatchStatsAmortization(t *testing.T) {
 	for i := range frames {
 		frames[i].Dst = b.LocalAddr()
 	}
-	if sent, err := a.(BatchSender).SendBatch(frames); err != nil || sent != n {
+	if sent, err := a.SendBatch(frames); err != nil || sent != n {
 		t.Fatalf("SendBatch = %d, %v", sent, err)
 	}
 	waitFrames(t, &c, n)
 
-	as, ok := a.(StatsReporter)
-	if !ok {
-		t.Fatal("batched transport has no stats")
-	}
-	st, live := as.TransportStats()
+	st, live := a.TransportStats()
 	if !live {
 		t.Fatal("stats not live")
 	}
@@ -338,7 +300,7 @@ func TestBatchStatsAmortization(t *testing.T) {
 	if st.MaxSendBatch < 2 {
 		t.Fatalf("MaxSendBatch = %d", st.MaxSendBatch)
 	}
-	bst, _ := b.(StatsReporter).TransportStats()
+	bst, _ := b.TransportStats()
 	if bst.RecvFrames != n {
 		t.Fatalf("RecvFrames = %d, want %d", bst.RecvFrames, n)
 	}
@@ -346,7 +308,7 @@ func TestBatchStatsAmortization(t *testing.T) {
 		st.SendFrames, st.SendBatches, st.GSOSends, bst.RecvFrames, bst.RecvBatches, bst.GROSplits)
 }
 
-// Per-frame UDP stats: counters move and oversize receive is recorded.
+// UDP stats: counters move on both sides.
 func TestUDPStats(t *testing.T) {
 	a, err := ListenUDP("127.0.0.1:0")
 	if err != nil {
@@ -377,24 +339,11 @@ func TestUDPStats(t *testing.T) {
 }
 
 // Concurrency: Send, SendBatch, and Close racing from many goroutines must
-// be safe (run under -race by verify.sh), over the batched engine and over
-// per-frame UDP's GSO sender.
+// be safe (run under -race by verify.sh).
 func TestBatchConcurrentSendClose(t *testing.T) {
-	perFrame := func(t *testing.T) Transport {
-		u, err := ListenUDP("127.0.0.1:0")
-		if err != nil {
-			t.Skip("no loopback:", err)
-		}
-		t.Cleanup(func() { u.Close() })
-		return u
-	}
 	for round := 0; round < 20; round++ {
-		listen := func(t *testing.T) Transport { return listenBatchT(t, UDPOptions{}) }
-		if round%2 == 1 {
-			listen = perFrame
-		}
-		a := listen(t)
-		b := listen(t)
+		a := listenT(t)
+		b := listenT(t)
 		b.SetReceiver(func(Addr, []byte) {})
 		dst := b.LocalAddr()
 		var wg sync.WaitGroup
@@ -414,7 +363,7 @@ func TestBatchConcurrentSendClose(t *testing.T) {
 					default:
 					}
 					a.Send(dst, []byte("one"))
-					a.(BatchSender).SendBatch(frames)
+					a.SendBatch(frames)
 				}
 			}()
 		}
@@ -426,9 +375,9 @@ func TestBatchConcurrentSendClose(t *testing.T) {
 	}
 }
 
-// Per-frame UDP's SendBatch: a window of equal frames ending in a shorter
-// one leaves in one send operation (one GSO message where the kernel has
-// UDP_SEGMENT) and arrives whole and in order, split back into frames.
+// SendBatch: a window of equal frames ending in a shorter one leaves in one
+// send operation (one GSO message where the kernel has UDP_SEGMENT) and
+// arrives whole and in order, split back into frames.
 func TestUDPSendBatchGSO(t *testing.T) {
 	a, err := ListenUDP("127.0.0.1:0")
 	if err != nil {
@@ -467,7 +416,8 @@ func TestUDPSendBatchGSO(t *testing.T) {
 }
 
 // When the kernel refuses UDP_SEGMENT, SendBatch turns GSO off for good and
-// sends the refused run, and every later batch, one frame at a time.
+// sends the refused run, and every later batch, one frame per message: each
+// batch still leaves in one sendmmsg.
 func TestUDPGSORefusedFallsBack(t *testing.T) {
 	a, err := ListenUDP("127.0.0.1:0")
 	if err != nil {
@@ -500,7 +450,7 @@ func TestUDPGSORefusedFallsBack(t *testing.T) {
 	if gsoOn(a) {
 		t.Fatal("GSO still on after the kernel refused it")
 	}
-	if st, _ := a.TransportStats(); st.GSOSends != 0 || st.SendBatches != 16 {
-		t.Fatalf("sent 16 frames in %d ops (%d GSO), want 16 (0)", st.SendBatches, st.GSOSends)
+	if st, _ := a.TransportStats(); st.GSOSends != 0 || st.SendBatches != 2 || st.SendFrames != 16 {
+		t.Fatalf("sent %d frames in %d ops (%d GSO), want 16 in 2 (0)", st.SendFrames, st.SendBatches, st.GSOSends)
 	}
 }

@@ -14,10 +14,11 @@
 # faultnet wrapper's transport conformance included) plus one tail-table
 # cell asserting that injected loss inflates p99 without failing calls and
 # that the same seed reproduces the same impairment schedule. The
-# batched-datapath steps run the transport package under -race (the
-# conformance suite over every Transport, TCP included) and cross-build
-# for darwin and linux/arm64 so the non-Linux fallback and the arm64
-# syscall numbers stay compilable. The runbook steps validate every
+# transport step runs the transport package under -race (the conformance
+# suite over every Transport: the UDP socket with and without GSO and with
+# the send queue's BatchEnabled, WithAuth over UDP, TCP), and the
+# cross-builds for darwin and linux/arm64 keep the non-Linux per-frame read
+# loop and the arm64 recvmmsg/sendmmsg syscall numbers compilable. The runbook steps validate every
 # committed scenario runbook's schema (the same cheap gate CI runs before
 # the scenario suite) and pin the macro-scenario executor's determinism:
 # same runbook + seed => byte-identical report, and the committed overload
@@ -81,7 +82,7 @@ run "sim determinism: trace + timings" go test -run 'TestTraceDeterminism|TestTr
 run "runbook determinism + policy gate" go test -run 'TestRunbookDeterminism|TestOverloadRunbookPolicyFlip' -count=1 ./internal/runbook
 run "chaos smoke: faultnet + overload race" go test -race ./internal/faultnet ./internal/overload
 run "chaos smoke: tail inflation + determinism" go test -run 'TestTailSweepP99Inflation|TestTailSweepDeterministic' -count=1 ./internal/realbench
-run "race: batched transport" go test -race ./internal/transport
+run "race: transport" go test -race ./internal/transport
 run "race: trace-propagation" go test -race -run 'TestChainSpansLinked' ./internal/realbench
 run "race: cluster-hedging" go test -race -run 'TestHedged|TestHedge|TestP2C|TestEjection|TestBudgetPropagatesThroughCluster|TestFanout|TestKV|TestStore|TestClusterViewUnderLiveTraffic' ./internal/cluster ./internal/kvstore ./internal/debughttp
 run "race: registry-leases" go test -race ./internal/registry
