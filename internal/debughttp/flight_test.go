@@ -20,11 +20,11 @@ import (
 // script does) this is the proof that the surface's pull-time snapshots
 // coexist with the lock-free state they read.
 func TestDebugSurfaceLiveTCP(t *testing.T) {
-	serverTr, err := transport.ListenTCP("127.0.0.1:0", transport.TCPOptions{})
+	serverTr, err := transport.ListenTCP("127.0.0.1:0")
 	if err != nil {
 		t.Skip("no TCP loopback:", err)
 	}
-	callerTr, err := transport.ListenTCP("127.0.0.1:0", transport.TCPOptions{})
+	callerTr, err := transport.ListenTCP("127.0.0.1:0")
 	if err != nil {
 		serverTr.Close()
 		t.Skip("no TCP loopback:", err)

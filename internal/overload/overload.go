@@ -23,11 +23,21 @@
 //     remaining budget. This is the policy that keeps goodput near capacity
 //     at 2× saturation.
 //
+// The Deadline policy's service-time estimate is an EWMA of observed
+// handler times. A shed request never runs, so it never corrects the
+// estimate; a shed whose whole budget is below the estimate — a request
+// that would have been shed unqueued — therefore decays it one EWMA step,
+// so one slow outlier cannot shed every later request. A request that died
+// waiting in the queue says nothing against the estimate and leaves it be:
+// decaying on those lets late requests through under sustained overload.
+//
 // The queue is the protocol's only dispatch path: a server without an
 // explicit admission bound still drains a FIFO queue of a fixed default
-// capacity. The uncontended cost is kept to a lock, a ring-slot store and a
-// condition signal: arrival and service clocks are read only where a
-// policy or a reported service-time estimate consumes them.
+// capacity. It is also the scenario simulator's admission queue
+// (internal/runbook), which hands NewQueueClock its virtual clock and
+// drains with TryTake. The uncontended cost is kept to a lock, a ring-slot
+// store and a condition signal: arrival and service clocks are read only
+// where a policy or a reported service-time estimate consumes them.
 package overload
 
 import (
@@ -116,7 +126,7 @@ type Stats struct {
 	ServiceEWMAUs float64 `json:"service_ewma_us"`
 }
 
-// start anchors the queue's monotonic clock.
+// start anchors the default monotonic clock.
 var start = time.Now()
 
 func nowNs() int64 { return int64(time.Since(start)) }
@@ -148,6 +158,7 @@ func (e entry[T]) remaining(now int64) int64 {
 // does not allocate.
 type Queue[T any] struct {
 	cfg    Config
+	now    func() int64
 	onShed func(T, Reason)
 
 	mu     sync.Mutex
@@ -165,13 +176,21 @@ type Queue[T any] struct {
 	maxDepth     int
 }
 
-// NewQueue builds a queue; onShed receives every shed request (called
-// without the queue lock held; it may send on the network).
+// NewQueue builds a queue on the monotonic clock; onShed receives every
+// shed request (called without the queue lock held; it may send on the
+// network, or offer again).
 func NewQueue[T any](cfg Config, onShed func(T, Reason)) *Queue[T] {
+	return NewQueueClock(cfg, nowNs, onShed)
+}
+
+// NewQueueClock builds a queue that ages requests by now, a clock in
+// nanoseconds from any fixed origin — a discrete-event simulation passes
+// its virtual clock.
+func NewQueueClock[T any](cfg Config, now func() int64, onShed func(T, Reason)) *Queue[T] {
 	if cfg.Capacity <= 0 {
 		panic("overload: NewQueue with non-positive capacity")
 	}
-	q := &Queue[T]{cfg: cfg, onShed: onShed}
+	q := &Queue[T]{cfg: cfg, now: now, onShed: onShed}
 	q.cond = sync.NewCond(&q.mu)
 	return q
 }
@@ -219,7 +238,7 @@ func (q *Queue[T]) Offer(v T, budgetNs int64) bool {
 	e := entry[T]{v: v, budgetNs: budgetNs}
 	if q.cfg.Policy == Deadline {
 		// Only the Deadline policy ages requests.
-		e.arrivedNs = nowNs()
+		e.arrivedNs = q.now()
 	}
 	q.mu.Lock()
 	if q.closed {
@@ -276,20 +295,23 @@ func (q *Queue[T]) Offer(v T, budgetNs int64) bool {
 // closed and drained. Under the Deadline policy it sheds — via the
 // callback — every queued request whose remaining budget no longer covers
 // the observed service time, so workers only receive requests that can
-// still make their deadlines. Each such shed decays the service-time
-// estimate by one EWMA step (α = 1/8) toward zero, so an estimate left
-// stale by a slow outlier shrinks until a request is served and measured
-// again.
-func (q *Queue[T]) Take() (v T, ok bool) {
+// still make their deadlines.
+func (q *Queue[T]) Take() (v T, ok bool) { return q.take(true) }
+
+// TryTake is Take without the wait: ok is false when no request is left to
+// serve, after any deadline sheds.
+func (q *Queue[T]) TryTake() (v T, ok bool) { return q.take(false) }
+
+func (q *Queue[T]) take(wait bool) (v T, ok bool) {
 	for {
 		var sheds []T
 		q.mu.Lock()
-		for q.n == 0 && !q.closed {
+		for wait && q.n == 0 && !q.closed {
 			q.cond.Wait()
 		}
 		var now int64
 		if q.cfg.Policy == Deadline {
-			now = nowNs()
+			now = q.now()
 		}
 		for q.n > 0 {
 			var e entry[T]
@@ -299,10 +321,12 @@ func (q *Queue[T]) Take() (v T, ok bool) {
 				e = q.remove(0)
 			}
 			if q.cfg.Policy == Deadline && q.ewmaNs > 0 && float64(e.remaining(now)) < q.ewmaNs {
-				// A shed request never runs, so it never refreshes the
-				// estimate: decay it by the EWMA step per shed, or one slow
-				// observation would shed every later request it overstates.
-				q.ewmaNs -= q.ewmaNs / 8
+				if float64(e.budgetNs) < q.ewmaNs {
+					// Even unqueued this request looked dead: the
+					// estimate is the suspect, and a shed never runs to
+					// correct it, so decay it by one EWMA step.
+					q.ewmaNs -= q.ewmaNs / 8
+				}
 				q.shedDeadline++
 				sheds = append(sheds, e.v)
 				continue
@@ -319,7 +343,7 @@ func (q *Queue[T]) Take() (v T, ok bool) {
 		for _, s := range sheds {
 			q.onShed(s, ReasonDeadline)
 		}
-		if closed {
+		if closed || !wait {
 			return v, false
 		}
 	}

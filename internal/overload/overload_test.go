@@ -153,6 +153,74 @@ func TestDeadlineEstimateRecoversFromOutlier(t *testing.T) {
 	}
 }
 
+// Sustained 2× saturation on an injected clock: 2 workers × 10ms service
+// against 24 closed-loop callers with 50ms budgets, each re-offering the
+// moment its request is served or shed. The callers start staggered across
+// one service time, so requests reach the head of the queue with any
+// remaining budget. Most die waiting, and the head is always marginal: the
+// estimate must not shrink on those sheds, or requests with less than a
+// service time left get served and finish past their budgets.
+func TestDeadlineSaturationServesNoneLate(t *testing.T) {
+	const (
+		workers = 2
+		callers = 24
+		service = 10 * int64(time.Millisecond)
+		budget  = 50 * int64(time.Millisecond)
+	)
+	var clock int64
+	offered := make([]int64, callers) // caller → when its request was offered
+	var q *Queue[int]
+	offer := func(c int) {
+		offered[c] = clock
+		q.Offer(c, budget)
+	}
+	shed, served := 0, 0
+	q = NewQueueClock(Config{Policy: Deadline, Capacity: callers}, func() int64 { return clock },
+		func(c int, _ Reason) { shed++; offer(c) })
+	var busy [workers]struct {
+		caller int
+		until  int64 // 0 = idle
+	}
+	started := 0 // caller c makes its first offer at c*service/callers
+	for clock < 2*int64(time.Second) {
+		for w := range busy {
+			if busy[w].until == 0 {
+				if c, ok := q.TryTake(); ok {
+					busy[w].caller, busy[w].until = c, clock+service
+				}
+			}
+		}
+		next := -1 // the busy worker that finishes first
+		for w := range busy {
+			if busy[w].until != 0 && (next < 0 || busy[w].until < busy[next].until) {
+				next = w
+			}
+		}
+		if started < callers && (next < 0 || int64(started)*service/callers < busy[next].until) {
+			clock = int64(started) * service / callers
+			offer(started)
+			started++
+			continue
+		}
+		if next < 0 {
+			t.Fatal("no request in service: every caller was shed at once")
+		}
+		b := &busy[next]
+		clock = b.until
+		if late := clock - (offered[b.caller] + budget); late > 0 {
+			t.Fatalf("caller %d served %v past its budget at t=%v (after %d served, %d shed)",
+				b.caller, time.Duration(late), time.Duration(clock), served, shed)
+		}
+		served++
+		q.ObserveService(time.Duration(service))
+		b.until = 0
+		offer(b.caller)
+	}
+	if served < 150 || shed == 0 {
+		t.Fatalf("served %d, shed %d in 2s: want about 200 served and the overload shed", served, shed)
+	}
+}
+
 func TestDeadlineColdStartServesEverything(t *testing.T) {
 	// Before any service observation the EWMA is zero: nothing is shed at
 	// dequeue, however small its budget.

@@ -76,7 +76,7 @@ func pair(to trOpts, workers int) (*benchPair, func(), error) {
 	listen := func() (transport.Transport, error) {
 		switch to.kind {
 		case "tcp":
-			return transport.ListenTCP("127.0.0.1:0", transport.TCPOptions{})
+			return transport.ListenTCP("127.0.0.1:0")
 		case "udpbatch":
 			return transport.ListenUDPBatch("127.0.0.1:0", transport.UDPOptions{})
 		default:

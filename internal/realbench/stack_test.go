@@ -3,6 +3,7 @@ package realbench
 import (
 	"fmt"
 	"runtime/debug"
+	"runtime/metrics"
 	"sync"
 	"testing"
 
@@ -123,11 +124,7 @@ func BenchmarkStack(b *testing.B) {
 					b.Run(fmt.Sprintf("%s/t%d", c.name, threads), func(b *testing.B) {
 						clients := newClients(stackPair(b, tr.to, 2*threads), threads)
 						b.SetBytes(int64(c.bytes))
-						b.ReportAllocs()
-						b.ResetTimer()
-						if err := blocking(clients, c.call, b.N); err != nil {
-							b.Fatal(err)
-						}
+						measure(b, func() error { return blocking(clients, c.call, b.N) })
 					})
 				}
 			}
@@ -141,11 +138,7 @@ func BenchmarkStack(b *testing.B) {
 						}
 						pend := make([]*core.Pending, 0, width)
 						b.SetBytes(int64(c.bytes))
-						b.ReportAllocs()
-						b.ResetTimer()
-						if err := fanout(cl, c.proc, b.N, width, dec, pend); err != nil {
-							b.Fatal(err)
-						}
+						measure(b, func() error { return fanout(cl, c.proc, b.N, width, dec, pend) })
 					})
 				}
 			}
@@ -156,16 +149,40 @@ func BenchmarkStack(b *testing.B) {
 			b.Run("Reverse100K/t1", func(b *testing.B) {
 				call := reverse100K(stackPair(b, tr.to, 2))
 				b.SetBytes(reverseBytes)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := call(); err != nil {
-						b.Fatal(err)
+				measure(b, func() error {
+					for i := 0; i < b.N; i++ {
+						if err := call(); err != nil {
+							return err
+						}
 					}
-				}
+					return nil
+				})
 			})
 		})
 	}
+}
+
+// measure times run's b.N operations and reports, beside time and
+// allocations, the collector's cycles per op: a time comparison of cells
+// that allocate otherwise measures the GC's pacing without showing it.
+func measure(b *testing.B, run func() error) {
+	b.ReportAllocs()
+	gc := gcCycles()
+	b.ResetTimer()
+	err := run()
+	b.StopTimer()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(gcCycles()-gc)/float64(b.N), "gc-cycles/op")
+}
+
+// gcCycles reads the count of completed GC cycles without stopping the
+// world.
+func gcCycles() uint64 {
+	s := [1]metrics.Sample{{Name: "/gc/cycles/total:gc-cycles"}}
+	metrics.Read(s[:])
+	return s[0].Value.Uint64()
 }
 
 // reverseBytes is Reverse100K's argument and result size: 72 fragments each

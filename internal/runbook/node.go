@@ -1,6 +1,8 @@
 package runbook
 
 import (
+	"math"
+
 	"fireflyrpc/internal/ether"
 	"fireflyrpc/internal/overload"
 	"fireflyrpc/internal/sim"
@@ -9,11 +11,10 @@ import (
 
 // node is one simulated machine. Every node can originate calls (client
 // role) and nodes with a server or mixed role also run the server model: an
-// admission queue in front of a fixed-size worker pool with a configured
-// service time. Admission policies mirror internal/overload — FIFO drop-tail,
-// LIFO shed-oldest, and deadline-aware shedding with an EWMA service
-// estimate — but are re-implemented on virtual time so a run is a pure
-// function of (runbook, seed).
+// overload.Queue — the admission queue every real server drains — in front
+// of a fixed-size worker pool with a configured service time. The queue
+// reads the kernel's virtual clock and the pool drains it with TryTake, so a
+// run stays a pure function of (runbook, seed).
 type node struct {
 	ex    *exec
 	spec  *NodeSpec
@@ -21,13 +22,9 @@ type node struct {
 	mac   wire.MAC
 	ports map[int]*ether.Port // target node idx → transmit port
 
-	policy   overload.Policy
-	capacity int
-	workers  int
-
-	queue  []*srvCall
-	busy   int
-	ewmaNs int64 // EWMA of observed service time, deadline policy only
+	admit   *overload.Queue[*srvCall]
+	workers int
+	busy    int
 
 	// states dedups retransmitted requests and retains each finished call's
 	// outcome so a duplicated or re-sent request elicits a re-sent reply.
@@ -47,8 +44,6 @@ type srvCall struct {
 	from     *node
 	wl       uint32
 	resBytes int
-
-	deadline sim.Time // 0 = caller sent no budget
 	status   byte
 
 	arrive, svcStart, svcEnd sim.Time // stage stamps for the accounting identity
@@ -63,16 +58,20 @@ const (
 
 func newNode(ex *exec, idx int, spec *NodeSpec) *node {
 	n := &node{
-		ex:       ex,
-		spec:     spec,
-		idx:      idx,
-		mac:      wire.MACForHost(uint32(idx + 1)),
-		ports:    make(map[int]*ether.Port),
-		workers:  spec.workers(),
-		capacity: spec.Admission.Capacity,
-		states:   make(map[uint64]*srvCall),
+		ex:      ex,
+		spec:    spec,
+		idx:     idx,
+		mac:     wire.MACForHost(uint32(idx + 1)),
+		ports:   make(map[int]*ether.Port),
+		workers: spec.workers(),
+		states:  make(map[uint64]*srvCall),
 	}
-	n.policy, _ = spec.Admission.policy()
+	cfg := overload.Config{Capacity: spec.Admission.Capacity}
+	cfg.Policy, _ = spec.Admission.policy()
+	if cfg.Capacity == 0 {
+		cfg.Capacity = math.MaxInt // unbounded FIFO: Validate rejects a policy without a capacity
+	}
+	n.admit = overload.NewQueueClock(cfg, func() int64 { return int64(ex.k.Now()) }, n.shed)
 	return n
 }
 
@@ -90,87 +89,39 @@ func (n *node) onRequest(from *node, f rpcFrame) {
 		}
 		return
 	}
-	now := n.ex.k.Now()
 	st := &srvCall{
 		id:       f.callID,
 		from:     from,
 		wl:       f.workload,
 		resBytes: n.ex.resultBytes(f.workload),
-		arrive:   now,
+		arrive:   n.ex.k.Now(),
+		status:   stQueued,
 	}
+	var budget int64
 	if f.budgetNs > 0 {
-		// The budget was stamped at send time; the request's own wire
-		// transmission has already consumed part of it, so discount that
-		// (the caller's true deadline is earlier than arrive + budget).
-		budget := sim.Duration(f.budgetNs) - n.ex.fab.txTime(wireFrameLen(n.ex.argBytes(f.workload)))
-		st.deadline = now.Add(budget)
+		// The budget was stamped at send time: the request's own wire
+		// transmission has already consumed part of it, and the reply needs
+		// time to travel back, so discount both. The reply's trip is
+		// estimated as 3× its transmission time: under saturation the
+		// queue's head is always exactly marginal, so without headroom for
+		// medium queueing every served reply lands just past its deadline.
+		fab := n.ex.fab
+		budget = f.budgetNs - int64(fab.txTime(wireFrameLen(n.ex.argBytes(f.workload)))) -
+			3*int64(fab.txTime(wireFrameLen(st.resBytes)))
+		budget = max(budget, 1) // already dead, but still a budget: 0 means none
 	}
 	n.states[f.callID] = st
-
-	if n.capacity > 0 && len(n.queue) >= n.capacity {
-		if !n.admitOverflow(st) {
-			return
-		}
+	if n.admit.Offer(st, budget) {
+		n.maxQueue = max(n.maxQueue, n.admit.Stats().Depth)
+		n.kick()
 	}
-	st.status = stQueued
-	n.queue = append(n.queue, st)
-	if len(n.queue) > n.maxQueue {
-		n.maxQueue = len(n.queue)
-	}
-	n.kick()
-}
-
-// admitOverflow applies the admission policy to a full queue. It returns
-// true when the arriving call should be enqueued (some victim was shed to
-// make room) and false when the arriving call itself was rejected.
-func (n *node) admitOverflow(st *srvCall) bool {
-	switch n.policy {
-	case overload.LIFO:
-		// Shed the oldest queued call: the newest work is the most likely to
-		// still have a live caller.
-		victim := n.queue[0]
-		n.queue = n.queue[1:]
-		n.shed(victim, false)
-		return true
-	case overload.Deadline:
-		// Shed the call with the least remaining budget; calls without a
-		// deadline never lose this comparison. The arriving call competes too.
-		victim, vi := st, -1
-		for i, q := range n.queue {
-			if sooner(q.deadline, victim.deadline) {
-				victim, vi = q, i
-			}
-		}
-		if vi >= 0 {
-			n.queue = append(n.queue[:vi], n.queue[vi+1:]...)
-		}
-		n.shed(victim, true)
-		return vi >= 0
-	default: // FIFO: classic drop-tail, reject the arrival
-		n.shed(st, false)
-		return false
-	}
-}
-
-// replyWireNs estimates the response frame's wire transmission time.
-func (n *node) replyWireNs(st *srvCall) int64 {
-	return int64(n.ex.fab.txTime(wireFrameLen(st.resBytes)))
-}
-
-// sooner reports whether deadline a expires strictly before b, treating the
-// zero Time as "no deadline" (never sooner than anything).
-func sooner(a, b sim.Time) bool {
-	if a == 0 {
-		return false
-	}
-	return b == 0 || a < b
 }
 
 // kick dispatches queued calls onto idle workers.
 func (n *node) kick() {
-	for n.busy < n.workers && len(n.queue) > 0 {
-		st := n.pop()
-		if st == nil {
+	for n.busy < n.workers {
+		st, ok := n.admit.TryTake()
+		if !ok {
 			return
 		}
 		n.busy++
@@ -178,40 +129,6 @@ func (n *node) kick() {
 		st.svcStart = n.ex.k.Now()
 		n.ex.k.After(n.serviceTime(), func() { n.complete(st) })
 	}
-}
-
-// pop removes the next call to serve per the admission policy, shedding
-// dead-on-arrival work first under the deadline policy.
-func (n *node) pop() *srvCall {
-	if n.policy == overload.Deadline {
-		now := n.ex.k.Now()
-		for len(n.queue) > 0 {
-			st := n.queue[0]
-			n.queue = n.queue[1:]
-			// Would miss its deadline even if served immediately — the
-			// remaining budget must cover the expected service time AND the
-			// reply's trip back, or the caller sees a late answer. The trip
-			// estimate is 3× the reply's transmission time: under saturation
-			// the queue's head is always exactly marginal, so without
-			// headroom for medium queueing every served reply lands just
-			// past its deadline.
-			if st.deadline != 0 && n.ewmaNs > 0 &&
-				int64(st.deadline.Sub(now)) < n.ewmaNs+3*n.replyWireNs(st) {
-				n.shed(st, true)
-				continue
-			}
-			return st
-		}
-		return nil
-	}
-	if n.policy == overload.LIFO {
-		st := n.queue[len(n.queue)-1]
-		n.queue = n.queue[:len(n.queue)-1]
-		return st
-	}
-	st := n.queue[0]
-	n.queue = n.queue[1:]
-	return st
 }
 
 // serviceTime draws this call's service duration.
@@ -226,15 +143,9 @@ func (n *node) serviceTime() sim.Duration {
 // complete finishes a served call: stamp, learn, reply, take the next one.
 func (n *node) complete(st *srvCall) {
 	n.busy--
-	now := n.ex.k.Now()
-	st.svcEnd = now
+	st.svcEnd = n.ex.k.Now()
 	st.status = stDone
-	sample := int64(now.Sub(st.svcStart))
-	if n.ewmaNs == 0 {
-		n.ewmaNs = sample
-	} else {
-		n.ewmaNs = (7*n.ewmaNs + sample) / 8
-	}
+	n.admit.ObserveService(st.svcEnd.Sub(st.svcStart))
 	if n.ex.counting() {
 		n.served++
 	}
@@ -242,11 +153,12 @@ func (n *node) complete(st *srvCall) {
 	n.kick()
 }
 
-// shed rejects a call, retaining the decision for retransmit replay.
-func (n *node) shed(st *srvCall, deadline bool) {
+// shed is the queue's shed callback: it rejects a call, retaining the
+// decision for retransmit replay.
+func (n *node) shed(st *srvCall, why overload.Reason) {
 	st.status = stShed
 	if n.ex.counting() {
-		if deadline {
+		if why == overload.ReasonDeadline {
 			n.shedDeadline++
 		} else {
 			n.shedCapacity++
@@ -280,5 +192,5 @@ func (n *node) resetMetrics() {
 	n.shedCapacity = 0
 	n.shedDeadline = 0
 	n.corruptDrops = 0
-	n.maxQueue = len(n.queue)
+	n.maxQueue = n.admit.Stats().Depth
 }

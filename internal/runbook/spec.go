@@ -10,13 +10,27 @@
 // cmd/fireflysim turns a runbook's assertion outcome into an exit status,
 // which is what makes the committed runbooks a CI-runnable scenario suite.
 //
-// The executor models RPC at the macro level — request frame, admission
-// queue, worker pool with a fixed service time, response frame, adaptive
-// retransmission with backoff — rather than simulating the full Firefly
-// protocol stack (internal/simstack does that for the paper's two-machine
-// tables). The point here is topology and policy: what the tail looks like
+// The executor models RPC at the macro level — request frame, worker pool
+// with a fixed service time, response frame, retransmission with backoff —
+// rather than simulating the full Firefly protocol stack (internal/simstack
+// does that for the paper's two-machine tables). The point here is topology and policy: what the tail looks like
 // when a link loses 10% of frames, whether deadline shedding holds goodput
 // where FIFO collapses, how a fan-in hotspot starves its neighbours.
+//
+// Admission is not modeled: each server offers, takes, observes and sheds
+// through overload.Queue, the queue every real server drains, running on
+// the kernel's virtual clock. What remains a model departs from the real
+// stack in four ways:
+//
+//   - the client's retransmission timeout starts at RPCSpec.RTO and doubles
+//     per retry, with no RTT estimator;
+//   - a request or reply is one 23-byte xor-checked frame (frame.go), not
+//     the Firefly packet layout with its fragmentation;
+//   - the deadline budget travels in nanoseconds, where the real wire
+//     floors it to whole milliseconds;
+//   - the server discounts an arriving budget by 3× the reply's
+//     transmission time as headroom for the trip back, besides the request
+//     wire time it has already spent.
 package runbook
 
 import (

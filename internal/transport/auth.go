@@ -3,6 +3,7 @@ package transport
 import (
 	"crypto/hmac"
 	"crypto/sha256"
+	"hash"
 	"sync"
 )
 
@@ -20,7 +21,9 @@ const authTagLen = 16
 // Auth wraps an inner transport with per-frame authentication.
 type Auth struct {
 	inner Transport
-	key   []byte
+	// scratch pools *authScratch: keyed HMAC state plus tag and frame
+	// buffers, so tagging and verifying a frame allocate nothing.
+	scratch sync.Pool
 
 	mu   sync.RWMutex
 	recv Receiver
@@ -32,26 +35,38 @@ type Auth struct {
 // Both ends must use the same key; unauthenticated or tampered frames are
 // discarded on receive.
 func WithAuth(inner Transport, key []byte) *Auth {
-	a := &Auth{inner: inner, key: append([]byte(nil), key...)}
+	key = append([]byte(nil), key...)
+	a := &Auth{inner: inner}
+	a.scratch.New = func() any { return &authScratch{mac: hmac.New(sha256.New, key)} }
 	inner.SetReceiver(a.onFrame)
 	return a
 }
 
-func (a *Auth) tag(frame []byte) []byte {
-	m := hmac.New(sha256.New, a.key)
-	m.Write(frame)
-	return m.Sum(nil)[:authTagLen]
+// authScratch is one goroutine's tagging state.
+type authScratch struct {
+	mac hash.Hash // keyed; Reset returns it to the keyed initial state
+	sum [sha256.Size]byte
+	out []byte // Send's tagged copy of the frame
 }
 
-// Send appends the authentication tag and transmits.
+// tag computes frame's truncated tag into s.sum.
+func (s *authScratch) tag(frame []byte) []byte {
+	s.mac.Reset()
+	s.mac.Write(frame)
+	return s.mac.Sum(s.sum[:0])[:authTagLen]
+}
+
+// Send appends the authentication tag and transmits. The tagged copy lives
+// in pooled scratch: the inner transport does not retain frames.
 func (a *Auth) Send(dst Addr, frame []byte) error {
 	if len(frame) > a.MaxFrame() {
 		return ErrFrameTooLarge
 	}
-	out := make([]byte, 0, len(frame)+authTagLen)
-	out = append(out, frame...)
-	out = append(out, a.tag(frame)...)
-	return a.inner.Send(dst, out)
+	s := a.scratch.Get().(*authScratch)
+	s.out = append(append(s.out[:0], frame...), s.tag(frame)...)
+	err := a.inner.Send(dst, s.out)
+	a.scratch.Put(s)
+	return err
 }
 
 // SendBatch implements BatchSender: every frame is tagged and the batch
@@ -71,12 +86,14 @@ func (a *Auth) SendBatch(frames []Frame) (int, error) {
 	}
 	buf := make([]byte, 0, size)
 	tagged := make([]Frame, n)
+	s := a.scratch.Get().(*authScratch)
 	for i, f := range frames[:n] {
 		start := len(buf)
 		buf = append(buf, f.Data...)
-		buf = append(buf, a.tag(f.Data)...)
+		buf = append(buf, s.tag(f.Data)...)
 		tagged[i] = Frame{Dst: f.Dst, Data: buf[start:len(buf):len(buf)]}
 	}
+	a.scratch.Put(s)
 	sent, err := a.sendTagged(tagged)
 	if err == nil && n < len(frames) {
 		err = ErrFrameTooLarge
@@ -117,8 +134,10 @@ func (a *Auth) onFrame(src Addr, frame []byte) {
 		return
 	}
 	body := frame[:len(frame)-authTagLen]
-	got := frame[len(frame)-authTagLen:]
-	if !hmac.Equal(got, a.tag(body)) {
+	s := a.scratch.Get().(*authScratch)
+	ok := hmac.Equal(frame[len(frame)-authTagLen:], s.tag(body))
+	a.scratch.Put(s)
+	if !ok {
 		a.mu.Lock()
 		a.dropped++
 		a.mu.Unlock()

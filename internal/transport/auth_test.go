@@ -141,3 +141,34 @@ func TestAuthSendBatchKeepsBatching(t *testing.T) {
 		t.Fatalf("8 frames left in %d send operations (live %v, %d frames), want %d", st.SendBatches, live, st.SendFrames, sendOps(8))
 	}
 }
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// Tagging reuses keyed HMAC state and scratch: an authenticated Send and
+// its verified delivery over the exchange allocate no more than the
+// exchange does on its own.
+func TestAuthSendAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets do not hold under -race")
+	}
+	key := []byte("shared secret")
+	a, b := authPair(t, key, key)
+	delivered := make(chan struct{}, 1)
+	b.SetReceiver(func(Addr, []byte) { delivered <- struct{}{} })
+	frame := make([]byte, 512)
+	dst := AddrOf("b")
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := a.Send(dst, frame); err != nil {
+			t.Fatal(err)
+		}
+		<-delivered
+	})
+	t.Logf("%.1f allocations per authenticated Send and delivery", allocs)
+	if allocs > 3 {
+		t.Fatalf("%.1f allocations per authenticated Send and delivery, want at most 3", allocs)
+	}
+	if b.Dropped() != 0 {
+		t.Fatalf("%d frames failed authentication", b.Dropped())
+	}
+}

@@ -86,12 +86,12 @@ func TestConformance(t *testing.T) {
 	})
 
 	transporttest.Run(t, "TCP", func(t *testing.T) (transport.Transport, transport.Transport) {
-		a, err := transport.ListenTCP("127.0.0.1:0", transport.TCPOptions{})
+		a, err := transport.ListenTCP("127.0.0.1:0")
 		if err != nil {
 			t.Fatalf("ListenTCP: %v", err)
 		}
 		t.Cleanup(func() { a.Close() })
-		b, err := transport.ListenTCP("127.0.0.1:0", transport.TCPOptions{})
+		b, err := transport.ListenTCP("127.0.0.1:0")
 		if err != nil {
 			t.Fatalf("ListenTCP: %v", err)
 		}

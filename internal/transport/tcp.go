@@ -34,7 +34,6 @@ import (
 type TCP struct {
 	ln   net.Listener
 	self *tcpAddr
-	opts TCPOptions
 
 	mu     sync.RWMutex
 	recv   Receiver
@@ -54,37 +53,21 @@ type TCP struct {
 // pools behave identically over every transport.
 const TCPMaxFrame = UDPMaxFrame
 
-// TCPOptions tunes the stream transport; zero values get defaults.
-type TCPOptions struct {
-	// DialTimeout bounds one connection attempt (default 2s).
-	DialTimeout time.Duration
-	// ReconnectMin/ReconnectMax bound the redial backoff after a failed
-	// attempt (defaults 20ms and 1s; the delay doubles between attempts).
-	ReconnectMin time.Duration
-	ReconnectMax time.Duration
-	// WriteTimeout bounds one flush (default 10s). A peer that stops
-	// reading long enough to fill both kernel buffers would otherwise
-	// wedge the writer — and with it a receive callback that sends —
-	// forever; on expiry the connection is dropped and redialed, and the
-	// lost frames are the protocol's retransmissions to recover.
-	WriteTimeout time.Duration
-}
-
-func (o TCPOptions) withDefaults() TCPOptions {
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 2 * time.Second
-	}
-	if o.ReconnectMin <= 0 {
-		o.ReconnectMin = 20 * time.Millisecond
-	}
-	if o.ReconnectMax <= 0 {
-		o.ReconnectMax = time.Second
-	}
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = 10 * time.Second
-	}
-	return o
-}
+// Stream timing.
+const (
+	// tcpDialTimeout bounds one connection attempt.
+	tcpDialTimeout = 2 * time.Second
+	// tcpReconnectMin/tcpReconnectMax bound the redial backoff after a
+	// failed attempt; the delay doubles between attempts.
+	tcpReconnectMin = 20 * time.Millisecond
+	tcpReconnectMax = time.Second
+	// tcpWriteTimeout bounds one flush. A peer that stops reading long
+	// enough to fill both kernel buffers would otherwise wedge the writer —
+	// and with it a receive callback that sends — forever; on expiry the
+	// connection is dropped and redialed, and the lost frames are the
+	// protocol's retransmissions to recover.
+	tcpWriteTimeout = 10 * time.Second
+)
 
 // tcpAddr is the canonical peer name: the peer's listen address as a
 // string, cached so Addr.String() never allocates. One value is interned
@@ -129,7 +112,7 @@ var prefaceMagic = [6]byte{'F', 'F', 'T', 'C', 'P', '1'}
 
 // ListenTCP opens a stream transport listening on addr ("host:port";
 // ":0" picks a port).
-func ListenTCP(addr string, opts TCPOptions) (*TCP, error) {
+func ListenTCP(addr string) (*TCP, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
@@ -137,7 +120,6 @@ func ListenTCP(addr string, opts TCPOptions) (*TCP, error) {
 	t := &TCP{
 		ln:    ln,
 		self:  &tcpAddr{str: ln.Addr().String()},
-		opts:  opts.withDefaults(),
 		peers: make(map[string]*tcpPeer),
 		conns: make(map[net.Conn]struct{}),
 	}
@@ -206,7 +188,7 @@ func (t *TCP) acceptLoop() {
 
 func (t *TCP) serveAccepted(conn net.Conn) {
 	defer t.wg.Done()
-	_ = conn.SetReadDeadline(time.Now().Add(t.opts.DialTimeout + 3*time.Second))
+	_ = conn.SetReadDeadline(time.Now().Add(tcpDialTimeout + 3*time.Second))
 	peerKey, err := readPreface(conn)
 	if err != nil {
 		conn.Close()
@@ -346,7 +328,7 @@ func (p *tcpPeer) ensureDialLocked() {
 func (p *tcpPeer) dialLoop() {
 	t := p.t
 	defer t.wg.Done()
-	backoff := t.opts.ReconnectMin
+	backoff := tcpReconnectMin
 	for {
 		if t.isClosed() {
 			p.mu.Lock()
@@ -362,7 +344,7 @@ func (p *tcpPeer) dialLoop() {
 			return
 		}
 		p.mu.Unlock()
-		conn, err := net.DialTimeout("tcp", p.addr.str, t.opts.DialTimeout)
+		conn, err := net.DialTimeout("tcp", p.addr.str, tcpDialTimeout)
 		if err == nil {
 			err = writePreface(conn, t.self.str)
 		}
@@ -389,7 +371,7 @@ func (p *tcpPeer) dialLoop() {
 			conn.Close()
 		}
 		time.Sleep(backoff)
-		if backoff < t.opts.ReconnectMax {
+		if backoff < tcpReconnectMax {
 			backoff *= 2
 		}
 	}
@@ -430,7 +412,7 @@ func (p *tcpPeer) flushLocked() {
 		return
 	}
 	conn := p.conn
-	_ = conn.SetWriteDeadline(time.Now().Add(p.t.opts.WriteTimeout))
+	_ = conn.SetWriteDeadline(time.Now().Add(tcpWriteTimeout))
 	if err := p.bw.Flush(); err != nil {
 		p.t.sendErrors.Add(1)
 		p.dropConnLocked(conn)

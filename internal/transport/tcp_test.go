@@ -11,12 +11,12 @@ import (
 
 func newTCPPair(t *testing.T) (*TCP, *TCP) {
 	t.Helper()
-	a, err := ListenTCP("127.0.0.1:0", TCPOptions{})
+	a, err := ListenTCP("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("ListenTCP a: %v", err)
 	}
 	t.Cleanup(func() { a.Close() })
-	b, err := ListenTCP("127.0.0.1:0", TCPOptions{})
+	b, err := ListenTCP("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("ListenTCP b: %v", err)
 	}
