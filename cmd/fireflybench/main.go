@@ -10,13 +10,14 @@
 //	fireflybench -table tail,overload,hedge -quality 0.4  # real-stack loss, overload and hedging sweeps
 //	fireflybench -breakdown       # traced per-stage latency accounting (Tables VI/VII style)
 //	fireflybench -breakdown -quality 0.25  # the same over 500 instead of 2000 calls
-//	fireflybench -simtrace out.json  # Perfetto timeline + utilization report for a simulated run
-//	fireflybench -batchcompare    # UDP fan-out with the send queue off vs on, back to back
 //	fireflybench -traceoverhead   # tracing-on vs tracing-off async Null, gated ≤5%
 //	fireflybench -mergedtrace out.json  # one Perfetto doc: simulated run + real chained-call spans
+//	fireflybench -table util      # per-resource utilization of the simulated testbed
 //
 // The real-stack Table I matrix is a Go benchmark:
 // go test -run '^$' -bench Stack -benchmem ./internal/realbench
+// and the UDP fan-out with proto's send queue off vs on is logged by
+// go test -run TestBatchCompareSpeedup -v ./internal/realbench
 package main
 
 import (
@@ -33,28 +34,25 @@ import (
 // Fixed parameters of the one-shot modes. Their call counts are given at
 // -quality 1 and scale with it.
 const (
-	batchCompareCalls  = 20000 // calls per side for -batchcompare
-	asyncWidth         = 64    // outstanding calls for -batchcompare and -traceoverhead
+	asyncWidth         = 64    // outstanding calls for -traceoverhead
 	traceOverheadCalls = 20000 // calls per round for -traceoverhead
 	traceOverheadBound = 1.05  // maximum tracing-on/off ns-per-op ratio
 	breakdownCalls     = 2000  // calls traced by -breakdown
 	breakdownSample    = 64    // sampling stride of -breakdown's overhead measurement
-	simTraceThreads    = 4     // caller threads for -simtrace and -mergedtrace
-	simTraceCalls      = 200   // simulated calls for -simtrace and -mergedtrace
+	mergedSimThreads   = 4     // caller threads of -mergedtrace's simulated run
+	mergedSimCalls     = 200   // simulated calls of -mergedtrace
 	mergedChainCalls   = 16    // real two-hop chained calls for -mergedtrace
 )
 
 func main() {
 	tables := flag.String("table", "all", "comma-separated table IDs (I..XII, util, improvements, streaming, ablations, tail, overload, hedge) or 'all'")
-	quality := flag.Float64("quality", 1.0, "fraction of the paper's call counts to run; also scales the call counts of -breakdown, -traceoverhead, -simtrace and -mergedtrace")
+	quality := flag.Float64("quality", 1.0, "fraction of the paper's call counts to run; also scales the call counts of -breakdown, -traceoverhead and -mergedtrace")
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	list := flag.Bool("list", false, "list experiments and exit")
 	trace := flag.Bool("trace", false, "trace one Null() and one MaxResult(b) call through the simulated fast path and exit")
-	batchCompare := flag.Bool("batchcompare", false, "run the UDP async fan-out comparison, proto's send queue off vs on over one socket type, and exit")
 	traceOverhead := flag.Bool("traceoverhead", false, "run the tracing-on vs tracing-off async Null comparison and exit non-zero above the bound")
 	mergedTrace := flag.String("mergedtrace", "", "write one Perfetto JSON combining a simulated run and real chained-call spans to this path and exit")
 	breakdown := flag.Bool("breakdown", false, "trace Null calls through both endpoints and print the per-stage latency accounting")
-	simTrace := flag.String("simtrace", "", "write a Chrome trace-event JSON timeline of a simulated run to this path and exit")
 	flag.Parse()
 
 	scaled := func(calls int) int { return max(1, int(float64(calls)**quality)) }
@@ -64,23 +62,13 @@ func main() {
 		return
 	}
 
-	if *batchCompare {
-		runBatchCompare()
-		return
-	}
-
 	if *traceOverhead {
 		runTraceOverhead(scaled(traceOverheadCalls))
 		return
 	}
 
 	if *mergedTrace != "" {
-		runMergedTrace(*mergedTrace, *seed, scaled(simTraceCalls))
-		return
-	}
-
-	if *simTrace != "" {
-		runSimTrace(*simTrace, *seed, scaled(simTraceCalls))
+		runMergedTrace(*mergedTrace, *seed, scaled(mergedSimCalls))
 		return
 	}
 
@@ -119,27 +107,6 @@ func main() {
 		fmt.Print(tb.Render())
 		fmt.Printf("  [%s in %.1fs wall]\n\n", e.ID, time.Since(start).Seconds())
 	}
-}
-
-// runBatchCompare runs the UDP async fan-out comparison, the send queue
-// off vs on over one socket type, back to back in this process and prints
-// both sides plus the self-relative speedup — the measurement behind the
-// EXPERIMENTS.md batched datapath table.
-func runBatchCompare() {
-	res, err := realbench.BatchCompare(batchCompareCalls, asyncWidth)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fireflybench: batchcompare: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("UDP async Null fan-out, %d outstanding, %d calls per side\n\n", res.Outstanding, res.PerFrame.Calls)
-	row := func(name string, s realbench.BatchSide) {
-		fmt.Printf("  %-9s %8.0f ns/op  %9.0f calls/s  %5.2f syscalls/call  (send %d ops/%d frames, recv %d ops/%d frames, gso %d)\n",
-			name, s.NsPerOp, s.CallsPerSec, s.SyscallsPerCall,
-			s.SendBatches, s.SendFrames, s.RecvBatches, s.RecvFrames, s.GSOSends)
-	}
-	row("queue off", res.PerFrame)
-	row("queue on", res.Batched)
-	fmt.Printf("\nspeedup: %.2fx (send queue on vs off, self-relative)\n", res.Speedup)
 }
 
 // runBreakdown prints the stage accounting table and the tracing overhead,

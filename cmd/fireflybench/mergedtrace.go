@@ -41,7 +41,7 @@ func runMergedTrace(outPath string, seed uint64, calls int) {
 	cfg := costmodel.NewConfig()
 	w := simstack.NewWorld(&cfg, seed)
 	b := simtrace.AttachWorld(w)
-	r := w.Run(simstack.MaxResultSpec(&cfg), simTraceThreads, calls)
+	r := w.Run(simstack.MaxResultSpec(&cfg), mergedSimThreads, calls)
 
 	rep, err := realbench.ChainSpans(mergedChainCalls)
 	if err != nil {
@@ -75,7 +75,7 @@ func runMergedTrace(outPath string, seed uint64, calls int) {
 		os.Exit(1)
 	}
 	fmt.Printf("simulated %d MaxResult calls over %d threads in %v virtual time\n",
-		r.Calls, simTraceThreads, r.Elapsed)
+		r.Calls, mergedSimThreads, r.Elapsed)
 	fmt.Printf("real chain: %d calls, %d root + %d child spans (linked=%v, unaccounted %+.2f%%)\n",
 		rep.Calls, rep.Roots, rep.Children, rep.Linked(), 100*rep.Unaccounted)
 	fmt.Printf("wrote %s: %d bytes (load in ui.perfetto.dev)\n", outPath, n)

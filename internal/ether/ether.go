@@ -22,10 +22,6 @@ type Segment struct {
 	bytes     int64
 	dropNoDst int64
 
-	// LossRate drops a fraction of frames at delivery time, for protocol
-	// fault-injection tests. Zero on the fast path.
-	LossRate float64
-
 	// faulter, when non-nil, decides per-frame impairments (drop, dup,
 	// delay, corruption) at transmission time — the simulator binding of
 	// the faultnet engine, so the same profiles that impair the real
@@ -161,15 +157,14 @@ func (p *Port) Transmit(frame []byte, txTime sim.Duration, onSent func()) {
 				fv = s.faulter.Frame(len(frame))
 			}
 		}
-		lost := fv.Drop || (s.LossRate > 0 && s.k.RNG().Float64() < s.LossRate)
 		if tr := s.tracer; tr != nil {
 			dstName := ""
 			if err == nil {
 				dstName = hdr.Dst.String()
 			}
-			tr.FrameOnWire(s.k.Now(), id, p.mac.String(), dstName, len(frame), txTime, lost)
+			tr.FrameOnWire(s.k.Now(), id, p.mac.String(), dstName, len(frame), txTime, fv.Drop)
 		}
-		if lost {
+		if fv.Drop {
 			return // frame lost on the wire
 		}
 		if err != nil {

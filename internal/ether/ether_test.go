@@ -96,10 +96,19 @@ func TestUnknownDestinationDropped(t *testing.T) {
 	}
 }
 
+// dropAll is a Faulter that loses every frame.
+type dropAll struct{}
+
+func (dropAll) Frame(int) Fault {
+	f := NoFault()
+	f.Drop = true
+	return f
+}
+
 func TestLossRateDropsFrames(t *testing.T) {
 	k := sim.NewKernel(7)
 	seg := NewSegment(k)
-	seg.LossRate = 1.0
+	seg.SetFaulter(dropAll{})
 	a, b := wire.MACForHost(1), wire.MACForHost(2)
 	pa := seg.Attach(a, nil)
 	delivered := 0

@@ -67,7 +67,7 @@ func TableOverload(o Options) Table {
 		})
 	}
 	t.Notes = append(t.Notes,
-		"baseline = as many callers as workers; baseline and none use the default FIFO queue, which never fills here",
+		"baseline = as many callers as workers; baseline and none use the default FIFO queue of 1024 calls, which fills under overload (a timed-out call stays queued) and then sheds",
 		"rejected = calls failed fast by a wire-level overload rejection")
 	return t
 }

@@ -145,8 +145,8 @@ func (c *Conn) forEachChannel(f func(*channel)) {
 // Eviction releases the retained result frames and result streams (the
 // per-peer state the 1989 design kept forever) and marks the channel so
 // any straggling reference — a worker that looked a serverAct up just
-// before eviction — releases rather than retains. It is called from the retransmission engine's
-// goroutine, so no extra janitor thread exists.
+// before eviction — releases rather than retains. The retransmission
+// engine's timer runs it every PeerIdleTimeout/2: no janitor goroutine.
 func (c *Conn) sweepIdle(now time.Time) {
 	idle := c.cfg.PeerIdleTimeout
 	if idle <= 0 {

@@ -525,3 +525,31 @@ func TestAsyncFanOutOneGoroutine(t *testing.T) {
 		t.Fatalf("%d call-table entries leaked", n)
 	}
 }
+
+// TestCallerConnStartsNoGoroutine checks that the retransmission engine is
+// a runtime timer, not a goroutine: a pure caller Conn over an exchange
+// port starts no goroutine of its own, its engine retransmits a call into
+// the void until the retry budget times it out, and Close leaves no
+// goroutine behind.
+func TestCallerConnStartsNoGoroutine(t *testing.T) {
+	ex := transport.NewExchange()
+	port := ex.Port("caller")
+	before := runtime.NumGoroutine()
+	caller := NewConn(port, Config{RetransInterval: 5 * time.Millisecond, MaxRetries: 2}, nil)
+	if n := runtime.NumGoroutine(); n > before {
+		buf := make([]byte, 1<<16)
+		buf = buf[:runtime.Stack(buf, true)]
+		t.Fatalf("NewConn started %d goroutines\n%s", n-before, buf)
+	}
+	_, err := caller.Call(context.Background(), transport.AddrOf("nobody"), caller.NewActivity(), 1, 1, 1, []byte("x"), nil)
+	if !errors.Is(err, ErrTimeout) {
+		t.Fatalf("err = %v, want ErrTimeout", err)
+	}
+	if caller.Stats().Retransmits == 0 {
+		t.Fatal("the engine never retransmitted")
+	}
+	if err := caller.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitGoroutines(t, before, 0)
+}

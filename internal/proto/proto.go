@@ -24,11 +24,11 @@
 // per peer: each remote endpoint gets a channel object holding its own
 // call-table shard, duplicate-suppression state, and Jacobson/Karels
 // round-trip estimator, managed through a sharded peer map that evicts
-// idle peers. A single retransmission-engine goroutine drives every
-// pending call's timer from one heap. It is the only timer a call uses,
-// which is what makes the asynchronous call API (StartCall/Pending) cost
-// no goroutine, timer or channel per in-flight call, of one packet or of
-// 256. Calls take a context.Context: deadlines bound the whole exchange
+// idle peers. One runtime timer per Conn, the retransmission engine,
+// drives every pending call's retransmission from one heap. It is the only
+// timer a call uses, which is what makes the asynchronous call API
+// (StartCall/Pending) cost no goroutine, timer or channel per in-flight
+// call, of one packet or of 256. Calls take a context.Context: deadlines bound the whole exchange
 // (winning over the retry budget) and cancellation releases the call-table
 // entry and pooled buffers immediately, notifying the server with a
 // best-effort cancel packet.
@@ -102,9 +102,10 @@ type Config struct {
 	// Admission picks the server dispatch queue's shedding policy and
 	// bounds its depth; excess calls are shed with a wire-level overload
 	// rejection (see internal/overload for the policies). A zero Capacity
-	// means a FIFO queue of 1024 calls (defaultQueueCapacity), which only a
-	// flood far beyond the worker pool fills, and leaves AdmissionStats
-	// unreported.
+	// means a FIFO queue of 1024 calls (defaultQueueCapacity) and leaves
+	// AdmissionStats unreported. That queue sheds too once full, which
+	// sustained overload reaches, since a call whose caller timed out stays
+	// queued; Stats().CallsShed counts its sheds.
 	Admission overload.Config
 	// DisableHello makes this endpoint behave as a pre-session binary: it
 	// never initiates hello negotiation and drops hello packets as bad
@@ -265,15 +266,15 @@ type Conn struct {
 	localFeatures   uint64
 	helloNonce      atomic.Uint32
 
-	// Retransmission engine state: a min-heap of pending calls ordered by
-	// next-fire time, drained by the retransLoop goroutine. earliestNs is
-	// the engine's published wake time so schedulers know when a kick is
-	// needed. All guarded by retransMu.
-	retransMu    sync.Mutex
-	rheap        []*outCall
-	earliestNs   int64
-	retransSched uint64 // schedules since startup; lets the engine see recent traffic
-	retransKick  chan struct{}
+	// Retransmission engine (retrans.go): a min-heap of pending calls by
+	// next-fire time, drained by the engine timer's function; wake is the
+	// timer's wake time and nextSweep the next idle sweep's, each zero
+	// when there is none. All guarded by retransMu.
+	retransMu sync.Mutex
+	rheap     []*outCall
+	engine    *time.Timer
+	wake      time.Time
+	nextSweep time.Time
 
 	// Server execution: a fixed pool of worker goroutines drains the
 	// bounded admission queue, the real-stack analogue of the Firefly's
@@ -282,7 +283,7 @@ type Conn struct {
 	// Config.Admission set a capacity: only then are the queue's Stats
 	// reported and each handler timed for the service-time estimate they
 	// report and the Deadline policy sheds by. workQuit stops the
-	// retransmission engine on Close.
+	// send queue's flusher on Close.
 	admit         *overload.Queue[execReq]
 	admitExplicit bool
 	workQuit      chan struct{}
@@ -507,13 +508,11 @@ func NewConn(tr transport.Transport, cfg Config, handler Handler) *Conn {
 		cfg.Workers = DefaultConfig().Workers
 	}
 	c := &Conn{
-		tr:          tr,
-		cfg:         cfg,
-		pings:       make(map[uint32]chan struct{}),
-		handler:     handler,
-		workQuit:    make(chan struct{}),
-		retransKick: make(chan struct{}, 1),
-		earliestNs:  int64(1) << 62,
+		tr:       tr,
+		cfg:      cfg,
+		pings:    make(map[uint32]chan struct{}),
+		handler:  handler,
+		workQuit: make(chan struct{}),
 
 		helloVersion:    wire.SessionVersion,
 		helloMinVersion: wire.SessionMinVersion,
@@ -537,7 +536,7 @@ func NewConn(tr transport.Transport, cfg Config, handler Handler) *Conn {
 			go c.worker()
 		}
 	}
-	go c.retransLoop()
+	c.startRetrans()
 	if transport.SupportsBatch(tr) {
 		c.sq = newSendQueue(c, tr.(transport.BatchSender))
 	} else if bs, ok := tr.(transport.BatchSender); ok {
@@ -663,6 +662,7 @@ func (c *Conn) Close() error {
 		return nil
 	}
 	close(c.workQuit)
+	c.engine.Stop()
 	if c.admit != nil {
 		// Sheds everything still queued (decrementing the per-channel
 		// executing counts) and unblocks the workers.

@@ -1,37 +1,53 @@
 package proto
 
 import (
+	"math"
 	"time"
 
 	"fireflyrpc/internal/wire"
 )
 
-// The retransmission engine: one goroutine per Conn drives every pending
-// call's retransmission timer off a single min-heap, replacing the old
-// scheme where each blocked caller goroutine ran its own timer loop. It is
-// the only timer a call uses. The caller drives recovery, as in Birrell and
-// Nelson's design: the engine resends a call's unacknowledged argument
-// window or, once the arguments are in, its retained final fragment, and
-// that retransmission is what asks a server to resend its retained result
-// or the unacknowledged window of a multi-fragment one. The server keeps
-// no timer for a call and sends only in reply to the caller's packets.
-// This is what makes the async API cheap — a thousand in-flight calls cost
-// one timer goroutine, not a thousand, whatever their size — and it gives
-// cancellation and per-call deadlines one place to be enforced.
+// The retransmission engine: the function of one runtime timer per Conn
+// (time.AfterFunc). It drives every pending call's retransmission off a
+// single min-heap and doubles as the idle-peer sweeper; no goroutine waits
+// on it. The caller drives recovery, as in Birrell and Nelson's design: the
+// engine resends a call's unacknowledged argument window or, once the
+// arguments are in, its retained final fragment, and that retransmission
+// is what asks a server to resend its retained result or the
+// unacknowledged window of a multi-fragment one. The server keeps no timer
+// for a call and sends only in reply to the caller's packets. So a
+// thousand in-flight calls cost one timer, not a thousand, whatever their
+// size, and cancellation and per-call deadlines have one place to be
+// enforced. A call that completes in time leaves the timer armed, and the
+// tick that finds nothing due re-arms for the heap's top: a tight call loop
+// resets the timer about once per retransmission interval, not per call.
 //
-// Locking: heap order (heapAt/heapIdx/inHeap) and earliestNs are guarded
-// by retransMu; a call's retransmission state (out, frame, nextAt,
-// interval, retries, deadline) by its outCall.mu. The only nesting is
-// retransMu → outCall.mu, never the reverse.
+// Locking: heap order (heapAt/heapIdx/inHeap), wake, nextSweep and every
+// Reset of the timer are guarded by retransMu, since after a Reset the
+// timer's function can run concurrently with itself; a call's
+// retransmission state (out, frame, nextAt, interval, retries, deadline)
+// by its outCall.mu. The only nesting is retransMu → outCall.mu.
 
-// maxEngineSleep bounds the engine's nap so config changes and sweeps are
-// never starved behind an empty heap.
-const maxEngineSleep = time.Minute
+// startRetrans creates the Conn's engine timer, armed for the first idle
+// sweep when PeerIdleTimeout enables sweeps; otherwise the first schedule
+// arms it. The lock orders the timer's creation before its first tick.
+func (c *Conn) startRetrans() {
+	c.retransMu.Lock()
+	defer c.retransMu.Unlock()
+	d := time.Duration(math.MaxInt64)
+	if every := c.cfg.PeerIdleTimeout / 2; every > 0 {
+		d = every
+		c.nextSweep = time.Now().Add(every)
+		c.wake = c.nextSweep
+	}
+	c.engine = time.AfterFunc(d, c.retransTick)
+}
 
 // scheduleRetrans arms the engine to look at one call at `at` unless the
 // call completes first, moving an entry already in the heap up if `at` is
 // earlier. The key re-check makes a stale schedule of a recycled outCall a
-// no-op.
+// no-op. The timer is reset only for a time earlier than its wake; while a
+// tick runs, wake is in the past, and the tick re-arms for what was pushed.
 func (c *Conn) scheduleRetrans(oc *outCall, k callKey, at time.Time) {
 	c.retransMu.Lock()
 	oc.mu.Lock()
@@ -43,13 +59,9 @@ func (c *Conn) scheduleRetrans(oc *outCall, k callKey, at time.Time) {
 			oc.inHeap = true
 			c.heapPush(oc)
 		}
-		c.retransSched++
-		if ns := at.UnixNano(); ns < c.earliestNs {
-			c.earliestNs = ns
-			select {
-			case c.retransKick <- struct{}{}:
-			default:
-			}
+		if c.wake.IsZero() || at.Before(c.wake) {
+			c.wake = at
+			c.engine.Reset(time.Until(at))
 		}
 	}
 	oc.mu.Unlock()
@@ -63,87 +75,44 @@ func (c *Conn) unscheduleRetrans(oc *outCall, k callKey) {
 	oc.mu.Lock()
 	if oc.inHeap && oc.key == k {
 		c.heapRemove(oc.heapIdx)
-		oc.inHeap = false
 	}
 	oc.mu.Unlock()
 	c.retransMu.Unlock()
 }
 
-// retransLoop is the engine goroutine. It pops due calls, retransmits or
-// times them out, and doubles as the idle-peer sweeper so no separate
-// janitor goroutine exists.
-func (c *Conn) retransLoop() {
-	timer := time.NewTimer(maxEngineSleep)
-	defer timer.Stop()
-	var due []*outCall
-	var lastSched uint64
-	sweepEvery := c.cfg.PeerIdleTimeout / 2
-	if sweepEvery <= 0 {
-		sweepEvery = maxEngineSleep
+// retransTick is the engine timer's function. It retransmits or times out
+// every call due by the time it fired, re-arms the timer for the heap's
+// top or the next sweep, whichever comes first, and runs the idle sweep
+// when one is due. A tick after Close returns at once.
+func (c *Conn) retransTick() {
+	if c.closed.Load() {
+		return
 	}
-	nextSweep := time.Now().Add(sweepEvery)
+	now := time.Now()
 	for {
-		now := time.Now()
-		due = due[:0]
 		c.retransMu.Lock()
-		for len(c.rheap) > 0 && !c.rheap[0].heapAt.After(now) {
-			oc := c.heapPop()
-			oc.inHeap = false
-			due = append(due, oc)
+		if len(c.rheap) == 0 || c.rheap[0].heapAt.After(now) {
+			break // holding retransMu
 		}
+		oc := c.rheap[0]
+		c.heapRemove(0)
 		c.retransMu.Unlock()
-		for _, oc := range due {
-			c.fireRetrans(oc)
-		}
-		if c.cfg.PeerIdleTimeout > 0 && !now.Before(nextSweep) {
-			c.sweepIdle(now)
-			nextSweep = now.Add(sweepEvery)
-		}
-
-		// Decide how long to sleep, publishing the wake time so a
-		// concurrent schedule of an earlier deadline can kick us awake.
-		base := time.Now()
-		wake := base.Add(maxEngineSleep)
-		if c.cfg.PeerIdleTimeout > 0 && nextSweep.Before(wake) {
-			wake = nextSweep
-		}
-		c.retransMu.Lock()
-		if len(c.rheap) > 0 {
-			if c.rheap[0].heapAt.Before(wake) {
-				wake = c.rheap[0].heapAt
-			}
-		} else if c.retransSched != lastSched {
-			// The heap is empty but calls were scheduled since our last
-			// wake: traffic is flowing and calls are completing faster than
-			// their retransmission deadlines. Linger one floor interval
-			// instead of publishing a far-future wake, so the next call's
-			// schedule lands after earliestNs and needn't kick us — without
-			// this, every call in a tight loop pays a channel send and an
-			// engine wakeup.
-			if lw := base.Add(c.cfg.RetransInterval / 8); lw.Before(wake) {
-				wake = lw
-			}
-		}
-		lastSched = c.retransSched
-		c.earliestNs = wake.UnixNano()
-		c.retransMu.Unlock()
-		d := time.Until(wake)
-		if d < 0 {
-			d = 0
-		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timer.Reset(d)
-		select {
-		case <-timer.C:
-		case <-c.retransKick:
-		case <-c.workQuit:
-			return
-		}
+		c.fireRetrans(oc)
+	}
+	sweep := !c.nextSweep.IsZero() && !now.Before(c.nextSweep)
+	if sweep {
+		c.nextSweep = now.Add(c.cfg.PeerIdleTimeout / 2)
+	}
+	c.wake = c.nextSweep
+	if len(c.rheap) > 0 && (c.wake.IsZero() || c.rheap[0].heapAt.Before(c.wake)) {
+		c.wake = c.rheap[0].heapAt
+	}
+	if !c.wake.IsZero() {
+		c.engine.Reset(time.Until(c.wake))
+	}
+	c.retransMu.Unlock()
+	if sweep {
+		c.sweepIdle(now)
 	}
 }
 
@@ -237,13 +206,8 @@ func (c *Conn) heapPush(oc *outCall) {
 	c.heapUp(oc.heapIdx)
 }
 
-func (c *Conn) heapPop() *outCall {
-	oc := c.rheap[0]
-	c.heapRemove(0)
-	return oc
-}
-
 func (c *Conn) heapRemove(i int) {
+	c.rheap[i].inHeap = false
 	last := len(c.rheap) - 1
 	if i != last {
 		c.rheap[i] = c.rheap[last]

@@ -249,7 +249,7 @@ func (w *workloadRun) onRTO(c *call) {
 		if !c.warmup {
 			w.failures++
 		}
-		w.next(c, sim.Duration(w.spec.Think))
+		w.next(c, 0)
 		return
 	}
 	c.retransmitted = true
@@ -280,7 +280,7 @@ func (w *workloadRun) onResponse(c *call) {
 		}
 	}
 	w.finish(c)
-	w.next(c, sim.Duration(w.spec.Think))
+	w.next(c, 0)
 }
 
 // onReject records a wire-level admission rejection; a closed-loop slot
@@ -303,7 +303,7 @@ func (w *workloadRun) onDeadline(c *call) {
 		w.timeouts++
 	}
 	w.finish(c)
-	w.next(c, sim.Duration(w.spec.Think))
+	w.next(c, 0)
 }
 
 // finish retires the call: late or duplicate replies find nothing.
@@ -321,8 +321,9 @@ func (w *workloadRun) finish(c *call) {
 	delete(w.ex.calls, c.id)
 }
 
-// next keeps a closed-loop slot running: after the resolution delay the
-// slot launches its successor (launch itself enforces the window).
+// next keeps a closed-loop slot running: after delay (zero, or the backoff
+// after a rejection) the slot launches its successor (launch itself
+// enforces the window).
 func (w *workloadRun) next(c *call, delay sim.Duration) {
 	if !c.closed {
 		return

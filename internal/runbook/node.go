@@ -127,17 +127,8 @@ func (n *node) kick() {
 		n.busy++
 		st.status = stServing
 		st.svcStart = n.ex.k.Now()
-		n.ex.k.After(n.serviceTime(), func() { n.complete(st) })
+		n.ex.k.After(sim.Duration(n.spec.service()), func() { n.complete(st) })
 	}
-}
-
-// serviceTime draws this call's service duration.
-func (n *node) serviceTime() sim.Duration {
-	d := sim.Duration(n.spec.service())
-	if j := n.spec.ServiceJitter; j > 0 {
-		d += n.ex.k.RNG().Duration(sim.Duration(j))
-	}
-	return d
 }
 
 // complete finishes a served call: stamp, learn, reply, take the next one.

@@ -114,8 +114,6 @@ type NodeSpec struct {
 	Workers int `json:"workers,omitempty"`
 	// Service is the fixed per-call handler time; default 100µs.
 	Service Duration `json:"service,omitempty"`
-	// ServiceJitter adds a uniform [0, jitter) draw per call.
-	ServiceJitter Duration `json:"service_jitter,omitempty"`
 	// Admission bounds the server's dispatch queue; zero capacity means an
 	// unbounded FIFO queue with no shedding.
 	Admission AdmissionSpec `json:"admission,omitempty"`
@@ -180,8 +178,6 @@ type WorkloadSpec struct {
 	Mode string `json:"mode"`
 	// Outstanding is the closed-loop fan-out width; default 1.
 	Outstanding int `json:"outstanding,omitempty"`
-	// Think delays each closed-loop caller between calls.
-	Think Duration `json:"think,omitempty"`
 	// RatePerSec is the open-loop arrival rate.
 	RatePerSec float64 `json:"rate_per_sec,omitempty"`
 	// Arrival is the open-loop arrival process: "poisson" (default) or
@@ -206,9 +202,6 @@ type WorkloadSpec struct {
 	// stage identity since its reply may come from either server. Requires
 	// at least two targets. Zero disables hedging.
 	Hedge Duration `json:"hedge,omitempty"`
-	// OverloadBackoff delays a closed-loop caller after a wire-level
-	// rejection; default Timeout/2 (or 1ms when no timeout).
-	OverloadBackoff Duration `json:"overload_backoff,omitempty"`
 	// Start/Stop bound the workload's active window inside the run; a zero
 	// Stop runs to the end.
 	Start Duration `json:"start,omitempty"`
@@ -344,7 +337,7 @@ func (s *Spec) Validate() error {
 		default:
 			return fmt.Errorf("runbook: node %q role %q (want client, server, or mixed)", n.Name, n.Role)
 		}
-		if n.Workers < 0 || n.Service < 0 || n.ServiceJitter < 0 {
+		if n.Workers < 0 || n.Service < 0 {
 			return fmt.Errorf("runbook: node %q has a negative worker count or service time", n.Name)
 		}
 		if n.Role == "client" && (n.Workers != 0 || n.Service != 0 || n.Admission != (AdmissionSpec{})) {
@@ -437,7 +430,7 @@ func (s *Spec) Validate() error {
 			default:
 				return fmt.Errorf("runbook: workload %q arrival %q (want poisson or uniform)", w.Name, w.Arrival)
 			}
-			if w.Outstanding != 0 || w.Think != 0 {
+			if w.Outstanding != 0 {
 				return fmt.Errorf("runbook: workload %q is open-loop but sets closed-loop fields", w.Name)
 			}
 			for j, ph := range w.Phases {
@@ -454,7 +447,7 @@ func (s *Spec) Validate() error {
 		if w.ArgBytes < 0 || w.ArgBytes > MaxPayloadBytes || w.ResultBytes < 0 || w.ResultBytes > MaxPayloadBytes {
 			return fmt.Errorf("runbook: workload %q payload bytes must be in [0, %d]", w.Name, MaxPayloadBytes)
 		}
-		if w.Timeout < 0 || w.Think < 0 || w.OverloadBackoff < 0 || w.Start < 0 || w.Stop < 0 || w.Hedge < 0 {
+		if w.Timeout < 0 || w.Start < 0 || w.Stop < 0 || w.Hedge < 0 {
 			return fmt.Errorf("runbook: workload %q has a negative duration", w.Name)
 		}
 		if w.Hedge > 0 && len(w.Targets) < 2 {
@@ -623,10 +616,9 @@ func (w *WorkloadSpec) outstanding() int {
 	return w.Outstanding
 }
 
+// backoff is how long a closed-loop caller waits after a wire-level
+// rejection: half its timeout, or 1ms when it has none.
 func (w *WorkloadSpec) backoff() time.Duration {
-	if w.OverloadBackoff != 0 {
-		return time.Duration(w.OverloadBackoff)
-	}
 	if w.Timeout != 0 {
 		return time.Duration(w.Timeout) / 2
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"fireflyrpc/internal/costmodel"
+	"fireflyrpc/internal/faultnet"
 	"fireflyrpc/internal/wire"
 )
 
@@ -104,7 +105,7 @@ func TestStreamingBeatsThreadsOnUniprocessor(t *testing.T) {
 func TestFragmentedLossRecovery(t *testing.T) {
 	cfg := costmodel.NewConfig()
 	w := NewWorld(&cfg, 11)
-	w.Seg.LossRate = 0.1
+	w.Seg.SetFaulter(faultnet.Loss(0.1).SimFaulter(11, w.K))
 	spec := StreamResultSpec(&cfg, 3*wire.MaxSinglePacketPayload)
 	w.RegisterProc(spec)
 	r := w.Run(spec, 1, 100)

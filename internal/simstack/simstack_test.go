@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"fireflyrpc/internal/costmodel"
+	"fireflyrpc/internal/faultnet"
 	"fireflyrpc/internal/firefly"
 	"fireflyrpc/internal/wire"
 )
@@ -136,7 +137,7 @@ func TestUnknownProcedureRejected(t *testing.T) {
 func TestRetransmissionRecoversLoss(t *testing.T) {
 	cfg := costmodel.NewConfig()
 	w := NewWorld(&cfg, 42)
-	w.Seg.LossRate = 0.2 // drop a fifth of all frames
+	w.Seg.SetFaulter(faultnet.Loss(0.2).SimFaulter(42, w.K)) // drop a fifth of all frames
 	r := w.Run(NullSpec(&cfg), 2, 120)
 	if r.Errors != 0 {
 		t.Fatalf("%d calls failed despite retransmission", r.Errors)
@@ -169,8 +170,9 @@ func TestDuplicateCallGetsRetainedResult(t *testing.T) {
 	})
 	// Lose the first result: there is no direct hook, so approximate with
 	// high loss during the first exchange only.
-	w.Seg.LossRate = 0.5
-	w.K.After(1e9, func() { w.Seg.LossRate = 0 }) // heal after 1 virtual second
+	sf := faultnet.Loss(0.5).SimFaulter(7, w.K)
+	w.Seg.SetFaulter(sf)
+	w.K.After(1e9, func() { sf.Impairer().SetProfile(faultnet.Profile{}) }) // heal after 1 virtual second
 	w.K.Run()
 	if w.ServerStack.Stats.DupCalls > 0 && w.ServerStack.Stats.ResultRetrans == 0 {
 		t.Fatal("duplicate call did not trigger result retransmission")
@@ -180,7 +182,7 @@ func TestDuplicateCallGetsRetainedResult(t *testing.T) {
 func TestCallFailsAfterRetransmitLimit(t *testing.T) {
 	cfg := costmodel.NewConfig()
 	w := NewWorld(&cfg, 3)
-	w.Seg.LossRate = 1.0 // nothing gets through
+	w.Seg.SetFaulter(faultnet.Loss(1.0).SimFaulter(3, w.K)) // nothing gets through
 	err := runOneCall(w, NullSpec(&cfg), nil, nil, false)
 	if err != ErrCallFailed {
 		t.Fatalf("err = %v, want ErrCallFailed", err)

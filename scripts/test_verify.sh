@@ -66,15 +66,11 @@ case "$out" in
 *) fail "vet failure did not print 'FAIL: vet' (got: $out)" ;;
 esac
 
-# 4. A failure in the last step (sim determinism) must propagate too — the
-# contract covers the whole pipeline, not just the early steps.
+# 4. A failure in the test suite (go test without -race) must propagate
+# with its own step name.
 cat >"$tmp/go" <<'EOF'
 #!/bin/sh
-for a in "$@"; do
-	case "$a" in
-	*TestTraceDeterminism*) exit 7 ;;
-	esac
-done
+[ "$1" = "test" ] && [ "$2" = "./..." ] && exit 7
 exit 0
 EOF
 chmod +x "$tmp/go"
@@ -82,19 +78,18 @@ set +e
 out=$(PATH="$tmp:$PATH" sh scripts/verify.sh -q 2>&1)
 status=$?
 set -e
-[ "$status" -ne 0 ] || fail "verify.sh swallowed a sim-determinism failure"
+[ "$status" -ne 0 ] || fail "verify.sh swallowed a test failure"
 case "$out" in
-*"FAIL: sim determinism"*) ;;
-*) fail "determinism failure did not print 'FAIL: sim determinism' (got: $out)" ;;
+*"FAIL: tests"*) ;;
+*) fail "test failure did not print 'FAIL: tests' (got: $out)" ;;
 esac
 
-# 5. A failure in the chaos-smoke tail step — now the last step — must
-# propagate: appending steps to the pipeline must not weaken the contract.
+# 5. A failure in the race pass must propagate with its own step name.
 cat >"$tmp/go" <<'EOF'
 #!/bin/sh
 for a in "$@"; do
 	case "$a" in
-	*TestTailSweepP99Inflation*) exit 9 ;;
+	-race) exit 9 ;;
 	esac
 done
 exit 0
@@ -104,21 +99,17 @@ set +e
 out=$(PATH="$tmp:$PATH" sh scripts/verify.sh -q 2>&1)
 status=$?
 set -e
-[ "$status" -ne 0 ] || fail "verify.sh swallowed a chaos-smoke failure"
+[ "$status" -ne 0 ] || fail "verify.sh swallowed a race failure"
 case "$out" in
-*"FAIL: chaos smoke"*) ;;
-*) fail "chaos-smoke failure did not print 'FAIL: chaos smoke' (got: $out)" ;;
+*"FAIL: race"*) ;;
+*) fail "race failure did not print 'FAIL: race' (got: $out)" ;;
 esac
 
-# 6. A failure in the trace-propagation race step must propagate — the
-# chained-call join gate is part of the contract like every other step.
+# 6. A failure in the last step (the arm64 cross-build) must propagate
+# too: the contract covers the whole pipeline, not just the early steps.
 cat >"$tmp/go" <<'EOF'
 #!/bin/sh
-for a in "$@"; do
-	case "$a" in
-	*TestChainSpansLinked*) exit 11 ;;
-	esac
-done
+[ "${GOARCH:-}" = "arm64" ] && exit 11
 exit 0
 EOF
 chmod +x "$tmp/go"
@@ -126,10 +117,10 @@ set +e
 out=$(PATH="$tmp:$PATH" sh scripts/verify.sh -q 2>&1)
 status=$?
 set -e
-[ "$status" -ne 0 ] || fail "verify.sh swallowed a trace-propagation failure"
+[ "$status" -ne 0 ] || fail "verify.sh swallowed a cross-build failure"
 case "$out" in
-*"FAIL: race: trace-propagation"*) ;;
-*) fail "trace-propagation failure did not print its step (got: $out)" ;;
+*"FAIL: cross-build: linux/arm64"*) ;;
+*) fail "cross-build failure did not print its step (got: $out)" ;;
 esac
 
 # 7. A failure in the runbook-validation step must propagate with its own
@@ -154,51 +145,7 @@ case "$out" in
 *) fail "runbook-validation failure did not print its step (got: $out)" ;;
 esac
 
-# 8. A flight-recorder failure in the alloc-budget step must propagate —
-# the zero-allocation recording guarantee is part of the contract.
-cat >"$tmp/go" <<'EOF'
-#!/bin/sh
-for a in "$@"; do
-	case "$a" in
-	*TestFlightRecorderAllocBudget*) exit 15 ;;
-	esac
-done
-exit 0
-EOF
-chmod +x "$tmp/go"
-set +e
-out=$(PATH="$tmp:$PATH" sh scripts/verify.sh -q 2>&1)
-status=$?
-set -e
-[ "$status" -ne 0 ] || fail "verify.sh swallowed a flight-recorder alloc failure"
-case "$out" in
-*"FAIL: alloc budgets"*) ;;
-*) fail "flight-recorder alloc failure did not print its step (got: $out)" ;;
-esac
-
-# 9. A failure in the cluster-hedging race step must propagate — the
-# replica-set layer's concurrency gate is part of the contract.
-cat >"$tmp/go" <<'EOF'
-#!/bin/sh
-for a in "$@"; do
-	case "$a" in
-	*TestHedged*) exit 17 ;;
-	esac
-done
-exit 0
-EOF
-chmod +x "$tmp/go"
-set +e
-out=$(PATH="$tmp:$PATH" sh scripts/verify.sh -q 2>&1)
-status=$?
-set -e
-[ "$status" -ne 0 ] || fail "verify.sh swallowed a cluster-hedging failure"
-case "$out" in
-*"FAIL: race: cluster-hedging"*) ;;
-*) fail "cluster-hedging failure did not print its step (got: $out)" ;;
-esac
-
-# 10. Unknown flags are rejected with a usage error.
+# 8. Unknown flags are rejected with a usage error.
 set +e
 sh scripts/verify.sh --bogus >/dev/null 2>&1
 status=$?
