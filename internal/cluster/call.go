@@ -58,7 +58,7 @@ type leg struct {
 // issue starts one copy of the call on r with Go. A copy that fails to
 // start is accounted against r and yields no leg.
 func (c *Client) issue(ctx context.Context, r *replica, proc uint16, argSize int, enc func(*marshal.Enc)) (leg, error) {
-	start := time.Now()
+	start := c.clk.Now()
 	p, err := r.cl.Go(ctx, proc, argSize, enc)
 	if err != nil {
 		c.account(r, start, err)
@@ -91,7 +91,8 @@ func (c *Client) abandon(l leg) {
 // hedged is the backup-request path: primary already issued, backup after
 // the hedge delay, first result wins, loser cancelled immediately.
 func (c *Client) hedged(ctx context.Context, reps []*replica, l1 leg, proc uint16, argSize int, enc func(*marshal.Enc), dec func(*marshal.Dec)) error {
-	timer := time.NewTimer(c.hedgeDelay(l1.rep))
+	fire := make(chan struct{})
+	timer := c.clk.AfterFunc(c.hedgeDelay(l1.rep), func() { close(fire) })
 	defer timer.Stop()
 	select {
 	case <-l1.p.Done():
@@ -99,7 +100,7 @@ func (c *Client) hedged(ctx context.Context, reps []*replica, l1 leg, proc uint1
 	case <-ctx.Done():
 		c.abandon(l1)
 		return ctx.Err()
-	case <-timer.C:
+	case <-fire:
 	}
 
 	backup := c.pick(reps, l1.rep)

@@ -33,6 +33,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"fireflyrpc/internal/clock"
 	"fireflyrpc/internal/core"
 	"fireflyrpc/internal/stats"
 	"fireflyrpc/internal/transport"
@@ -116,6 +117,7 @@ func (r *replica) ejected(now time.Time) bool {
 // Client is the replica-set caller: resolve, pick, (maybe) hedge.
 type Client struct {
 	cfg Config
+	clk clock.Clock // accounting, ejection and the hedge timer
 
 	mu       sync.RWMutex
 	replicas []*replica
@@ -151,7 +153,7 @@ func New(ctx context.Context, cfg Config) (*Client, error) {
 	if cfg.EjectFor <= 0 {
 		cfg.EjectFor = time.Second
 	}
-	c := &Client{cfg: cfg, byAddr: make(map[string]*replica)}
+	c := &Client{cfg: cfg, clk: clock.Wall, byAddr: make(map[string]*replica)}
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = 1
@@ -268,7 +270,7 @@ func better(a, b *replica) *replica {
 // ejected) set, excluding `not` (the hedge's primary). Ejection is
 // advisory: with nothing live the ejected replicas are considered anyway.
 func (c *Client) pick(reps []*replica, not *replica) *replica {
-	now := time.Now()
+	now := c.clk.Now()
 	// Gather candidates without allocating in the common small-N case.
 	var buf [8]*replica
 	cand := buf[:0]
@@ -307,7 +309,7 @@ func (c *Client) pick(reps []*replica, not *replica) *replica {
 // account records one issued copy's outcome against its replica.
 func (c *Client) account(r *replica, start time.Time, err error) {
 	if err == nil {
-		r.hist.Observe(time.Since(start))
+		r.hist.Observe(c.clk.Now().Sub(start))
 		r.wins.Add(1)
 		r.consecFails.Store(0)
 		return
@@ -319,7 +321,7 @@ func (c *Client) account(r *replica, start time.Time, err error) {
 	if int(r.consecFails.Add(1)) >= c.cfg.EjectAfter {
 		r.consecFails.Store(0)
 		r.ejections.Add(1)
-		r.ejectedUntil.Store(time.Now().Add(c.cfg.EjectFor).UnixNano())
+		r.ejectedUntil.Store(c.clk.Now().Add(c.cfg.EjectFor).UnixNano())
 	}
 }
 
@@ -383,7 +385,7 @@ func (c *Client) Stats() Stats {
 		HedgesWon:       c.hedgesWon.Load(),
 		HedgesCancelled: c.hedgesCancelled.Load(),
 	}
-	now := time.Now()
+	now := c.clk.Now()
 	for _, r := range reps {
 		snap := r.hist.Snapshot()
 		sum := snap.Summarize()

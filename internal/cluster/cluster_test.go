@@ -3,11 +3,14 @@ package cluster
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"fireflyrpc/internal/clock"
 	"fireflyrpc/internal/core"
 	"fireflyrpc/internal/marshal"
 	"fireflyrpc/internal/overload"
@@ -23,10 +26,15 @@ const echoProc = 1
 type testReplica struct {
 	name  string
 	node  *core.Node
-	delay time.Duration
 	fail  atomic.Bool
-	block chan struct{} // when non-nil, the handler waits for it
 	calls atomic.Int64
+	// A call's service: the handler reports it on entered, waits on block
+	// (a send releases one call, a close all of them), then spends delay
+	// on clk; each step only when set.
+	entered chan *testReplica
+	block   chan struct{}
+	clk     *clock.Manual
+	delay   time.Duration
 }
 
 // replicaWorld builds n replicas of the Echo service on one exchange plus
@@ -50,11 +58,14 @@ func replicaWorldEx(t *testing.T, n int, cfg proto.Config) (reps []*testReplica,
 					return nil, err
 				}
 				r.calls.Add(1)
+				if r.entered != nil {
+					r.entered <- r
+				}
 				if r.block != nil {
 					<-r.block
 				}
 				if r.delay > 0 {
-					time.Sleep(r.delay)
+					r.clk.Advance(r.delay)
 				}
 				if r.fail.Load() {
 					return nil, errors.New("injected failure")
@@ -74,6 +85,31 @@ func replicaWorldEx(t *testing.T, n int, cfg proto.Config) (reps []*testReplica,
 		}
 	})
 	return reps, caller, addrs, ex
+}
+
+// armClock is a manual clock that reports each timer armed on it, so a
+// test advances past a hedge delay only once the hedge timer is set.
+type armClock struct {
+	*clock.Manual
+	armed chan struct{}
+}
+
+func (c armClock) AfterFunc(d time.Duration, f func()) clock.Timer {
+	t := c.Manual.AfterFunc(d, f)
+	c.armed <- struct{}{}
+	return t
+}
+
+// waitFor waits until cond holds, failing the test after 2s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		runtime.Gosched()
+	}
 }
 
 func memParse(s string) (transport.Addr, error) { return transport.AddrOf(s), nil }
@@ -98,12 +134,24 @@ func newTestClient(t *testing.T, caller *core.Node, addrs []string, hedge HedgeC
 // echo drives one logical call and checks the reply.
 func echo(t *testing.T, c *Client, ctx context.Context, v int32) error {
 	t.Helper()
+	err := echoErr(c, ctx, v)
+	if errors.Is(err, errBadEcho) {
+		t.Fatal(err)
+	}
+	return err
+}
+
+var errBadEcho = errors.New("wrong echo")
+
+// echoErr is echo for a goroutine other than the test's: a wrong reply is
+// an error wrapping errBadEcho.
+func echoErr(c *Client, ctx context.Context, v int32) error {
 	var out int32
 	err := c.Call(ctx, echoProc, 4,
 		func(e *marshal.Enc) { e.PutInt32(v) },
 		func(d *marshal.Dec) { out = d.Int32() })
 	if err == nil && out != v+1 {
-		t.Fatalf("echo(%d) = %d", v, out)
+		return fmt.Errorf("%w: echo(%d) = %d", errBadEcho, v, out)
 	}
 	return err
 }
@@ -111,9 +159,13 @@ func echo(t *testing.T, c *Client, ctx context.Context, v int32) error {
 func TestP2CAvoidsSlowReplica(t *testing.T) {
 	cfg := proto.Config{RetransInterval: 50 * time.Millisecond, MaxRetries: 8, Workers: 4}
 	reps, caller, addrs := replicaWorld(t, 3, cfg)
-	reps[0].delay = 2 * time.Millisecond // "a" is the slow outlier
+	// "a" is the slow outlier: each of its calls takes 2 ms of the
+	// client's manual clock, the others none.
+	m := clock.NewManual()
+	reps[0].clk, reps[0].delay = m, 2*time.Millisecond
 
 	c := newTestClient(t, caller, addrs, HedgeConfig{})
+	c.clk = m
 	const calls = 200
 	for i := 0; i < calls; i++ {
 		if err := echo(t, c, context.Background(), int32(i)); err != nil {
@@ -183,55 +235,45 @@ func TestEjectionAfterConsecutiveFailures(t *testing.T) {
 }
 
 // TestHedgedCancelReachesLoser is the acceptance test for cross-server
-// cancellation: on a clean network, the losing server of a hedged call
-// must observe the wire-level cancel notice for ≥90% of hedged calls.
+// cancellation: when the primary of a hedged call answers while the backup
+// is still mid-service, the backup's server gets the wire-level cancel
+// notice, every time.
 func TestHedgedCancelReachesLoser(t *testing.T) {
 	cfg := proto.Config{RetransInterval: 50 * time.Millisecond, MaxRetries: 8, Workers: 4}
 	reps, caller, addrs := replicaWorld(t, 3, cfg)
+	entered := make(chan *testReplica, 1)
 	for _, r := range reps {
-		// Service time far above the hedge delay: when the primary finishes
-		// the backup is reliably still mid-service, so the loser's cancel
-		// is a real cross-server abort, not a no-op on a finished call.
-		r.delay = 15 * time.Millisecond
+		r.entered, r.block = entered, make(chan struct{})
 	}
-	c := newTestClient(t, caller, addrs, HedgeConfig{
-		Enabled: true,
-		After:   5 * time.Millisecond, // every call hedges, a third of the way in
-	})
+	const after = 5 * time.Millisecond
+	c := newTestClient(t, caller, addrs, HedgeConfig{Enabled: true, After: after})
+	m := armClock{clock.NewManual(), make(chan struct{}, 1)}
+	c.clk = m
 	const calls = 40
 	for i := 0; i < calls; i++ {
-		if err := echo(t, c, context.Background(), int32(i)); err != nil {
+		done := make(chan error, 1)
+		go func() { done <- echoErr(c, context.Background(), int32(i)) }()
+		<-m.armed
+		primary := <-entered
+		m.Advance(after) // the hedge fires while the primary is busy
+		backup := <-entered
+		before := backup.node.Conn().Stats().Cancels
+		primary.block <- struct{}{}
+		if err := <-done; err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
+		waitFor(t, "the cancel notice at the hedge's loser", func() bool {
+			return backup.node.Conn().Stats().Cancels > before
+		})
+		backup.block <- struct{}{}
 	}
 	s := c.Stats()
-	if s.HedgesFired != calls {
-		t.Fatalf("hedges fired = %d, want %d", s.HedgesFired, calls)
-	}
-	if s.HedgesCancelled != calls {
-		t.Fatalf("hedges cancelled = %d, want %d", s.HedgesCancelled, calls)
+	if s.HedgesFired != calls || s.HedgesCancelled != calls || s.HedgesWon != 0 {
+		t.Fatalf("hedges fired/cancelled/won = %d/%d/%d, want %d/%d/0",
+			s.HedgesFired, s.HedgesCancelled, s.HedgesWon, calls, calls)
 	}
 	if s.Issued != 2*calls {
 		t.Fatalf("issued = %d, want %d", s.Issued, 2*calls)
-	}
-	// The loser's cancel is one best-effort packet; give the last few a
-	// moment to land, then require ≥90% delivery.
-	want := (s.HedgesCancelled*9 + 9) / 10
-	deadline := time.Now().Add(2 * time.Second)
-	var cancels int64
-	for time.Now().Before(deadline) {
-		cancels = 0
-		for _, r := range reps {
-			cancels += r.node.Conn().Stats().Cancels
-		}
-		if cancels >= want {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if cancels < want {
-		t.Fatalf("servers saw %d cancel notices for %d hedged calls; want ≥%d",
-			cancels, s.HedgesCancelled, want)
 	}
 }
 
@@ -240,28 +282,38 @@ func TestHedgedCancelReachesLoser(t *testing.T) {
 func TestHedgeRescuesSlowPrimary(t *testing.T) {
 	cfg := proto.Config{RetransInterval: 100 * time.Millisecond, MaxRetries: 8, Workers: 4}
 	reps, caller, addrs := replicaWorld(t, 2, cfg)
-	reps[0].delay = 20 * time.Millisecond // "a" stalls well past the hedge delay
+	stalled := make(chan *testReplica, 1)
+	reps[0].entered, reps[0].block = stalled, make(chan struct{}) // "a" stalls until released
 
-	c := newTestClient(t, caller, addrs, HedgeConfig{
-		Enabled: true,
-		After:   500 * time.Microsecond,
-	})
-	slowCallsRescued := 0
+	const after = 500 * time.Microsecond
+	c := newTestClient(t, caller, addrs, HedgeConfig{Enabled: true, After: after})
+	m := armClock{clock.NewManual(), make(chan struct{}, 1)}
+	c.clk = m
+	rescued := 0
 	for i := 0; i < 30; i++ {
-		start := time.Now()
-		if err := echo(t, c, context.Background(), int32(i)); err != nil {
-			t.Fatalf("call %d: %v", i, err)
-		}
-		if d := time.Since(start); d < reps[0].delay {
-			slowCallsRescued++
+		done := make(chan error, 1)
+		go func() { done <- echoErr(c, context.Background(), int32(i)) }()
+		<-m.armed
+		select {
+		case err := <-done: // "b" was the primary
+			if err != nil {
+				t.Fatalf("call %d: %v", i, err)
+			}
+		case <-stalled:
+			m.Advance(after)
+			if err := <-done; err != nil {
+				t.Fatalf("call %d: %v", i, err)
+			}
+			rescued++
+			reps[0].block <- struct{}{}
 		}
 	}
 	s := c.Stats()
-	if s.HedgesWon == 0 {
-		t.Fatalf("no hedge ever won despite a 40×-slower primary: %+v", s)
+	if rescued == 0 {
+		t.Fatal("the stalling replica was never the primary; the test exercised nothing")
 	}
-	if slowCallsRescued == 0 {
-		t.Fatal("every call paid the slow replica's full delay; hedging bought nothing")
+	if s.HedgesWon != int64(rescued) {
+		t.Fatalf("hedges won = %d, want one per call the stalled primary held (%d): %+v", s.HedgesWon, rescued, s)
 	}
 }
 
@@ -299,18 +351,11 @@ func TestBudgetPropagatesThroughCluster(t *testing.T) {
 			t.Fatal(err)
 		}
 		pendings = append(pendings, p)
-		waitUntil := time.Now().Add(2 * time.Second)
-		for {
+		waitFor(t, fmt.Sprintf("filler %d to settle", i), func() bool {
 			// One filler executing (Served), then the queue fills behind it.
 			s, ok := reps[0].node.Conn().AdmissionStats()
-			if ok && s.Served >= 1 && s.Depth >= i {
-				break
-			}
-			if time.Now().After(waitUntil) {
-				t.Fatalf("filler %d never settled: %+v", i, s)
-			}
-			time.Sleep(time.Millisecond)
-		}
+			return ok && s.Served >= 1 && s.Depth >= i
+		})
 	}
 
 	// A cluster call with a tight deadline arrives at the full queue. The
@@ -363,13 +408,9 @@ func TestFanoutQuorumAndStragglerCancel(t *testing.T) {
 		t.Fatalf("acks = %d (decoded %d), want 2", acks, decoded)
 	}
 	// The straggler must be told to stop: its server sees a cancel notice.
-	deadline := time.Now().Add(2 * time.Second)
-	for reps[2].node.Conn().Stats().Cancels == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("straggler replica never saw the cancel notice")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitFor(t, "the straggler's cancel notice", func() bool {
+		return reps[2].node.Conn().Stats().Cancels != 0
+	})
 	close(reps[2].block)
 }
 

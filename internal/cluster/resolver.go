@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"fireflyrpc/internal/clock"
 	"fireflyrpc/internal/registry"
 )
 
@@ -33,7 +34,7 @@ func (s Static) Resolve(context.Context) ([]string, error) { return s, nil }
 type RegistryResolver struct {
 	service string
 	ttl     time.Duration
-	clock   func() time.Time
+	clk     clock.Clock
 
 	// reg is only ever used under resolveMu: registry.Client (like every
 	// core.Client user) is not safe for concurrent calls.
@@ -55,7 +56,7 @@ func NewRegistryResolver(reg *registry.Client, service string, ttl time.Duration
 	if ttl <= 0 {
 		ttl = time.Second
 	}
-	return &RegistryResolver{service: service, ttl: ttl, clock: time.Now, reg: reg}
+	return &RegistryResolver{service: service, ttl: ttl, clk: clock.Wall, reg: reg}
 }
 
 // Resolve returns the live replica set, honouring the cache TTL.
@@ -63,7 +64,7 @@ func (r *RegistryResolver) Resolve(ctx context.Context) ([]string, error) {
 	r.mu.Lock()
 	addrs, exp := r.addrs, r.expires
 	r.mu.Unlock()
-	now := r.clock()
+	now := r.clk.Now()
 	if len(addrs) > 0 {
 		if now.Before(exp) {
 			return addrs, nil
@@ -96,7 +97,7 @@ func (r *RegistryResolver) lookup(ctx context.Context) ([]string, error) {
 	}
 	r.mu.Lock()
 	r.addrs = addrs
-	r.expires = r.clock().Add(r.ttl)
+	r.expires = r.clk.Now().Add(r.ttl)
 	r.mu.Unlock()
 	return addrs, nil
 }

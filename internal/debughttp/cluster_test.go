@@ -32,7 +32,6 @@ func TestClusterViewUnderLiveTraffic(t *testing.T) {
 				if err := d.Err(); err != nil {
 					return nil, err
 				}
-				time.Sleep(200 * time.Microsecond)
 				return core.Reply(4, func(e *marshal.Enc) { e.PutInt32(v + 1) })
 			}))
 		addrs = append(addrs, name)
@@ -46,7 +45,7 @@ func TestClusterViewUnderLiveTraffic(t *testing.T) {
 		ParseAddr: func(s string) (transport.Addr, error) { return transport.AddrOf(s), nil },
 		Iface:     "Echo",
 		Version:   1,
-		Hedge:     cluster.HedgeConfig{Enabled: true, After: 100 * time.Microsecond},
+		Hedge:     cluster.HedgeConfig{Enabled: true, After: time.Nanosecond}, // every call hedges
 		Seed:      3,
 	})
 	if err != nil {

@@ -34,7 +34,7 @@
 // The queue is the protocol's only dispatch path: a server without an
 // explicit admission bound still drains a FIFO queue of a fixed default
 // capacity. It is also the scenario simulator's admission queue
-// (internal/runbook), which hands NewQueueClock its virtual clock and
+// (internal/runbook), which hands NewQueue its kernel's virtual clock and
 // drains with TryTake. The uncontended cost is kept to a lock, a ring-slot
 // store and a condition signal: arrival and service clocks are read only
 // where a policy or a reported service-time estimate consumes them.
@@ -45,6 +45,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"fireflyrpc/internal/clock"
 )
 
 // Policy selects the admission/shedding discipline.
@@ -126,11 +128,6 @@ type Stats struct {
 	ServiceEWMAUs float64 `json:"service_ewma_us"`
 }
 
-// start anchors the default monotonic clock.
-var start = time.Now()
-
-func nowNs() int64 { return int64(time.Since(start)) }
-
 // entry is one queued request.
 type entry[T any] struct {
 	v         T
@@ -158,7 +155,8 @@ func (e entry[T]) remaining(now int64) int64 {
 // does not allocate.
 type Queue[T any] struct {
 	cfg    Config
-	now    func() int64
+	clk    clock.Clock
+	origin time.Time // clk's reading at NewQueue; ages count from it
 	onShed func(T, Reason)
 
 	mu     sync.Mutex
@@ -176,24 +174,21 @@ type Queue[T any] struct {
 	maxDepth     int
 }
 
-// NewQueue builds a queue on the monotonic clock; onShed receives every
-// shed request (called without the queue lock held; it may send on the
-// network, or offer again).
-func NewQueue[T any](cfg Config, onShed func(T, Reason)) *Queue[T] {
-	return NewQueueClock(cfg, nowNs, onShed)
-}
-
-// NewQueueClock builds a queue that ages requests by now, a clock in
-// nanoseconds from any fixed origin — a discrete-event simulation passes
-// its virtual clock.
-func NewQueueClock[T any](cfg Config, now func() int64, onShed func(T, Reason)) *Queue[T] {
+// NewQueue builds a queue that ages requests on clk (the wall clock's
+// readings subtract monotonically; a discrete-event simulation passes its
+// virtual clock). onShed receives every shed request (called without the
+// queue lock held; it may send on the network, or offer again).
+func NewQueue[T any](cfg Config, clk clock.Clock, onShed func(T, Reason)) *Queue[T] {
 	if cfg.Capacity <= 0 {
 		panic("overload: NewQueue with non-positive capacity")
 	}
-	q := &Queue[T]{cfg: cfg, now: now, onShed: onShed}
+	q := &Queue[T]{cfg: cfg, clk: clk, origin: clk.Now(), onShed: onShed}
 	q.cond = sync.NewCond(&q.mu)
 	return q
 }
+
+// now is the clock's reading in nanoseconds since the queue was built.
+func (q *Queue[T]) now() int64 { return int64(q.clk.Now().Sub(q.origin)) }
 
 // slot is the i-th queued request, oldest first.
 func (q *Queue[T]) slot(i int) *entry[T] { return &q.ring[(q.head+i)%len(q.ring)] }

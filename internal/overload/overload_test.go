@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"fireflyrpc/internal/clock"
 )
 
 // shedlog records the shed callback's deliveries.
@@ -43,7 +45,7 @@ func TestParsePolicy(t *testing.T) {
 
 func TestFIFOOrderAndDropTail(t *testing.T) {
 	var l shedlog
-	q := NewQueue[int](Config{Policy: FIFO, Capacity: 3}, l.fn)
+	q := NewQueue[int](Config{Policy: FIFO, Capacity: 3}, clock.Wall, l.fn)
 	for i := 1; i <= 3; i++ {
 		if !q.Offer(i, 0) {
 			t.Fatalf("offer %d rejected below capacity", i)
@@ -69,7 +71,7 @@ func TestFIFOOrderAndDropTail(t *testing.T) {
 
 func TestLIFOServesNewestShedsOldest(t *testing.T) {
 	var l shedlog
-	q := NewQueue[int](Config{Policy: LIFO, Capacity: 3}, l.fn)
+	q := NewQueue[int](Config{Policy: LIFO, Capacity: 3}, clock.Wall, l.fn)
 	for i := 1; i <= 3; i++ {
 		q.Offer(i, 0)
 	}
@@ -87,7 +89,7 @@ func TestLIFOServesNewestShedsOldest(t *testing.T) {
 
 func TestDeadlineShedsLeastBudgetOnOverflow(t *testing.T) {
 	var l shedlog
-	q := NewQueue[int](Config{Policy: Deadline, Capacity: 3}, l.fn)
+	q := NewQueue[int](Config{Policy: Deadline, Capacity: 3}, clock.Wall, l.fn)
 	ms := int64(time.Millisecond)
 	q.Offer(1, 100*ms)
 	q.Offer(2, 5*ms) // least remaining budget: the victim
@@ -109,7 +111,7 @@ func TestDeadlineShedsLeastBudgetOnOverflow(t *testing.T) {
 
 func TestDeadlineShedsStaleAtDequeue(t *testing.T) {
 	var l shedlog
-	q := NewQueue[int](Config{Policy: Deadline, Capacity: 8}, l.fn)
+	q := NewQueue[int](Config{Policy: Deadline, Capacity: 8}, clock.Wall, l.fn)
 	// Service time estimate: 10ms per request.
 	q.ObserveService(10 * time.Millisecond)
 	q.Offer(1, int64(time.Millisecond))   // budget < EWMA: dead on arrival at the worker
@@ -138,7 +140,7 @@ func TestDeadlineShedsStaleAtDequeue(t *testing.T) {
 // correct the estimate. Shedding decays it until a request is served.
 func TestDeadlineEstimateRecoversFromOutlier(t *testing.T) {
 	var l shedlog
-	q := NewQueue[int](Config{Policy: Deadline, Capacity: 64}, l.fn)
+	q := NewQueue[int](Config{Policy: Deadline, Capacity: 64}, clock.Wall, l.fn)
 	q.ObserveService(time.Second)
 	for i := 1; i <= 40; i++ {
 		q.Offer(i, 10*int64(time.Millisecond))
@@ -153,7 +155,7 @@ func TestDeadlineEstimateRecoversFromOutlier(t *testing.T) {
 	}
 }
 
-// Sustained 2× saturation on an injected clock: 2 workers × 10ms service
+// Sustained 2× saturation on a manual clock: 2 workers × 10ms service
 // against 24 closed-loop callers with 50ms budgets, each re-offering the
 // moment its request is served or shed. The callers start staggered across
 // one service time, so requests reach the head of the queue with any
@@ -167,26 +169,31 @@ func TestDeadlineSaturationServesNoneLate(t *testing.T) {
 		service = 10 * int64(time.Millisecond)
 		budget  = 50 * int64(time.Millisecond)
 	)
-	var clock int64
+	m := clock.NewManual()
+	var now int64 // m's reading, in nanoseconds since the queue was built
+	setNow := func(t int64) {
+		m.Advance(time.Duration(t - now))
+		now = t
+	}
 	offered := make([]int64, callers) // caller → when its request was offered
 	var q *Queue[int]
 	offer := func(c int) {
-		offered[c] = clock
+		offered[c] = now
 		q.Offer(c, budget)
 	}
 	shed, served := 0, 0
-	q = NewQueueClock(Config{Policy: Deadline, Capacity: callers}, func() int64 { return clock },
+	q = NewQueue(Config{Policy: Deadline, Capacity: callers}, m,
 		func(c int, _ Reason) { shed++; offer(c) })
 	var busy [workers]struct {
 		caller int
 		until  int64 // 0 = idle
 	}
 	started := 0 // caller c makes its first offer at c*service/callers
-	for clock < 2*int64(time.Second) {
+	for now < 2*int64(time.Second) {
 		for w := range busy {
 			if busy[w].until == 0 {
 				if c, ok := q.TryTake(); ok {
-					busy[w].caller, busy[w].until = c, clock+service
+					busy[w].caller, busy[w].until = c, now+service
 				}
 			}
 		}
@@ -197,7 +204,7 @@ func TestDeadlineSaturationServesNoneLate(t *testing.T) {
 			}
 		}
 		if started < callers && (next < 0 || int64(started)*service/callers < busy[next].until) {
-			clock = int64(started) * service / callers
+			setNow(int64(started) * service / callers)
 			offer(started)
 			started++
 			continue
@@ -206,10 +213,10 @@ func TestDeadlineSaturationServesNoneLate(t *testing.T) {
 			t.Fatal("no request in service: every caller was shed at once")
 		}
 		b := &busy[next]
-		clock = b.until
-		if late := clock - (offered[b.caller] + budget); late > 0 {
+		setNow(b.until)
+		if late := now - (offered[b.caller] + budget); late > 0 {
 			t.Fatalf("caller %d served %v past its budget at t=%v (after %d served, %d shed)",
-				b.caller, time.Duration(late), time.Duration(clock), served, shed)
+				b.caller, time.Duration(late), time.Duration(now), served, shed)
 		}
 		served++
 		q.ObserveService(time.Duration(service))
@@ -224,7 +231,7 @@ func TestDeadlineSaturationServesNoneLate(t *testing.T) {
 func TestDeadlineColdStartServesEverything(t *testing.T) {
 	// Before any service observation the EWMA is zero: nothing is shed at
 	// dequeue, however small its budget.
-	q := NewQueue[int](Config{Policy: Deadline, Capacity: 4}, func(int, Reason) {
+	q := NewQueue[int](Config{Policy: Deadline, Capacity: 4}, clock.Wall, func(int, Reason) {
 		t.Error("cold-start queue shed a request")
 	})
 	q.Offer(1, 1)
@@ -234,13 +241,22 @@ func TestDeadlineColdStartServesEverything(t *testing.T) {
 }
 
 func TestTakeBlocksUntilOffer(t *testing.T) {
-	q := NewQueue[int](Config{Policy: FIFO, Capacity: 2}, func(int, Reason) {})
+	q := NewQueue[int](Config{Policy: FIFO, Capacity: 2}, clock.Wall, func(int, Reason) {})
 	got := make(chan int, 1)
+	taking := make(chan struct{})
 	go func() {
+		close(taking)
 		v, _ := q.Take()
 		got <- v
 	}()
-	time.Sleep(10 * time.Millisecond)
+	<-taking
+	select {
+	case v := <-got:
+		t.Fatalf("Take returned %d from an empty queue", v)
+	default:
+	}
+	// The taker may or may not have parked yet; either way the Offer is
+	// what it returns.
 	q.Offer(9, 0)
 	select {
 	case v := <-got:
@@ -254,18 +270,20 @@ func TestTakeBlocksUntilOffer(t *testing.T) {
 
 func TestCloseDrainsAndUnblocks(t *testing.T) {
 	var l shedlog
-	q := NewQueue[int](Config{Policy: FIFO, Capacity: 4}, l.fn)
+	q := NewQueue[int](Config{Policy: FIFO, Capacity: 4}, clock.Wall, l.fn)
 	q.Offer(1, 0)
 	q.Offer(2, 0)
 	done := make(chan bool, 1)
+	drained := make(chan struct{})
 	go func() {
 		// Drain the two queued items, then block until Close.
 		q.Take()
 		q.Take()
+		drained <- struct{}{}
 		_, ok := q.Take()
 		done <- ok
 	}()
-	time.Sleep(10 * time.Millisecond)
+	<-drained
 	q.Close()
 	select {
 	case ok := <-done:
@@ -288,7 +306,7 @@ func TestCloseDrainsAndUnblocks(t *testing.T) {
 
 func TestCloseShedsQueued(t *testing.T) {
 	var l shedlog
-	q := NewQueue[int](Config{Policy: FIFO, Capacity: 4}, l.fn)
+	q := NewQueue[int](Config{Policy: FIFO, Capacity: 4}, clock.Wall, l.fn)
 	q.Offer(1, 0)
 	q.Offer(2, 0)
 	q.Close()
@@ -303,7 +321,7 @@ func TestCloseShedsQueued(t *testing.T) {
 }
 
 func TestObserveServiceEWMA(t *testing.T) {
-	q := NewQueue[int](Config{Policy: Deadline, Capacity: 1}, func(int, Reason) {})
+	q := NewQueue[int](Config{Policy: Deadline, Capacity: 1}, clock.Wall, func(int, Reason) {})
 	q.ObserveService(8 * time.Millisecond)
 	if got := q.Stats().ServiceEWMAUs; got != 8000 {
 		t.Fatalf("first observation EWMA %vus, want 8000", got)
@@ -318,7 +336,7 @@ func TestObserveServiceEWMA(t *testing.T) {
 // allocate in steady state.
 func TestRingOrderAndSteadyStateAllocs(t *testing.T) {
 	for _, p := range []Policy{FIFO, LIFO, Deadline} {
-		q := NewQueue[int](Config{Policy: p, Capacity: 40}, func(int, Reason) {})
+		q := NewQueue[int](Config{Policy: p, Capacity: 40}, clock.Wall, func(int, Reason) {})
 		take := func(want int) {
 			t.Helper()
 			if v, ok := q.Take(); !ok || v != want {
@@ -357,7 +375,7 @@ func TestRingOrderAndSteadyStateAllocs(t *testing.T) {
 	// A Deadline victim in the middle of a wrapped ring leaves the others
 	// in order.
 	var l shedlog
-	q := NewQueue[int](Config{Policy: Deadline, Capacity: 4}, l.fn)
+	q := NewQueue[int](Config{Policy: Deadline, Capacity: 4}, clock.Wall, l.fn)
 	ms := int64(time.Millisecond)
 	for i := 0; i < 4; i++ {
 		q.Offer(i, 100*ms)
@@ -383,7 +401,7 @@ func TestConcurrentExactlyOnce(t *testing.T) {
 	var shedN sync.Map
 	var shedCount int64
 	var mu sync.Mutex
-	q := NewQueue[int](Config{Policy: LIFO, Capacity: 16}, func(v int, _ Reason) {
+	q := NewQueue[int](Config{Policy: LIFO, Capacity: 16}, clock.Wall, func(v int, _ Reason) {
 		mu.Lock()
 		shedCount++
 		mu.Unlock()
@@ -424,9 +442,8 @@ func TestConcurrentExactlyOnce(t *testing.T) {
 		}(p)
 	}
 	producersWG.Wait()
-	// Give consumers a moment to drain, then close (shedding leftovers).
-	time.Sleep(50 * time.Millisecond)
-	q.Close()
+	q.Close() // sheds whatever the consumers have not taken
+
 	consumers.Wait()
 	mu.Lock()
 	total := servedCount + shedCount

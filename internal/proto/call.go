@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"fireflyrpc/internal/buffer"
+	"fireflyrpc/internal/clock"
 	"fireflyrpc/internal/transport"
 	"fireflyrpc/internal/wire"
 )
@@ -73,7 +74,7 @@ func (p *Pending) Await(ctx context.Context) ([]byte, error) {
 	oc.trace = nil
 	oc.mu.Unlock()
 	if rec != nil {
-		rec.stamp(StageWakeup)
+		rec.stamp(StageWakeup, c.traceNow())
 	}
 	if frame != nil {
 		frame.Release()
@@ -81,7 +82,7 @@ func (p *Pending) Await(ctx context.Context) ([]byte, error) {
 	if err == nil {
 		c.stats.callsCompleted.Add(1)
 		if !sentAt.IsZero() {
-			elapsed := time.Since(sentAt)
+			elapsed := c.clk.Now().Sub(sentAt)
 			if retries == 0 && onePacket {
 				// Karn's rule: only un-retransmitted calls feed the per-peer
 				// round-trip estimator.
@@ -100,9 +101,8 @@ func (p *Pending) Await(ctx context.Context) ([]byte, error) {
 	return res, err
 }
 
-// cancelNotify fails the call with cause and tells the server — best
-// effort, one unacknowledged packet — that the caller has abandoned it, so
-// the server can drop reassembly state and skip retaining the result.
+// cancelNotify fails the call with cause and tells the server that the
+// caller has abandoned it (sendCancel).
 func (p *Pending) cancelNotify(cause error) {
 	oc, k := p.oc, p.k
 	oc.mu.Lock()
@@ -111,18 +111,24 @@ func (p *Pending) cancelNotify(cause error) {
 		oc.finishLocked(k, nil, cause)
 	}
 	oc.mu.Unlock()
-	if already {
-		return
+	if !already {
+		p.c.sendCancel(p.ch, k)
 	}
-	p.c.flight.record(FlightCancelSent, k.activity, k.seq, 0)
-	if p.ch.features()&wire.FeatCancel == 0 {
+}
+
+// sendCancel tells ch's peer — best effort, one unacknowledged packet —
+// that the caller has abandoned call k, so the server can drop reassembly
+// state, skip the call if it is still queued, and not retain the result.
+func (c *Conn) sendCancel(ch *channel, k callKey) {
+	c.flight.record(FlightCancelSent, k.activity, k.seq, 0)
+	if ch.features()&wire.FeatCancel == 0 {
 		// The negotiated session says the peer does not understand cancel
 		// packets; the local call still fails immediately, the server just
 		// wastes one execution (exactly the lost-cancel outcome).
 		return
 	}
 	h := wire.RPCHeader{Type: wire.TypeCancel, Activity: k.activity, Seq: k.seq, FragCount: 1}
-	_ = p.c.sendFrame(p.ch.peer, h, nil)
+	_ = c.sendFrame(ch.peer, h, nil)
 }
 
 // StartCall starts an asynchronous call into the caller-provided handle p,
@@ -198,7 +204,7 @@ func (c *Conn) StartCall(ctx context.Context, dst transport.Addr, activity uint6
 	// holds even while retransmissions keep being answered.
 	var deadline time.Time
 	if c.cfg.CallTimeout > 0 {
-		deadline = time.Now().Add(c.cfg.CallTimeout)
+		deadline = c.clk.Now().Add(c.cfg.CallTimeout)
 	}
 	if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
 		deadline = d
@@ -213,7 +219,7 @@ func (c *Conn) StartCall(ctx context.Context, dst transport.Addr, activity uint6
 		rec.claim(activity, seq)
 		rec.setSpan(tc.TraceID, tc.SpanID, parentSpan)
 		rec.setMethod(iface, proc)
-		rec.stamp(StageStart)
+		rec.stamp(StageStart, c.traceNow())
 		oc.trace = rec
 	}
 	oc.mu.Unlock()
@@ -230,7 +236,7 @@ func (c *Conn) StartCall(ctx context.Context, dst transport.Addr, activity uint6
 		putOutCall(oc)
 		return ErrClosed
 	}
-	now := time.Now()
+	now := c.clk.Now()
 	ch.touch(now)
 	c.stats.callsSent.Add(1)
 	*p = Pending{c: c, ch: ch, oc: oc, k: k, doneCh: oc.done}
@@ -253,7 +259,7 @@ func (c *Conn) StartCall(ctx context.Context, dst transport.Addr, activity uint6
 		// richer than it is — conservative in the right direction (the shed
 		// decision errs toward serving). Gated on the negotiated session:
 		// a peer that did not advertise FeatBudget never sees the flag.
-		ms := time.Until(deadline) / time.Millisecond
+		ms := deadline.Sub(c.clk.Now()) / time.Millisecond
 		if ms < 1 {
 			ms = 1
 		}
@@ -313,7 +319,7 @@ func (c *Conn) sendFinalLocked(oc *outCall, now time.Time) error {
 	frame := c.finalFrame(&oc.out)
 	oc.out = fragMsg{}
 	if oc.trace != nil {
-		oc.trace.stamp(StageSent)
+		oc.trace.stamp(StageSent, c.traceNow())
 	}
 	if err := c.send(oc.dst, frame.Bytes()); err != nil {
 		frame.Release()
@@ -449,7 +455,8 @@ func (c *Conn) finalFrame(m *fragMsg) *buffer.Frame {
 	return c.newFrame(h, m.tc, m.fragment(m.base, c.maxPayload()))
 }
 
-// Ping probes a peer's liveness.
+// Ping probes a peer's liveness, resending the probe every
+// RetransInterval until a reply arrives or timeout runs out.
 func (c *Conn) Ping(dst transport.Addr, timeout time.Duration) error {
 	if c.closed.Load() {
 		return ErrClosed
@@ -457,8 +464,8 @@ func (c *Conn) Ping(dst transport.Addr, timeout time.Duration) error {
 	c.pingsMu.Lock()
 	c.pingSeq++
 	seq := c.pingSeq
-	ch := make(chan struct{})
-	c.pings[seq] = ch
+	reply := make(chan struct{})
+	c.pings[seq] = reply
 	c.pingsMu.Unlock()
 	defer func() {
 		c.pingsMu.Lock()
@@ -466,39 +473,20 @@ func (c *Conn) Ping(dst transport.Addr, timeout time.Duration) error {
 		c.pingsMu.Unlock()
 	}()
 
+	// Both timers are armed before the first probe leaves.
+	expired := make(chan struct{})
+	deadline := c.clk.AfterFunc(timeout, func() { close(expired) })
+	defer deadline.Stop()
 	h := wire.RPCHeader{Type: wire.TypeProbe, Seq: seq, FragCount: 1}
-	deadline := time.Now().Add(timeout)
-	interval := c.cfg.RetransInterval
-	// One reusable timer across retries (time.After here used to leak a
-	// timer per iteration until it fired).
-	timer := time.NewTimer(interval)
-	defer timer.Stop()
-	for {
-		if err := c.sendFrame(dst, h, nil); err != nil {
-			return err
-		}
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			return ErrTimeout
-		}
-		wait := interval
-		if wait > remain {
-			wait = remain
-		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timer.Reset(wait)
-		select {
-		case <-ch:
-			return nil
-		case <-timer.C:
-			if time.Now().After(deadline) {
-				return ErrTimeout
-			}
-		}
+	stopResends := clock.Every(c.clk, c.cfg.RetransInterval, func() { _ = c.sendFrame(dst, h, nil) })
+	defer stopResends()
+	if err := c.sendFrame(dst, h, nil); err != nil {
+		return err
+	}
+	select {
+	case <-reply:
+		return nil
+	case <-expired:
+		return ErrTimeout
 	}
 }

@@ -11,12 +11,13 @@ import (
 	"testing"
 	"time"
 
+	"fireflyrpc/internal/clock"
 	"fireflyrpc/internal/faultnet"
 	"fireflyrpc/internal/transport"
 	"fireflyrpc/internal/wire"
 )
 
-// waitGoroutines polls until the process goroutine count drops back to at
+// waitGoroutines waits until the process goroutine count drops back to at
 // most base+slack, failing the test otherwise. Go ships no goroutine-leak
 // detector in the standard library, so the check is count-based: the
 // protocol's per-call paths must not leave pumps, timers, or waiters
@@ -35,12 +36,15 @@ func waitGoroutines(t *testing.T, base, slack int) {
 			buf = buf[:runtime.Stack(buf, true)]
 			t.Fatalf("goroutine leak: %d running, started with %d (slack %d)\n%s", n, base, slack, buf)
 		}
-		time.Sleep(10 * time.Millisecond)
+		runtime.Gosched()
 	}
 }
 
-// waitCondition polls until cond returns nil, failing with its last error
-// after the deadline.
+// waitCondition waits until cond returns nil, failing with its last error
+// after d. It re-checks cond each time the scheduler comes back to it, so
+// it returns as soon as the other goroutines have done their part: what
+// they wait on is a packet or a handler, never a timer, since tests that
+// need time to pass run on a clock.Manual.
 func waitCondition(t *testing.T, d time.Duration, cond func() error) {
 	t.Helper()
 	deadline := time.Now().Add(d)
@@ -52,7 +56,7 @@ func waitCondition(t *testing.T, d time.Duration, cond func() error) {
 		if time.Now().After(deadline) {
 			t.Fatal(err)
 		}
-		time.Sleep(5 * time.Millisecond)
+		runtime.Gosched()
 	}
 }
 
@@ -164,33 +168,39 @@ func TestLossyAsyncStressNoLeaks(t *testing.T) {
 // the retry budget forever, but Config.CallTimeout still bounds the call.
 func TestCallTimeoutBeatsRetryBudget(t *testing.T) {
 	ex := transport.NewExchange()
-	release := make(chan struct{})
+	entered, release := make(chan struct{}), make(chan struct{})
 	cfg := Config{
 		RetransInterval: 10 * time.Millisecond,
-		MaxRetries:      3,
+		MaxRetries:      1,
 		Workers:         2,
 		CallTimeout:     150 * time.Millisecond,
 	}
-	caller, server, sa := pair(t, ex, cfg,
+	m, caller, server, sa := manualPair(t, ex, cfg,
 		func(transport.Addr, wire.TraceCtx, uint32, uint16, []byte) ([]byte, error) {
+			close(entered)
 			<-release
 			return []byte("late"), nil
 		})
 	defer close(release)
-	start := time.Now()
-	_, err := caller.Call(context.Background(), sa, caller.NewActivity(), 1, 1, 1, nil, nil)
-	elapsed := time.Since(start)
-	if !errors.Is(err, ErrTimeout) {
+	start := m.Now()
+	p, err := caller.goCall(context.Background(), sa, caller.NewActivity(), 1, 1, 1, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	for i := 0; !stepRetrans(t, m, p, true); i++ {
+		if i == 100 {
+			t.Fatal("call still pending after 100 retransmissions")
+		}
+	}
+	if _, err := p.Await(context.Background()); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
-	if elapsed < cfg.CallTimeout {
-		t.Fatalf("returned after %v, before the %v deadline", elapsed, cfg.CallTimeout)
+	if elapsed := m.Now().Sub(start); elapsed != cfg.CallTimeout {
+		t.Fatalf("timed out after %v, want exactly the %v deadline", elapsed, cfg.CallTimeout)
 	}
-	if elapsed > 10*cfg.CallTimeout {
-		t.Fatalf("returned after %v, deadline %v not enforced promptly", elapsed, cfg.CallTimeout)
-	}
-	if server.Stats().InProgressAcks == 0 {
-		t.Fatal("server sent no in-progress acks; the test did not exercise patience resets")
+	if n := server.Stats().InProgressAcks; n <= int64(cfg.MaxRetries) {
+		t.Fatalf("%d in-progress acks; the test did not outlast the retry budget", n)
 	}
 }
 
@@ -246,23 +256,22 @@ func TestCancelMidRetransmission(t *testing.T) {
 	baseGo := runtime.NumGoroutine()
 	ex := transport.NewExchange()
 	cfg := Config{RetransInterval: 15 * time.Millisecond, MaxRetries: 1000, Workers: 2}
-	caller := NewConn(ex.Port("caller"), cfg, nil)
+	m := clock.NewManual()
+	caller := newConn(ex.Port("caller"), cfg, nil, m)
 	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(60 * time.Millisecond) // a few retransmissions deep
-		cancel()
-	}()
-	start := time.Now()
-	_, err := caller.Call(ctx, transport.AddrOf("nobody"), caller.NewActivity(), 1, 1, 1, []byte("x"), nil)
-	elapsed := time.Since(start)
-	if !errors.Is(err, context.Canceled) {
+	p, err := caller.goCall(ctx, transport.AddrOf("nobody"), caller.NewActivity(), 1, 1, 1, []byte("x"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ { // a few retransmissions deep
+		stepRetrans(t, m, p, false)
+	}
+	cancel()
+	if _, err := p.Await(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if elapsed > time.Second {
-		t.Fatalf("cancellation took %v", elapsed)
-	}
-	if caller.Stats().Retransmits == 0 {
-		t.Fatal("call was not retransmitted before cancellation; test is not mid-retransmission")
+	if n := caller.Stats().Retransmits; n != 3 {
+		t.Fatalf("%d retransmissions before cancellation, want 3", n)
 	}
 	if n := caller.outstandingCalls(); n != 0 {
 		t.Fatalf("%d call-table entries leaked", n)
@@ -322,6 +331,78 @@ func TestCancelMidExecution(t *testing.T) {
 	})
 	if n := caller.outstandingCalls(); n != 0 {
 		t.Fatalf("%d caller call-table entries leaked", n)
+	}
+}
+
+// TestTimedOutQueuedCallNeverRuns: a call that times out while it waits in
+// the server's queue behind a busy worker tells the server so, as a
+// cancelled call does, and the worker skips it instead of executing it for
+// nobody.
+func TestTimedOutQueuedCallNeverRuns(t *testing.T) {
+	ex := transport.NewExchange()
+	entered, release := make(chan struct{}), make(chan struct{})
+	var mu sync.Mutex
+	var ran []string
+	cfg := Config{RetransInterval: 10 * time.Millisecond, MaxRetries: 8, Workers: 1}
+	m, caller, server, sa := manualPair(t, ex, cfg,
+		func(_ transport.Addr, _ wire.TraceCtx, _ uint32, _ uint16, args []byte) ([]byte, error) {
+			mu.Lock()
+			ran = append(ran, string(args))
+			mu.Unlock()
+			if string(args) == "first" {
+				close(entered)
+				<-release
+			}
+			return args, nil
+		})
+	first, err := caller.goCall(context.Background(), sa, caller.NewActivity(), 1, 1, 1, []byte("first"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	// The second call comes from a caller with a deadline and queues
+	// behind the first, which holds the only worker.
+	tcfg := cfg
+	tcfg.CallTimeout = 50 * time.Millisecond
+	impatient := newConn(ex.Port("impatient"), tcfg, nil, m)
+	defer impatient.Close()
+	second, err := impatient.goCall(context.Background(), sa, impatient.NewActivity(), 1, 1, 1, []byte("second"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitCondition(t, 5*time.Second, func() error {
+		if n := server.admit.Stats().Depth; n != 1 {
+			return fmt.Errorf("%d calls queued, want the second", n)
+		}
+		return nil
+	})
+	for !stepRetrans(t, m, second, true) {
+	}
+	if _, err := second.Await(context.Background()); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("queued call: err = %v, want ErrTimeout", err)
+	}
+	waitCondition(t, 2*time.Second, func() error {
+		if n := server.Stats().Cancels; n != 1 {
+			return fmt.Errorf("server saw %d cancels, want 1 for the timed-out call", n)
+		}
+		return nil
+	})
+	close(release)
+	if _, err := first.Await(context.Background()); err != nil {
+		t.Fatalf("first call: %v", err)
+	}
+	// One worker serves the queue in order: once a third call is answered,
+	// the second has been dequeued.
+	if _, err := caller.Call(context.Background(), sa, caller.NewActivity(), 1, 1, 1, []byte("third"), nil); err != nil {
+		t.Fatalf("third call: %v", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if strings.Join(ran, ",") != "first,third" {
+		t.Fatalf("handlers ran for %v, want first and third: the timed-out call ran for nobody", ran)
+	}
+	if n := server.Stats().CallsServed; n != 2 {
+		t.Fatalf("server served %d calls, want 2", n)
 	}
 }
 
@@ -446,7 +527,7 @@ func TestIdlePeerEviction(t *testing.T) {
 		Workers:         2,
 		PeerIdleTimeout: 80 * time.Millisecond,
 	}
-	caller, server, sa := pair(t, ex, cfg, echoHandler)
+	m, caller, server, sa := manualPair(t, ex, cfg, echoHandler)
 	act := caller.NewActivity()
 	for seq := uint32(1); seq <= 3; seq++ {
 		if _, err := caller.Call(context.Background(), sa, act, seq, 1, 1, []byte("warm"), nil); err != nil {
@@ -456,16 +537,27 @@ func TestIdlePeerEviction(t *testing.T) {
 	if server.numPeers() == 0 {
 		t.Fatal("server tracked no peer after serving calls")
 	}
-	// The retained result frame must be released by eviction, without Close.
+	// A busy peer is never evicted: wait until the last worker is done
+	// (it retains the result after sending it), then let the sweeps, every
+	// 40 ms, find the peer quiet for 80 ms.
 	waitCondition(t, 5*time.Second, func() error {
-		if n := server.numPeers(); n != 0 {
-			return fmt.Errorf("server still tracks %d peers", n)
-		}
-		if n := server.frames.InUse(); n != 0 {
-			return fmt.Errorf("server still holds %d frames", n)
+		if n := server.lookupChannel(caller.LocalAddr()).executing.Load(); n != 0 {
+			return fmt.Errorf("%d calls still executing", n)
 		}
 		return nil
 	})
+	m.Advance(40 * time.Millisecond)
+	if n := server.numPeers(); n != 1 {
+		t.Fatalf("server tracks %d peers after 40 quiet ms, want the one", n)
+	}
+	m.Advance(40 * time.Millisecond)
+	// The retained result frame must be released by eviction, without Close.
+	if n := server.numPeers(); n != 0 {
+		t.Fatalf("server still tracks %d peers", n)
+	}
+	if n := server.frames.InUse(); n != 0 {
+		t.Fatalf("server still holds %d frames", n)
+	}
 	if server.Stats().PeersEvicted == 0 {
 		t.Fatal("eviction counter did not move")
 	}

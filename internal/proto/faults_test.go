@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"fireflyrpc/internal/clock"
 	"fireflyrpc/internal/faultnet"
 	"fireflyrpc/internal/overload"
 	"fireflyrpc/internal/transport"
@@ -69,20 +70,35 @@ func TestDuplicatedResultFramesCompleteOnce(t *testing.T) {
 func TestKarnRuleAndRTOFloor(t *testing.T) {
 	ex := transport.NewExchange()
 	cfg := Config{RetransInterval: 40 * time.Millisecond, MaxRetries: 20, Workers: 2}
-	caller, _, sa, ft := faultyPair(t, ex, cfg, echoHandler, faultnet.Loss(1), 22)
+	// Every round trip takes 1 ms of the manual clock, spent in the handler.
+	m := clock.NewManual()
+	ft := faultnet.Wrap(ex.Port("caller"), faultnet.Loss(1), 22)
+	caller := newConn(ft, cfg, nil, m)
+	server := newConn(ex.Port("server"), cfg, func(src transport.Addr, tc wire.TraceCtx, iface uint32, proc uint16, args []byte) ([]byte, error) {
+		m.Advance(time.Millisecond)
+		return echoHandler(src, tc, iface, proc, args)
+	}, m)
+	t.Cleanup(func() {
+		caller.Close()
+		server.Close()
+	})
+	sa := transport.AddrOf("server")
 
-	// Heal the link mid-call: the first call completes only after at least
-	// one retransmission.
-	go func() {
-		time.Sleep(60 * time.Millisecond)
-		ft.Impairer().SetProfile(faultnet.Profile{})
-	}()
+	// Heal the link mid-call: the first call completes only after its
+	// second retransmission.
 	act := caller.NewActivity()
-	if _, err := caller.Call(context.Background(), sa, act, 1, 1, 1, []byte("retried"), nil); err != nil {
+	p, err := caller.goCall(context.Background(), sa, act, 1, 1, 1, []byte("retried"), nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if caller.Stats().Retransmits == 0 {
-		t.Fatal("call did not retransmit; the test exercised nothing")
+	stepRetrans(t, m, p, false)
+	ft.Impairer().SetProfile(faultnet.Profile{})
+	stepRetrans(t, m, p, false)
+	if _, err := p.Await(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if n := caller.Stats().Retransmits; n != 2 {
+		t.Fatalf("call retransmitted %d times, want 2", n)
 	}
 	if rtt, ok := caller.RTT(sa); ok {
 		t.Fatalf("retransmitted sample fed the estimator (srtt=%v); Karn's rule violated", rtt)
@@ -97,8 +113,8 @@ func TestKarnRuleAndRTOFloor(t *testing.T) {
 	if _, ok := caller.RTT(sa); !ok {
 		t.Fatal("clean calls produced no RTT estimate")
 	}
-	// ...and however fast the path (sub-ms on the in-memory exchange), the
-	// retransmission interval respects the floor.
+	// ...and however fast the path (1 ms here), the retransmission interval
+	// respects the floor.
 	floor := cfg.RetransInterval / 8
 	ch := caller.channelOf(sa)
 	if iv := ch.rttInterval(floor, cfg.RetransInterval); iv < floor {

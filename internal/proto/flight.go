@@ -3,6 +3,8 @@ package proto
 import (
 	"sync/atomic"
 	"time"
+
+	"fireflyrpc/internal/clock"
 )
 
 // Flight recorder: the always-on black box. Sampled stage tracing answers
@@ -96,8 +98,7 @@ type burstWindow struct {
 	count   atomic.Int64
 }
 
-func (w *burstWindow) hit(windowNs, threshold int64) bool {
-	now := traceNow()
+func (w *burstWindow) hit(now, windowNs, threshold int64) bool {
 	st := w.startNs.Load()
 	if now-st > windowNs {
 		if w.startNs.CompareAndSwap(st, now) {
@@ -108,8 +109,9 @@ func (w *burstWindow) hit(windowNs, threshold int64) bool {
 }
 
 // flightRecorder is the per-Conn recorder state, embedded (never allocated)
-// in Conn.
+// in Conn; clk is the Conn's clock.
 type flightRecorder struct {
+	clk         clock.Clock
 	next        atomic.Uint64
 	dumps       atomic.Int64
 	last        atomic.Pointer[FlightDump]
@@ -125,7 +127,7 @@ func (f *flightRecorder) record(kind FlightKind, activity uint64, seq uint32, ar
 	i := f.next.Add(1)
 	r := &f.ring[(i-1)%flightRingSize]
 	r.gen.Store(i)
-	r.ns.Store(traceNow())
+	r.ns.Store(stampNow(f.clk))
 	r.kind.Store(uint32(kind))
 	r.activity.Store(activity)
 	r.seq.Store(seq)
@@ -187,7 +189,7 @@ func (f *flightRecorder) snapshot() []FlightEvent {
 // flightDump snapshots the ring into an immutable dump — the one step that
 // allocates, taken only on trigger conditions (paths already failing).
 func (c *Conn) flightDump(trigger string) {
-	d := &FlightDump{At: time.Now(), Trigger: trigger, Events: c.flight.snapshot()}
+	d := &FlightDump{At: c.clk.Now(), Trigger: trigger, Events: c.flight.snapshot()}
 	c.flight.last.Store(d)
 	c.flight.dumps.Add(1)
 }
@@ -208,7 +210,7 @@ func (c *Conn) noteRetransmit(k callKey, retries int, intervalNs int64, doubled 
 	if doubled {
 		c.flight.record(FlightRTOBackoff, k.activity, k.seq, intervalNs)
 	}
-	if c.flight.retransWin.hit(flightRetransWindow, flightRetransStorm) {
+	if c.flight.retransWin.hit(c.traceNow(), flightRetransWindow, flightRetransStorm) {
 		c.flightDump("retransmit-storm")
 	}
 }
@@ -217,7 +219,7 @@ func (c *Conn) noteRetransmit(k callKey, retries int, intervalNs int64, doubled 
 // trigger when the window threshold crosses.
 func (c *Conn) noteOverloadRecv(activity uint64, seq uint32) {
 	c.flight.record(FlightOverload, activity, seq, 0)
-	if c.flight.overloadWin.hit(flightOverloadWindow, flightOverloadBurst) {
+	if c.flight.overloadWin.hit(c.traceNow(), flightOverloadWindow, flightOverloadBurst) {
 		c.flightDump("overload-burst")
 	}
 }

@@ -155,7 +155,7 @@ type PeerInfo struct {
 
 // Peers snapshots the live peer table.
 func (c *Conn) Peers() []PeerInfo {
-	now := time.Now().UnixNano()
+	now := c.clk.Now().UnixNano()
 	var out []PeerInfo
 	c.forEachChannel(func(ch *channel) {
 		ch.callsMu.Lock()

@@ -28,10 +28,12 @@
 // drives every pending call's retransmission from one heap. It is the only
 // timer a call uses, which is what makes the asynchronous call API
 // (StartCall/Pending) cost no goroutine, timer or channel per in-flight
-// call, of one packet or of 256. Calls take a context.Context: deadlines bound the whole exchange
-// (winning over the retry budget) and cancellation releases the call-table
-// entry and pooled buffers immediately, notifying the server with a
-// best-effort cancel packet.
+// call, of one packet or of 256. Calls take a context.Context: deadlines
+// bound the whole exchange (winning over the retry budget) and
+// cancellation releases the call-table entry and pooled buffers
+// immediately. A call that times out or is cancelled tells the server with
+// a best-effort cancel packet, so one still queued there never runs. Every
+// time reading and timer of a Conn goes through its clock.Clock.
 //
 // The fast path is engineered the way §4.2 of the paper prescribes: packet
 // buffers come from a pool and are recycled rather than allocated (the
@@ -49,6 +51,7 @@ import (
 	"time"
 
 	"fireflyrpc/internal/buffer"
+	"fireflyrpc/internal/clock"
 	"fireflyrpc/internal/overload"
 	"fireflyrpc/internal/transport"
 	"fireflyrpc/internal/wire"
@@ -242,7 +245,8 @@ func (s *statCounters) snapshot() Stats {
 type Conn struct {
 	tr      transport.Transport
 	cfg     Config
-	handler Handler // immutable after NewConn
+	handler Handler     // immutable after NewConn
+	clk     clock.Clock // every time reading and timer of the Conn
 
 	closed atomic.Bool
 
@@ -272,7 +276,7 @@ type Conn struct {
 	// when there is none. All guarded by retransMu.
 	retransMu sync.Mutex
 	rheap     []*outCall
-	engine    *time.Timer
+	engine    clock.Timer
 	wake      time.Time
 	nextSweep time.Time
 
@@ -498,6 +502,11 @@ const (
 // NewConn wraps a transport. handler may be nil for a pure caller, which
 // rejects incoming calls and runs no workers.
 func NewConn(tr transport.Transport, cfg Config, handler Handler) *Conn {
+	return newConn(tr, cfg, handler, clock.Wall)
+}
+
+// newConn is NewConn on the clock clk.
+func newConn(tr transport.Transport, cfg Config, handler Handler, clk clock.Clock) *Conn {
 	if cfg.RetransInterval <= 0 {
 		cfg.RetransInterval = DefaultConfig().RetransInterval
 	}
@@ -510,6 +519,7 @@ func NewConn(tr transport.Transport, cfg Config, handler Handler) *Conn {
 	c := &Conn{
 		tr:       tr,
 		cfg:      cfg,
+		clk:      clk,
 		pings:    make(map[uint32]chan struct{}),
 		handler:  handler,
 		workQuit: make(chan struct{}),
@@ -517,11 +527,12 @@ func NewConn(tr transport.Transport, cfg Config, handler Handler) *Conn {
 		helloVersion:    wire.SessionVersion,
 		helloMinVersion: wire.SessionMinVersion,
 		localFeatures:   defaultFeatures,
-		spanSeed:        hashString(tr.LocalAddr().String()) ^ uint64(time.Now().UnixNano()),
+		spanSeed:        hashString(tr.LocalAddr().String()) ^ uint64(clk.Now().UnixNano()),
 	}
 	if cfg.AdvertiseFeatures != 0 {
 		c.localFeatures = cfg.AdvertiseFeatures
 	}
+	c.flight.clk = clk
 	for i := range c.peers.shards {
 		c.peers.shards[i].peers = make(map[string]*channel)
 	}
@@ -531,7 +542,7 @@ func NewConn(tr transport.Transport, cfg Config, handler Handler) *Conn {
 		if !c.admitExplicit {
 			admission = overload.Config{Policy: overload.FIFO, Capacity: defaultQueueCapacity}
 		}
-		c.admit = overload.NewQueue[execReq](admission, c.shedExec)
+		c.admit = overload.NewQueue[execReq](admission, clk, c.shedExec)
 		for i := 0; i < cfg.Workers; i++ {
 			go c.worker()
 		}
@@ -568,7 +579,8 @@ func (c *Conn) TransportStats() (transport.Stats, bool) {
 // worker is one server thread: it drains the admission queue (which sheds
 // what cannot be served) and executes each call, bounding handler
 // concurrency to cfg.Workers. Under an explicit admission policy it feeds
-// each handler's duration back into the service-time estimate.
+// each handler's duration back into the service-time estimate; a call
+// skipped because its caller gave up says nothing about service time.
 func (c *Conn) worker() {
 	for {
 		req, ok := c.admit.Take()
@@ -579,9 +591,10 @@ func (c *Conn) worker() {
 			c.execute(req)
 			continue
 		}
-		start := time.Now()
-		c.execute(req)
-		c.admit.ObserveService(time.Since(start))
+		start := c.clk.Now()
+		if c.execute(req) {
+			c.admit.ObserveService(c.clk.Now().Sub(start))
+		}
 	}
 }
 
@@ -598,9 +611,10 @@ func (c *Conn) shedExec(req execReq, _ overload.Reason) {
 	if req.trace != nil {
 		// Close out the server-side stage record so a traced shed call still
 		// joins: dispatch, done, and result-sent collapse to the shed point.
-		req.trace.stamp(StageSrvDispatch)
-		req.trace.stamp(StageSrvDone)
-		req.trace.stamp(StageSrvResultSent)
+		ns := c.traceNow()
+		req.trace.stamp(StageSrvDispatch, ns)
+		req.trace.stamp(StageSrvDone, ns)
+		req.trace.stamp(StageSrvResultSent, ns)
 	}
 	rej := wire.RPCHeader{
 		Type: wire.TypeReject, Activity: hdr.Activity, Seq: hdr.Seq,

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"fireflyrpc/internal/clock"
 	"fireflyrpc/internal/faultnet"
 	"fireflyrpc/internal/transport"
 	"fireflyrpc/internal/wire"
@@ -32,6 +33,51 @@ func pair(t *testing.T, ex *transport.Exchange, cfg Config, h Handler) (caller, 
 		server.Close()
 	})
 	return caller, server, transport.AddrOf("server")
+}
+
+// manualPair is pair on one manual clock: the Conns' timers run only inside
+// m.Advance, so a test steps the protocol through its retransmissions and
+// timeouts rather than sleeping through them.
+func manualPair(t *testing.T, ex *transport.Exchange, cfg Config, h Handler) (m *clock.Manual, caller, server *Conn, serverAddr transport.Addr) {
+	t.Helper()
+	m = clock.NewManual()
+	caller = newConn(ex.Port("caller"), cfg, nil, m)
+	server = newConn(ex.Port("server"), cfg, h, m)
+	t.Cleanup(func() {
+		caller.Close()
+		server.Close()
+	})
+	return m, caller, server, transport.AddrOf("server")
+}
+
+// stepRetrans advances m to when the retransmission engine next looks at
+// p's call, which retransmits it or times it out, and reports whether the
+// call has finished. With answered, the server is busy executing the call
+// and answers a retransmission with an in-progress ack: stepRetrans then
+// waits until the caller has taken it.
+func stepRetrans(t *testing.T, m *clock.Manual, p *Pending, answered bool) bool {
+	t.Helper()
+	oc := p.oc
+	oc.mu.Lock()
+	at := oc.due()
+	oc.mu.Unlock()
+	m.Advance(at.Sub(m.Now()))
+	finished := func() bool {
+		oc.mu.Lock()
+		defer oc.mu.Unlock()
+		return oc.finished
+	}
+	if answered {
+		waitCondition(t, 5*time.Second, func() error {
+			oc.mu.Lock()
+			defer oc.mu.Unlock()
+			if !oc.finished && oc.retries != 0 {
+				return fmt.Errorf("retransmission %d not answered", oc.retries)
+			}
+			return nil
+		})
+	}
+	return finished()
 }
 
 // goCall starts an asynchronous call into a fresh handle, for tests that
@@ -295,7 +341,12 @@ func TestDuplicateCallAnsweredFromRetainedResult(t *testing.T) {
 	if err := sendRaw(ex, "caller", "server", buildFrame(h, nil)); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(50 * time.Millisecond)
+	waitCondition(t, 5*time.Second, func() error {
+		if server.Stats().DupCalls == 0 {
+			return errors.New("server never saw the duplicate")
+		}
+		return nil
+	})
 	if executions.Load() != 1 {
 		t.Fatalf("duplicate call re-executed: %d", executions.Load())
 	}
@@ -320,28 +371,36 @@ func sendRaw(ex *transport.Exchange, srcName, dstName string, frame []byte) erro
 
 func TestInProgressAckResetsPatience(t *testing.T) {
 	ex := transport.NewExchange()
-	release := make(chan struct{})
+	entered, release := make(chan struct{}), make(chan struct{})
 	cfg := Config{RetransInterval: 15 * time.Millisecond, MaxRetries: 3, Workers: 2}
-	caller, server, sa := pair(t, ex, cfg,
+	m, caller, server, sa := manualPair(t, ex, cfg,
 		func(transport.Addr, wire.TraceCtx, uint32, uint16, []byte) ([]byte, error) {
+			close(entered)
 			<-release
 			return []byte("slow"), nil
 		})
-	// The call takes ~20 retransmission intervals; MaxRetries is only 3,
-	// so it succeeds only because in-progress acks keep resetting patience.
-	go func() {
-		time.Sleep(300 * time.Millisecond)
-		close(release)
-	}()
-	res, err := caller.Call(context.Background(), sa, caller.NewActivity(), 1, 1, 1, nil, nil)
+	p, err := caller.goCall(context.Background(), sa, caller.NewActivity(), 1, 1, 1, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	// The call lasts 20 retransmissions; MaxRetries is only 3, so it
+	// succeeds only because in-progress acks keep resetting patience.
+	for i := 0; i < 20; i++ {
+		if stepRetrans(t, m, p, true) {
+			t.Fatalf("call finished during retransmission %d", i+1)
+		}
+	}
+	close(release)
+	res, err := p.Await(context.Background())
 	if err != nil {
 		t.Fatalf("slow call failed: %v", err)
 	}
 	if string(res) != "slow" {
 		t.Fatalf("result %q", res)
 	}
-	if server.Stats().InProgressAcks == 0 {
-		t.Fatal("no in-progress acks were sent")
+	if n := server.Stats().InProgressAcks; n != 20 {
+		t.Fatalf("%d in-progress acks, want one per retransmission (20)", n)
 	}
 }
 
@@ -359,16 +418,28 @@ func TestRejectUnknown(t *testing.T) {
 
 func TestCallToNobodyTimesOut(t *testing.T) {
 	ex := transport.NewExchange()
-	cp := ex.Port("lonely")
-	caller := NewConn(cp, Config{RetransInterval: 5 * time.Millisecond, MaxRetries: 3, Workers: 1}, nil)
+	m := clock.NewManual()
+	caller := newConn(ex.Port("lonely"), Config{RetransInterval: 5 * time.Millisecond, MaxRetries: 3, Workers: 1}, nil, m)
 	defer caller.Close()
-	start := time.Now()
-	_, err := caller.Call(context.Background(), transport.AddrOf("ghost"), caller.NewActivity(), 1, 1, 1, nil, nil)
-	if err != ErrTimeout {
+	start := m.Now()
+	p, err := caller.goCall(context.Background(), transport.AddrOf("ghost"), caller.NewActivity(), 1, 1, 1, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; !stepRetrans(t, m, p, false); i++ {
+		if i == 10 {
+			t.Fatal("call still pending after 10 retransmission deadlines")
+		}
+	}
+	if _, err := p.Await(context.Background()); err != ErrTimeout {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
-	if time.Since(start) > 2*time.Second {
-		t.Fatal("timeout took too long")
+	// Three retransmissions, 5, 10 and 20 ms apart, then 40 ms of patience.
+	if n := caller.Stats().Retransmits; n != 3 {
+		t.Fatalf("%d retransmissions, want MaxRetries (3)", n)
+	}
+	if d := m.Now().Sub(start); d != 75*time.Millisecond {
+		t.Fatalf("timed out after %v, want 75ms", d)
 	}
 }
 
@@ -420,20 +491,40 @@ func TestConcurrentCallers(t *testing.T) {
 
 func TestPing(t *testing.T) {
 	ex := transport.NewExchange()
-	caller, _, sa := pair(t, ex, fastCfg(), echoHandler)
+	m, caller, _, sa := manualPair(t, ex, fastCfg(), echoHandler)
 	if err := caller.Ping(sa, time.Second); err != nil {
 		t.Fatalf("ping: %v", err)
 	}
-	if err := caller.Ping(transport.AddrOf("ghost"), 50*time.Millisecond); err != ErrTimeout {
+
+	// A ghost never answers: the probe is resent every RetransInterval
+	// (20 ms) until the 50 ms timeout, all inside one Advance.
+	var probes atomic.Int64
+	sent := make(chan struct{}, 1)
+	sniff := &sniffTransport{Transport: ex.Port("pinger"), sent: func(h wire.RPCHeader) {
+		if h.Type == wire.TypeProbe && probes.Add(1) == 1 {
+			sent <- struct{}{}
+		}
+	}}
+	pinger := newConn(sniff, fastCfg(), nil, m)
+	defer pinger.Close()
+	done := make(chan error, 1)
+	go func() { done <- pinger.Ping(transport.AddrOf("ghost"), 50*time.Millisecond) }()
+	<-sent // the first probe is out, so the timers are armed
+	m.Advance(50 * time.Millisecond)
+	if err := <-done; err != ErrTimeout {
 		t.Fatalf("ghost ping err = %v, want ErrTimeout", err)
+	}
+	if n := probes.Load(); n != 3 {
+		t.Fatalf("%d probes sent, want 3 (at 0, 20 and 40 ms)", n)
 	}
 }
 
 func TestCloseFailsOutstanding(t *testing.T) {
 	ex := transport.NewExchange()
-	release := make(chan struct{})
+	entered, release := make(chan struct{}), make(chan struct{})
 	caller, _, sa := pair(t, ex, fastCfg(),
 		func(transport.Addr, wire.TraceCtx, uint32, uint16, []byte) ([]byte, error) {
+			close(entered)
 			<-release
 			return nil, nil
 		})
@@ -443,7 +534,7 @@ func TestCloseFailsOutstanding(t *testing.T) {
 		_, err := caller.Call(context.Background(), sa, caller.NewActivity(), 1, 1, 1, nil, nil)
 		done <- err
 	}()
-	time.Sleep(30 * time.Millisecond)
+	<-entered
 	caller.Close()
 	select {
 	case err := <-done:

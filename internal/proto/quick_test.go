@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"fireflyrpc/internal/clock"
 	"fireflyrpc/internal/faultnet"
 	"fireflyrpc/internal/transport"
 	"fireflyrpc/internal/wire"
@@ -158,12 +159,17 @@ func TestAdaptiveRTTConverges(t *testing.T) {
 
 func TestAdaptiveRTTSpeedsRecovery(t *testing.T) {
 	// With a warm RTT estimate, a single lost call recovers in much less
-	// than the configured (deliberately huge) interval.
+	// than the configured (deliberately huge) interval. Every round trip
+	// takes 1 ms of the manual clock, spent in the handler.
 	ex := transport.NewExchange()
 	cfg := Config{RetransInterval: 2 * time.Second, MaxRetries: 8, Workers: 2}
+	m := clock.NewManual()
 	ft := faultnet.Wrap(ex.Port("caller"), faultnet.Profile{}, 5)
-	caller := NewConn(ft, cfg, nil)
-	server := NewConn(ex.Port("server"), cfg, echoHandler)
+	caller := newConn(ft, cfg, nil, m)
+	server := newConn(ex.Port("server"), cfg, func(src transport.Addr, tc wire.TraceCtx, iface uint32, proc uint16, args []byte) ([]byte, error) {
+		m.Advance(time.Millisecond)
+		return echoHandler(src, tc, iface, proc, args)
+	}, m)
 	defer caller.Close()
 	defer server.Close()
 	sa := transport.AddrOf("server")
@@ -173,20 +179,22 @@ func TestAdaptiveRTTSpeedsRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Lose every frame briefly, then heal.
+	// Lose the call, then heal the link before its retransmission.
 	ft.Impairer().SetProfile(faultnet.Loss(1))
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		ft.Impairer().SetProfile(faultnet.Profile{})
-	}()
-	start := time.Now()
-	if _, err := caller.Call(context.Background(), sa, act, 6, 1, 1, nil, nil); err != nil {
+	start := m.Now()
+	p, err := caller.goCall(context.Background(), sa, act, 6, 1, 1, nil, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if elapsed := time.Since(start); elapsed > time.Second {
+	ft.Impairer().SetProfile(faultnet.Profile{})
+	stepRetrans(t, m, p, false)
+	if _, err := p.Await(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := m.Now().Sub(start); elapsed > time.Second {
 		t.Fatalf("recovery took %v; adaptive retransmission should beat the 2s ceiling", elapsed)
 	}
-	if caller.Stats().Retransmits == 0 {
-		t.Fatal("no retransmission occurred")
+	if caller.Stats().Retransmits != 1 {
+		t.Fatal("the lost call was not retransmitted once")
 	}
 }

@@ -103,8 +103,8 @@ func (c *Conn) traceServerRecv(req *execReq, recvNs int64) {
 	rec.claim(req.hdr.Activity, req.hdr.Seq)
 	rec.setSpan(req.tc.TraceID, req.tc.SpanID, 0)
 	rec.setMethod(req.hdr.Interface, req.hdr.Proc)
-	rec.stampAt(StageSrvRecv, recvNs)
-	rec.stamp(StageSrvQueued)
+	rec.stamp(StageSrvRecv, recvNs)
+	rec.stamp(StageSrvQueued, c.traceNow())
 	req.trace = rec
 }
 
@@ -115,7 +115,7 @@ func (c *Conn) onCallFrag(src transport.Addr, hdr wire.RPCHeader, payload []byte
 	// pay one branch on an already-loaded header byte.
 	var recvNs int64
 	if hdr.Flags&(wire.FlagTraced|wire.FlagTraceCtx) != 0 {
-		recvNs = traceNow()
+		recvNs = c.traceNow()
 	}
 	if c.handler == nil || c.closed.Load() {
 		c.stats.rejects.Add(1)
@@ -143,7 +143,7 @@ func (c *Conn) onCallFrag(src transport.Addr, hdr wire.RPCHeader, payload []byte
 		payload = payload[wire.TraceCtxLen:]
 	}
 	ch := c.channelOf(src)
-	ch.touch(time.Now())
+	ch.touch(c.clk.Now())
 	ch.actsMu.Lock()
 	act := ch.acts[hdr.Activity]
 	if act == nil {
@@ -304,42 +304,42 @@ func callBudgetNs(hdr wire.RPCHeader) int64 {
 
 // execute runs one complete call on a worker goroutine and sends the
 // result. The request owns the reassembled arguments, so the handler runs
-// without holding any channel lock.
-func (c *Conn) execute(req execReq) {
+// without holding any channel lock. A call its caller cancelled while it
+// waited in the queue does not run at all; ran reports whether the handler
+// ran.
+func (c *Conn) execute(req execReq) (ran bool) {
 	act, hdr := req.act, req.hdr
 	ch := act.ch
 	defer ch.executing.Add(-1)
 	if req.trace != nil {
-		req.trace.stamp(StageSrvDispatch)
+		req.trace.stamp(StageSrvDispatch, c.traceNow())
 	}
-
-	result, err := c.handler(act.src, req.tc, hdr.Interface, hdr.Proc, req.args)
-	c.stats.callsServed.Add(1)
-	if req.trace != nil {
-		req.trace.stamp(StageSrvDone)
-	}
-	// No touch here: every inbound frame (including the retransmissions a
-	// waiting caller sends during a long handler) already stamps the
-	// channel in onCallFrag, and the executing counter blocks eviction
-	// while the handler runs.
-	ch.actsMu.Lock()
-	abandoned := act.abandoned && act.lastSeq == hdr.Seq
-	ch.actsMu.Unlock()
 	var final *buffer.Frame // completes the call; sent and retained below
-	switch {
-	case abandoned:
-		// The caller cancelled this call while it executed: nobody is
-		// waiting, so skip the result send entirely and leave nothing
-		// retained. A new call on the activity resets the state.
-	case err != nil:
-		c.stats.rejects.Add(1)
-		rej := wire.RPCHeader{
-			Type: wire.TypeReject, Activity: hdr.Activity, Seq: hdr.Seq,
-			FragCount: 1, Interface: hdr.Interface, Proc: hdr.Proc,
+	if ran = !act.abandonedCall(hdr.Seq); ran {
+		result, err := c.handler(act.src, req.tc, hdr.Interface, hdr.Proc, req.args)
+		c.stats.callsServed.Add(1)
+		if req.trace != nil {
+			req.trace.stamp(StageSrvDone, c.traceNow())
 		}
-		final = c.newFrame(rej, wire.TraceCtx{}, nil)
-	default:
-		final = c.sendResult(&req, result)
+		// No touch here: every inbound frame (including the retransmissions
+		// a waiting caller sends during a long handler) already stamps the
+		// channel in onCallFrag, and the executing counter blocks eviction
+		// while the handler runs.
+		switch {
+		case act.abandonedCall(hdr.Seq):
+			// The caller cancelled this call while it executed: nobody is
+			// waiting, so skip the result send entirely and leave nothing
+			// retained. A new call on the activity resets the state.
+		case err != nil:
+			c.stats.rejects.Add(1)
+			rej := wire.RPCHeader{
+				Type: wire.TypeReject, Activity: hdr.Activity, Seq: hdr.Seq,
+				FragCount: 1, Interface: hdr.Interface, Proc: hdr.Proc,
+			}
+			final = c.newFrame(rej, wire.TraceCtx{}, nil)
+		default:
+			final = c.sendResult(&req, result)
+		}
 	}
 
 	// Return the argument buffer for the next call's reuse before the final
@@ -357,12 +357,21 @@ func (c *Conn) execute(req execReq) {
 		ch.actsMu.Unlock()
 	}
 	if req.trace != nil {
-		req.trace.stamp(StageSrvResultSent)
+		req.trace.stamp(StageSrvResultSent, c.traceNow())
 	}
 	if final != nil {
 		_ = c.send(act.src, final.Bytes())
 	}
 	c.retainResult(act, hdr.Seq, final)
+	return ran
+}
+
+// abandonedCall reports whether the caller cancelled call seq of the
+// activity.
+func (act *serverAct) abandonedCall(seq uint32) bool {
+	act.ch.actsMu.Lock()
+	defer act.ch.actsMu.Unlock()
+	return act.abandoned && act.lastSeq == seq
 }
 
 // retainResult completes call seq on the activity and parks its final
@@ -450,7 +459,7 @@ func (c *Conn) streamLocked(act *serverAct) {
 	rec := act.resTrace
 	act.endStreamLocked()
 	if rec != nil {
-		rec.stamp(StageSrvResultSent)
+		rec.stamp(StageSrvResultSent, c.traceNow())
 	}
 	_ = c.send(act.src, f.Bytes())
 	act.lastResultFrame = f
@@ -524,11 +533,11 @@ func (c *Conn) onResultFrag(src transport.Addr, hdr wire.RPCHeader, payload []by
 			// alone: Await reads it to apply Karn's rule.
 			oc.retries = 0
 			oc.interval = c.cfg.RetransInterval
-			oc.nextAt = time.Now().Add(oc.interval)
+			oc.nextAt = c.clk.Now().Add(oc.interval)
 		}
 	}
 	if complete && oc.trace != nil {
-		oc.trace.stamp(StageResultRecv)
+		oc.trace.stamp(StageResultRecv, c.traceNow())
 	}
 	// Completion must happen before mu is released: an impaired transport
 	// can deliver a duplicate of this result frame from another goroutine,
@@ -579,7 +588,7 @@ func (c *Conn) onAck(src transport.Addr, hdr wire.RPCHeader) {
 		// without retransmitting.
 		oc.retries = 0
 		if oc.interval > 0 {
-			oc.nextAt = time.Now().Add(oc.interval)
+			oc.nextAt = c.clk.Now().Add(oc.interval)
 		}
 		oc.mu.Unlock()
 		return
@@ -590,7 +599,7 @@ func (c *Conn) onAck(src transport.Addr, hdr wire.RPCHeader) {
 	}
 	// Progress: the retry budget and the window pacing start over, and the
 	// engine's entry moves up if a resend had backed it off.
-	now := time.Now()
+	now := c.clk.Now()
 	var err error
 	if oc.out.base < oc.out.hdr.FragCount-1 {
 		// The next window, or the rest of this one past a gap.

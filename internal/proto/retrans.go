@@ -7,20 +7,21 @@ import (
 	"fireflyrpc/internal/wire"
 )
 
-// The retransmission engine: the function of one runtime timer per Conn
-// (time.AfterFunc). It drives every pending call's retransmission off a
-// single min-heap and doubles as the idle-peer sweeper; no goroutine waits
-// on it. The caller drives recovery, as in Birrell and Nelson's design: the
-// engine resends a call's unacknowledged argument window or, once the
-// arguments are in, its retained final fragment, and that retransmission
-// is what asks a server to resend its retained result or the
-// unacknowledged window of a multi-fragment one. The server keeps no timer
-// for a call and sends only in reply to the caller's packets. So a
-// thousand in-flight calls cost one timer, not a thousand, whatever their
-// size, and cancellation and per-call deadlines have one place to be
-// enforced. A call that completes in time leaves the timer armed, and the
-// tick that finds nothing due re-arms for the heap's top: a tight call loop
-// resets the timer about once per retransmission interval, not per call.
+// The retransmission engine: the function of one timer per Conn, armed on
+// the Conn's clock (time.AfterFunc on the wall clock). It drives every
+// pending call's retransmission off a single min-heap and doubles as the
+// idle-peer sweeper; no goroutine waits on it. The caller drives recovery,
+// as in Birrell and Nelson's design: the engine resends a call's
+// unacknowledged argument window or, once the arguments are in, its
+// retained final fragment, and that retransmission is what asks a server to
+// resend its retained result or the unacknowledged window of a
+// multi-fragment one. The server keeps no timer for a call and sends only
+// in reply to the caller's packets. So a thousand in-flight calls cost one
+// timer, not a thousand, whatever their size, and cancellation and per-call
+// deadlines have one place to be enforced. A call that completes in time
+// leaves the timer armed, and the tick that finds nothing due re-arms for
+// the heap's top: a tight call loop resets the timer about once per
+// retransmission interval, not per call.
 //
 // Locking: heap order (heapAt/heapIdx/inHeap), wake, nextSweep and every
 // Reset of the timer are guarded by retransMu, since after a Reset the
@@ -37,10 +38,10 @@ func (c *Conn) startRetrans() {
 	d := time.Duration(math.MaxInt64)
 	if every := c.cfg.PeerIdleTimeout / 2; every > 0 {
 		d = every
-		c.nextSweep = time.Now().Add(every)
+		c.nextSweep = c.clk.Now().Add(every)
 		c.wake = c.nextSweep
 	}
-	c.engine = time.AfterFunc(d, c.retransTick)
+	c.engine = c.clk.AfterFunc(d, c.retransTick)
 }
 
 // scheduleRetrans arms the engine to look at one call at `at` unless the
@@ -61,7 +62,7 @@ func (c *Conn) scheduleRetrans(oc *outCall, k callKey, at time.Time) {
 		}
 		if c.wake.IsZero() || at.Before(c.wake) {
 			c.wake = at
-			c.engine.Reset(time.Until(at))
+			c.engine.Reset(at.Sub(c.clk.Now()))
 		}
 	}
 	oc.mu.Unlock()
@@ -88,7 +89,7 @@ func (c *Conn) retransTick() {
 	if c.closed.Load() {
 		return
 	}
-	now := time.Now()
+	now := c.clk.Now()
 	for {
 		c.retransMu.Lock()
 		if len(c.rheap) == 0 || c.rheap[0].heapAt.After(now) {
@@ -108,7 +109,7 @@ func (c *Conn) retransTick() {
 		c.wake = c.rheap[0].heapAt
 	}
 	if !c.wake.IsZero() {
-		c.engine.Reset(time.Until(c.wake))
+		c.engine.Reset(c.wake.Sub(c.clk.Now()))
 	}
 	c.retransMu.Unlock()
 	if sweep {
@@ -120,9 +121,11 @@ func (c *Conn) retransTick() {
 // own deadline forward (progress or an in-progress ack arrived), time it
 // out if its deadline or retry budget is exhausted, otherwise resend its
 // unacknowledged argument window, or its retained final fragment with the
-// please-ack flag flipped in place, and re-arm with exponential backoff. A
-// timeout records its flight dump before it finishes the call, so the dump
-// is there by the time Await returns.
+// please-ack flag flipped in place, and re-arm with exponential backoff.
+// A timeout records its flight dump before it finishes the call, so the
+// dump is there by the time Await returns, and then tells the server the
+// caller has given up, as cancellation does, so a call still queued there
+// never runs.
 func (c *Conn) fireRetrans(oc *outCall) {
 	oc.mu.Lock()
 	if oc.finished || (oc.frame == nil && oc.out.msg == nil) {
@@ -130,17 +133,12 @@ func (c *Conn) fireRetrans(oc *outCall) {
 		return
 	}
 	k := oc.key
-	now := time.Now()
-	if !oc.deadline.IsZero() && !now.Before(oc.deadline) {
-		// Per-call deadline (Config.CallTimeout or the caller's context
-		// deadline) wins over the retry budget, even while retransmissions
-		// are being answered with in-progress acks.
-		c.noteTimeout(k, oc.retries)
-		oc.finishLocked(k, nil, ErrTimeout)
-		oc.mu.Unlock()
-		return
-	}
-	if oc.nextAt.After(now) {
+	now := c.clk.Now()
+	// Per-call deadline (Config.CallTimeout or the caller's context
+	// deadline) wins over the retry budget, even while retransmissions are
+	// being answered with in-progress acks.
+	expired := !oc.deadline.IsZero() && !now.Before(oc.deadline)
+	if !expired && oc.nextAt.After(now) {
 		// Patience was reset (progress, or the server said "still
 		// executing") after this entry was queued: re-arm without
 		// retransmitting.
@@ -149,13 +147,17 @@ func (c *Conn) fireRetrans(oc *outCall) {
 		c.scheduleRetrans(oc, k, at)
 		return
 	}
-	oc.retries++
-	if oc.retries > c.cfg.MaxRetries {
-		c.noteTimeout(k, oc.retries-1)
+	if expired || oc.retries >= c.cfg.MaxRetries {
+		c.noteTimeout(k, oc.retries)
 		oc.finishLocked(k, nil, ErrTimeout)
+		dst := oc.dst
 		oc.mu.Unlock()
+		if ch := c.lookupChannel(dst); ch != nil {
+			c.sendCancel(ch, k)
+		}
 		return
 	}
+	oc.retries++
 	c.stats.retransmits.Add(1)
 	var err error
 	if oc.out.msg != nil {
@@ -170,7 +172,7 @@ func (c *Conn) fireRetrans(oc *outCall) {
 		if oc.trace != nil {
 			// Stamp the (latest) retransmission so the accounting can flag
 			// calls whose latency includes a retry, and count the retries.
-			oc.trace.stamp(StageRetransmit)
+			oc.trace.stamp(StageRetransmit, c.traceNow())
 			oc.trace.retries.Store(int32(oc.retries))
 		}
 		err = c.send(oc.dst, oc.frame.Bytes())

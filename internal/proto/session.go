@@ -166,7 +166,7 @@ func (c *Conn) sendHello(ch *channel, attempt int) {
 	body.MarshalTo(buf[:])
 	h := wire.RPCHeader{Type: wire.TypeHello, Seq: nonce, FragCount: 1}
 	_ = c.sendFrame(ch.peer, h, buf[:])
-	time.AfterFunc(c.helloTimeout(), func() { c.helloExpire(ch, nonce, attempt) })
+	c.clk.AfterFunc(c.helloTimeout(), func() { c.helloExpire(ch, nonce, attempt) })
 }
 
 // helloExpire is the retry timer: still pending on the same nonce means the
@@ -203,7 +203,7 @@ func (c *Conn) onHello(src transport.Addr, hdr wire.RPCHeader, payload []byte) {
 		return
 	}
 	ch := c.channelOf(src)
-	ch.touch(time.Now())
+	ch.touch(c.clk.Now())
 	ack := wire.Hello{MinVersion: c.helloMinVersion}
 	if body.MinVersion > c.helloVersion || body.Version < c.helloMinVersion {
 		c.stats.helloRejects.Add(1)

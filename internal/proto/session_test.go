@@ -2,22 +2,26 @@ package proto
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
+	"fireflyrpc/internal/clock"
 	"fireflyrpc/internal/faultnet"
 	"fireflyrpc/internal/transport"
 	"fireflyrpc/internal/wire"
 )
 
 // sniffTransport wraps a transport for tests: it records the header of
-// every sent TypeCall frame and can drop frames matched by drop.
+// every sent TypeCall frame, can drop frames matched by drop, and hands
+// every header it does not drop to sent, when set, before sending.
 type sniffTransport struct {
 	transport.Transport
 	mu    sync.Mutex
 	calls []wire.RPCHeader
 	drop  func(hdr wire.RPCHeader) bool
+	sent  func(hdr wire.RPCHeader)
 }
 
 func (s *sniffTransport) Send(dst transport.Addr, frame []byte) error {
@@ -31,6 +35,9 @@ func (s *sniffTransport) Send(dst transport.Addr, frame []byte) error {
 		s.mu.Unlock()
 		if dropIt {
 			return nil
+		}
+		if s.sent != nil {
+			s.sent(hdr)
 		}
 	}
 	return s.Transport.Send(dst, frame)
@@ -46,22 +53,20 @@ func (s *sniffTransport) lastCall(t *testing.T) wire.RPCHeader {
 	return s.calls[len(s.calls)-1]
 }
 
-// sessionState polls the caller's channel for addr until its session state
-// matches want (or the deadline passes).
+// waitSessionState waits until c's channel for addr is in session state
+// want.
 func waitSessionState(t *testing.T, c *Conn, addr transport.Addr, want int) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if ch := c.lookupChannel(addr); ch != nil && sessStateOf(ch.sess.Load()) == want {
-			return
+	waitCondition(t, 5*time.Second, func() error {
+		state := -1
+		if ch := c.lookupChannel(addr); ch != nil {
+			state = sessStateOf(ch.sess.Load())
 		}
-		time.Sleep(time.Millisecond)
-	}
-	state := -1
-	if ch := c.lookupChannel(addr); ch != nil {
-		state = sessStateOf(ch.sess.Load())
-	}
-	t.Fatalf("session state = %s, want %s", sessStateName(state), sessStateName(want))
+		if state != want {
+			return fmt.Errorf("session state = %s, want %s", sessStateName(state), sessStateName(want))
+		}
+		return nil
+	})
 }
 
 // TestSessionNegotiates pins the default behavior: the first call triggers
@@ -113,8 +118,9 @@ func TestSessionLegacyFallback(t *testing.T) {
 	cfg.HelloTimeout = 5 * time.Millisecond
 	oldCfg := cfg
 	oldCfg.DisableHello = true
-	caller := NewConn(ex.Port("caller"), cfg, nil)
-	server := NewConn(ex.Port("server"), oldCfg, echoHandler)
+	m := clock.NewManual()
+	caller := newConn(ex.Port("caller"), cfg, nil, m)
+	server := newConn(ex.Port("server"), oldCfg, echoHandler, m)
 	t.Cleanup(func() { caller.Close(); server.Close() })
 	sa := transport.AddrOf("server")
 
@@ -129,6 +135,7 @@ func TestSessionLegacyFallback(t *testing.T) {
 			t.Fatal("empty result")
 		}
 	}
+	m.Advance(defaultHelloAttempts * cfg.HelloTimeout) // each attempt's timer
 	waitSessionState(t, caller, sa, sessLegacy)
 	cs := caller.Stats()
 	if cs.SessionsLegacy != 1 {
@@ -137,10 +144,12 @@ func TestSessionLegacyFallback(t *testing.T) {
 	if cs.HellosSent != defaultHelloAttempts {
 		t.Fatalf("HellosSent = %d, want %d", cs.HellosSent, defaultHelloAttempts)
 	}
-	if server.Stats().BadFrames < defaultHelloAttempts {
-		t.Fatalf("old server BadFrames = %d, want >= %d (dropped hellos)",
-			server.Stats().BadFrames, defaultHelloAttempts)
-	}
+	waitCondition(t, 5*time.Second, func() error {
+		if n := server.Stats().BadFrames; n < defaultHelloAttempts {
+			return fmt.Errorf("old server BadFrames = %d, want >= %d (dropped hellos)", n, defaultHelloAttempts)
+		}
+		return nil
+	})
 	// Legacy implies the v0 capability set: budget and cancel stay on.
 	if f := caller.lookupChannel(sa).features(); f != legacyFeatures {
 		t.Fatalf("legacy features = %#x, want %#x", f, legacyFeatures)
@@ -191,9 +200,10 @@ func TestSessionFeatureDowngrade(t *testing.T) {
 	srvCfg.AdvertiseFeatures = wire.FeatTrace // no budget, no cancel
 	sniff := &sniffTransport{Transport: ex.Port("caller")}
 	caller := NewConn(sniff, cfg, nil)
-	block := make(chan struct{})
+	entered, block := make(chan struct{}), make(chan struct{})
 	server := NewConn(ex.Port("server"), srvCfg, func(src transport.Addr, _ wire.TraceCtx, iface uint32, proc uint16, args []byte) ([]byte, error) {
 		if proc == 99 {
+			close(entered)
 			<-block
 		}
 		return args, nil
@@ -221,12 +231,16 @@ func TestSessionFeatureDowngrade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(5 * time.Millisecond)
+	<-entered
 	cancel()
 	if _, err := p.Await(ctx); err != context.Canceled {
 		t.Fatalf("Await err = %v, want context.Canceled", err)
 	}
-	time.Sleep(10 * time.Millisecond)
+	// The server handles one peer's packets in order, so by the time a
+	// later call is answered it has seen any cancel sent before it.
+	if _, err := caller.Call(context.Background(), sa, caller.NewActivity(), 1, 7, 3, []byte("z"), nil); err != nil {
+		t.Fatal(err)
+	}
 	if n := server.Stats().Cancels; n != 0 {
 		t.Fatalf("server received %d cancel packets from a no-FeatCancel session", n)
 	}
@@ -243,8 +257,9 @@ func TestSessionHelloLostFallsBack(t *testing.T) {
 		Transport: ex.Port("caller"),
 		drop:      func(hdr wire.RPCHeader) bool { return hdr.Type == wire.TypeHello },
 	}
-	caller := NewConn(sniff, cfg, nil)
-	server := NewConn(ex.Port("server"), cfg, echoHandler)
+	m := clock.NewManual()
+	caller := newConn(sniff, cfg, nil, m)
+	server := newConn(ex.Port("server"), cfg, echoHandler, m)
 	t.Cleanup(func() { caller.Close(); server.Close() })
 	sa := transport.AddrOf("server")
 
@@ -252,6 +267,7 @@ func TestSessionHelloLostFallsBack(t *testing.T) {
 	if _, err := caller.Call(context.Background(), sa, act, 1, 7, 3, []byte("x"), nil); err != nil {
 		t.Fatal(err)
 	}
+	m.Advance(defaultHelloAttempts * cfg.HelloTimeout) // each attempt's timer
 	waitSessionState(t, caller, sa, sessLegacy)
 	cs := caller.Stats()
 	if cs.HellosSent != defaultHelloAttempts {
@@ -315,19 +331,14 @@ func TestSessionNegotiationUnderLoss(t *testing.T) {
 				t.Fatalf("seed %d seq %d: %v", seed, seq, err)
 			}
 		}
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			ch := caller.lookupChannel(sa)
-			st := sessStateOf(ch.sess.Load())
-			if st == sessNegotiated || st == sessLegacy {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("seed %d: negotiation never reached a terminal state (%s)",
+		waitCondition(t, 5*time.Second, func() error {
+			st := sessStateOf(caller.lookupChannel(sa).sess.Load())
+			if st != sessNegotiated && st != sessLegacy {
+				return fmt.Errorf("seed %d: negotiation never reached a terminal state (%s)",
 					seed, sessStateName(st))
 			}
-			time.Sleep(time.Millisecond)
-		}
+			return nil
+		})
 	}
 }
 
@@ -338,18 +349,15 @@ func TestSessionRenegotiatesAfterEviction(t *testing.T) {
 	ex := transport.NewExchange()
 	cfg := fastCfg()
 	cfg.PeerIdleTimeout = 30 * time.Millisecond
-	caller, _, sa := pair(t, ex, cfg, echoHandler)
+	m, caller, _, sa := manualPair(t, ex, cfg, echoHandler)
 	act := caller.NewActivity()
 	if _, err := caller.Call(context.Background(), sa, act, 1, 7, 3, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	waitSessionState(t, caller, sa, sessNegotiated)
-	deadline := time.Now().Add(5 * time.Second)
-	for caller.lookupChannel(sa) != nil {
-		if time.Now().After(deadline) {
-			t.Fatal("channel never evicted")
-		}
-		time.Sleep(5 * time.Millisecond)
+	m.Advance(cfg.PeerIdleTimeout) // the sweep every 15 ms finds it idle
+	if caller.lookupChannel(sa) != nil {
+		t.Fatal("channel not evicted")
 	}
 	if _, err := caller.Call(context.Background(), sa, act, 2, 7, 3, nil, nil); err != nil {
 		t.Fatal(err)

@@ -5,7 +5,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
+
+	"fireflyrpc/internal/clock"
 )
 
 // Per-call stage tracing: the real-stack analogue of the paper's Tables
@@ -74,18 +75,17 @@ func (s Stage) String() string {
 
 // traceBase anchors every stamp to one process-wide monotonic origin, so
 // records from a caller Conn and a server Conn in the same process (the
-// exchange transport, UDP loopback) subtract cleanly.
-var traceBase = time.Now()
+// exchange transport, UDP loopback) subtract cleanly. Conns on one
+// clock.Manual stamp virtual time from the same origin, which such a
+// clock starts after.
+var traceBase = clock.Wall.Now()
 
-// traceNow returns nanoseconds since traceBase, always ≥ 1 so a zero
-// timestamp unambiguously means "stage not reached".
-func traceNow() int64 {
-	ns := int64(time.Since(traceBase))
-	if ns < 1 {
-		ns = 1
-	}
-	return ns
-}
+// stampNow returns nanoseconds from traceBase to clk's reading, always ≥ 1
+// so a zero timestamp unambiguously means "stage not reached".
+func stampNow(clk clock.Clock) int64 { return max(int64(clk.Now().Sub(traceBase)), 1) }
+
+// traceNow is stampNow on the Conn's clock.
+func (c *Conn) traceNow() int64 { return stampNow(c.clk) }
 
 // traceRec is one in-ring record. Every field is atomic: the ring wraps,
 // so a straggling call may stamp a slot a newer call has reclaimed — the
@@ -133,8 +133,7 @@ func (r *traceRec) setMethod(iface uint32, proc uint16) {
 	r.proc.Store(uint32(proc))
 }
 
-func (r *traceRec) stamp(s Stage)             { r.ts[s].Store(traceNow()) }
-func (r *traceRec) stampAt(s Stage, ns int64) { r.ts[s].Store(ns) }
+func (r *traceRec) stamp(s Stage, ns int64) { r.ts[s].Store(ns) }
 
 // TraceRecord is the exported snapshot of one sampled call: timestamps in
 // nanoseconds since a process-wide origin, zero meaning the stage was not

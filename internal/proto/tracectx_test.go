@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"fireflyrpc/internal/clock"
 	"fireflyrpc/internal/transport"
 	"fireflyrpc/internal/wire"
 )
@@ -170,8 +171,9 @@ func TestTraceLegacyV0Compat(t *testing.T) {
 	ccfg.HelloTimeout = 10 * time.Millisecond
 	scfg := fastCfg()
 	scfg.DisableHello = true
-	caller := NewConn(cp, ccfg, nil)
-	server := NewConn(sp, scfg, echoHandler)
+	m := clock.NewManual()
+	caller := newConn(cp, ccfg, nil, m)
+	server := newConn(sp, scfg, echoHandler, m)
 	t.Cleanup(func() {
 		caller.Close()
 		server.Close()
@@ -191,6 +193,7 @@ func TestTraceLegacyV0Compat(t *testing.T) {
 			t.Fatalf("call %d: echo mismatch (prefix leaked into args?): %q", i+1, res)
 		}
 	}
+	m.Advance(defaultHelloAttempts * ccfg.HelloTimeout) // each attempt's timer
 	waitSessionState(t, caller, sa, sessLegacy)
 	for i := 5; i < 10; i++ {
 		res, err := caller.Call(context.Background(), sa, act, uint32(i+1), 1, 1, payload, nil)
@@ -274,7 +277,7 @@ func TestTraceCtxMultiFragment(t *testing.T) {
 // TestFlightRecorderAllocBudget: recording an anomaly allocates nothing —
 // the ring is embedded and every store is atomic.
 func TestFlightRecorderAllocBudget(t *testing.T) {
-	var f flightRecorder
+	f := flightRecorder{clk: clock.Wall}
 	if a := testing.AllocsPerRun(1000, func() {
 		f.record(FlightRetransmit, 7, 3, 1)
 	}); a != 0 {
@@ -282,7 +285,7 @@ func TestFlightRecorderAllocBudget(t *testing.T) {
 	}
 	var w burstWindow
 	if a := testing.AllocsPerRun(1000, func() {
-		w.hit(int64(time.Second), 1<<62)
+		w.hit(stampNow(clock.Wall), int64(time.Second), 1<<62)
 	}); a != 0 {
 		t.Fatalf("burst window allocates %.2f objects/event, want 0", a)
 	}
@@ -291,18 +294,26 @@ func TestFlightRecorderAllocBudget(t *testing.T) {
 // TestFlightTimeoutDump: a forced call timeout auto-dumps the ring, and the
 // dump contains the triggering call's events.
 func TestFlightTimeoutDump(t *testing.T) {
-	block := make(chan struct{})
+	entered, block := make(chan struct{}), make(chan struct{})
 	defer close(block)
 	ex := transport.NewExchange()
 	cfg := fastCfg()
 	cfg.RetransInterval = 30 * time.Millisecond
 	cfg.CallTimeout = 150 * time.Millisecond
-	caller, _, sa := pair(t, ex, cfg, func(transport.Addr, wire.TraceCtx, uint32, uint16, []byte) ([]byte, error) {
+	m, caller, _, sa := manualPair(t, ex, cfg, func(transport.Addr, wire.TraceCtx, uint32, uint16, []byte) ([]byte, error) {
+		close(entered)
 		<-block
 		return nil, nil
 	})
 	act := caller.NewActivity()
-	if _, err := caller.Call(context.Background(), sa, act, 1, 1, 1, nil, nil); err != ErrTimeout {
+	p, err := caller.goCall(context.Background(), sa, act, 1, 1, 1, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	for !stepRetrans(t, m, p, true) {
+	}
+	if _, err := p.Await(context.Background()); err != ErrTimeout {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
 	dump, n := caller.LastFlightDump()

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"fireflyrpc/internal/clock"
 	"fireflyrpc/internal/transport"
 	"fireflyrpc/internal/wire"
 )
@@ -306,10 +307,15 @@ func TestWindowedFragments(t *testing.T) {
 // the peer's adaptive interval exactly where the small calls put it.
 func TestFragmentedCallLeavesRTT(t *testing.T) {
 	ex := transport.NewExchange()
-	caller, _, sa := pair(t, ex, fastCfg(),
+	// The handler spends 1 ms of the manual clock on a small call and 10 ms
+	// on the large one, short of the 20 ms retransmission interval.
+	var m *clock.Manual
+	m, caller, _, sa := manualPair(t, ex, fastCfg(),
 		func(_ transport.Addr, _ wire.TraceCtx, _ uint32, _ uint16, args []byte) ([]byte, error) {
 			if len(args) > wire.MaxSinglePacketPayload {
-				time.Sleep(20 * time.Millisecond)
+				m.Advance(10 * time.Millisecond)
+			} else {
+				m.Advance(time.Millisecond)
 			}
 			return append([]byte(nil), args...), nil
 		})

@@ -22,6 +22,7 @@ import (
 	"sync"
 	"time"
 
+	"fireflyrpc/internal/clock"
 	"fireflyrpc/internal/core"
 	"fireflyrpc/internal/marshal"
 	"fireflyrpc/internal/transport"
@@ -53,12 +54,12 @@ var (
 type Server struct {
 	mu      sync.Mutex
 	entries map[string]map[string]time.Time // name → addr → lease expiry
-	clock   func() time.Time
+	clk     clock.Clock
 }
 
 // NewServer creates an empty directory.
 func NewServer() *Server {
-	return &Server{entries: make(map[string]map[string]time.Time), clock: time.Now}
+	return &Server{entries: make(map[string]map[string]time.Time), clk: clock.Wall}
 }
 
 // register records or refreshes one address's lease under name. Distinct
@@ -75,7 +76,7 @@ func (s *Server) register(name, addr string, ttl time.Duration) {
 		set = make(map[string]time.Time)
 		s.entries[name] = set
 	}
-	set[addr] = s.clock().Add(ttl)
+	set[addr] = s.clk.Now().Add(ttl)
 }
 
 // prune drops name's expired leases (and the name itself once empty),
@@ -85,7 +86,7 @@ func (s *Server) prune(name string) map[string]time.Time {
 	if set == nil {
 		return nil
 	}
-	now := s.clock()
+	now := s.clk.Now()
 	for addr, exp := range set {
 		if now.After(exp) {
 			delete(set, addr)
@@ -262,12 +263,13 @@ func (s *Server) Export() *core.Interface {
 
 // Client is the caller side of the directory.
 type Client struct {
-	c *core.Client
+	c   *core.Client
+	clk clock.Clock // paces Lease's refresher
 }
 
 // NewClient binds to a directory exported at addr through node.
 func NewClient(node *core.Node, addr transport.Addr) *Client {
-	return &Client{c: node.Bind(addr, Name, Version).NewClient()}
+	return &Client{c: node.Bind(addr, Name, Version).NewClient(), clk: clock.Wall}
 }
 
 // Register advertises a service name at addr with a lease of ttl.
@@ -391,26 +393,12 @@ func (r *Client) Lease(name, addr string, ttl time.Duration) (stop func(), err e
 	if interval <= 0 {
 		interval = time.Second
 	}
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				_ = r.DeregisterAddr(name, addr)
-				return
-			case <-t.C:
-				_ = r.Register(name, addr, ttl)
-			}
-		}
-	}()
+	stopRefresh := clock.Every(r.clk, interval, func() { _ = r.Register(name, addr, ttl) })
 	var once sync.Once
 	return func() {
-		once.Do(func() { close(done) })
-		wg.Wait()
+		once.Do(func() {
+			stopRefresh()
+			_ = r.DeregisterAddr(name, addr)
+		})
 	}, nil
 }

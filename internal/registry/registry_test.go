@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"fireflyrpc/internal/clock"
 	"fireflyrpc/internal/core"
 	"fireflyrpc/internal/marshal"
 	"fireflyrpc/internal/proto"
@@ -48,15 +49,15 @@ func TestLookupMissing(t *testing.T) {
 
 func TestLeaseExpiry(t *testing.T) {
 	dir, reg, _, _ := world(t)
-	now := time.Now()
-	dir.clock = func() time.Time { return now }
+	m := clock.NewManual()
+	dir.clk = m
 	if err := reg.Register("ephemeral", "x", 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := reg.Lookup("ephemeral"); err != nil {
 		t.Fatal("fresh lease should resolve")
 	}
-	now = now.Add(11 * time.Second)
+	m.Advance(11 * time.Second)
 	if _, err := reg.Lookup("ephemeral"); err != ErrNotFound {
 		t.Fatalf("expired lease resolved: %v", err)
 	}
@@ -64,12 +65,12 @@ func TestLeaseExpiry(t *testing.T) {
 
 func TestReRegistrationRefreshes(t *testing.T) {
 	dir, reg, _, _ := world(t)
-	now := time.Now()
-	dir.clock = func() time.Time { return now }
+	m := clock.NewManual()
+	dir.clk = m
 	reg.Register("svc", "a", 10*time.Second)
-	now = now.Add(8 * time.Second)
+	m.Advance(8 * time.Second)
 	reg.Register("svc", "b", 10*time.Second) // refresh with a new address
-	now = now.Add(8 * time.Second)           // 16s after first, 8 after second
+	m.Advance(8 * time.Second)               // 16s after first, 8 after second
 	addr, err := reg.Lookup("svc")
 	if err != nil || addr != "b" {
 		t.Fatalf("addr=%q err=%v", addr, err)
@@ -111,11 +112,11 @@ func TestDeregister(t *testing.T) {
 
 // TestLookupAllMultiAddress is the replica-set story: three servers register
 // one name concurrently, none overwrites another, and each lease ages out
-// independently under a fake clock.
+// independently under a manual clock.
 func TestLookupAllMultiAddress(t *testing.T) {
 	dir, reg, _, _ := world(t)
-	now := time.Now()
-	dir.clock = func() time.Time { return now }
+	m := clock.NewManual()
+	dir.clk = m
 
 	reg.Register("kv", "replica-a", 10*time.Second)
 	reg.Register("kv", "replica-b", 20*time.Second)
@@ -136,19 +137,19 @@ func TestLookupAllMultiAddress(t *testing.T) {
 		t.Fatalf("Lookup = %q, %v", one, err)
 	}
 
-	now = now.Add(11 * time.Second) // a's lease runs out
+	m.Advance(11 * time.Second) // a's lease runs out
 	addrs, err = reg.LookupAll("kv")
 	if err != nil || len(addrs) != 2 || addrs[0] != "replica-b" {
 		t.Fatalf("after a expires: addrs = %v err = %v", addrs, err)
 	}
 
-	now = now.Add(10 * time.Second) // b follows
+	m.Advance(10 * time.Second) // b follows
 	addrs, err = reg.LookupAll("kv")
 	if err != nil || len(addrs) != 1 || addrs[0] != "replica-c" {
 		t.Fatalf("after b expires: addrs = %v err = %v", addrs, err)
 	}
 
-	now = now.Add(10 * time.Second) // and the name itself ages out
+	m.Advance(10 * time.Second) // and the name itself ages out
 	if _, err := reg.LookupAll("kv"); err != ErrNotFound {
 		t.Fatalf("expired name resolved: %v", err)
 	}
@@ -161,14 +162,14 @@ func TestLookupAllMultiAddress(t *testing.T) {
 // limitation: refreshing one replica's lease must not clobber its peers.
 func TestRefreshOneReplicaKeepsOthers(t *testing.T) {
 	dir, reg, _, _ := world(t)
-	now := time.Now()
-	dir.clock = func() time.Time { return now }
+	m := clock.NewManual()
+	dir.clk = m
 
 	reg.Register("svc", "a", 10*time.Second)
 	reg.Register("svc", "b", 10*time.Second)
-	now = now.Add(8 * time.Second)
+	m.Advance(8 * time.Second)
 	reg.Register("svc", "a", 10*time.Second) // refresh a only
-	now = now.Add(4 * time.Second)           // b's original lease is now dead
+	m.Advance(4 * time.Second)               // b's original lease is now dead
 
 	addrs, err := reg.LookupAll("svc")
 	if err != nil || len(addrs) != 1 || addrs[0] != "a" {
@@ -195,21 +196,22 @@ func TestDeregisterAddr(t *testing.T) {
 	}
 }
 
-// TestLeaseRefreshLoop drives the background refresher: with a TTL far
-// shorter than the test, the address stays resolvable only because the loop
-// keeps re-registering it, and stop() deregisters it.
+// TestLeaseRefreshLoop drives the refresher on a manual clock: with a TTL
+// far shorter than the time advanced, the address stays resolvable only
+// because the refresher keeps re-registering it, and stop() deregisters it.
 func TestLeaseRefreshLoop(t *testing.T) {
-	_, reg, _, _ := world(t)
+	dir, reg, _, _ := world(t)
+	m := clock.NewManual()
+	dir.clk, reg.clk = m, m
 	stop, err := reg.Lease("leased", "addr-1", 150*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(500 * time.Millisecond)
-	for time.Now().Before(deadline) {
+	for i := 0; i < 25; i++ {
+		m.Advance(20 * time.Millisecond) // a refresh falls due every 50ms
 		if _, err := reg.LookupAll("leased"); err != nil {
-			t.Fatalf("lease lapsed while the refresher ran: %v", err)
+			t.Fatalf("lease lapsed %v in, while the refresher ran: %v", time.Duration(i+1)*20*time.Millisecond, err)
 		}
-		time.Sleep(20 * time.Millisecond)
 	}
 	stop()
 	if _, err := reg.LookupAll("leased"); err != ErrNotFound {

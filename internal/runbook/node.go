@@ -2,7 +2,9 @@ package runbook
 
 import (
 	"math"
+	"time"
 
+	"fireflyrpc/internal/clock"
 	"fireflyrpc/internal/ether"
 	"fireflyrpc/internal/overload"
 	"fireflyrpc/internal/sim"
@@ -71,8 +73,35 @@ func newNode(ex *exec, idx int, spec *NodeSpec) *node {
 	if cfg.Capacity == 0 {
 		cfg.Capacity = math.MaxInt // unbounded FIFO: Validate rejects a policy without a capacity
 	}
-	n.admit = overload.NewQueueClock(cfg, func() int64 { return int64(ex.k.Now()) }, n.shed)
+	n.admit = overload.NewQueue(cfg, kernelClock{ex.k}, n.shed)
 	return n
+}
+
+// kernelClock is the kernel's virtual clock behind the clock seam: readings
+// are virtual nanoseconds since the Unix epoch and timers are kernel
+// events, so like the kernel it serves one goroutine at a time.
+type kernelClock struct{ k *sim.Kernel }
+
+func (c kernelClock) Now() time.Time { return time.Unix(0, int64(c.k.Now())) }
+
+func (c kernelClock) AfterFunc(d time.Duration, f func()) clock.Timer {
+	t := &kernelTimer{k: c.k, f: f}
+	t.Reset(d)
+	return t
+}
+
+type kernelTimer struct {
+	k  *sim.Kernel
+	f  func()
+	ev *sim.Timer
+}
+
+func (t *kernelTimer) Stop() bool { return t.ev.Cancel() }
+
+func (t *kernelTimer) Reset(d time.Duration) bool {
+	was := t.ev.Cancel()
+	t.ev = t.k.After(d, t.f)
+	return was
 }
 
 // onRequest handles an arriving request frame: dedup, admission, dispatch.
